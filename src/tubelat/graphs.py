@@ -26,7 +26,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Container, Iterable, Iterator, Sequence
 
 from .errors import InvalidVertex, TubelatError
 
@@ -64,8 +64,7 @@ class Graph:
         return tuple(range(1, self.n + 1))
 
     def has_edge(self, i: int, j: int) -> bool:
-        a, b = min(i, j), max(i, j)
-        return (a, b) in set(self.edges)
+        return 1 <= i <= self.n and j in adjacency(self)[i]
 
     def neighbors(self, v: int) -> frozenset:
         return adjacency(self)[v]
@@ -120,6 +119,11 @@ class LabeledGraph:
                 raise InvalidVertex(f"edge ({a},{b}) not within labels")
 
 
+def tube_key(t: frozenset) -> tuple:
+    """The canonical tube order: by size, then by sorted vertex list."""
+    return (len(t), tuple(sorted(t)))
+
+
 @lru_cache(maxsize=None)
 def adjacency(g: Graph) -> tuple[frozenset, ...]:
     """Neighbor sets indexed by vertex; index 0 is unused."""
@@ -130,37 +134,39 @@ def adjacency(g: Graph) -> tuple[frozenset, ...]:
     return tuple(frozenset(s) for s in adj)
 
 
-def _labeled_adjacency(vertices: Iterable[int], edges: Iterable[Edge]) -> dict:
-    adj = {v: set() for v in vertices}
-    for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    return adj
+def component(adj: Sequence[frozenset], allowed: Container[int], v: int) -> frozenset:
+    """The vertices joined to v by paths inside ``allowed`` (v included).
+
+    ``adj`` is an ``adjacency`` table; every connectivity question in the
+    package is answered by growing one of these components.
+    """
+    comp = {v}
+    stack = [v]
+    while stack:
+        x = stack.pop()
+        for y in adj[x]:
+            if y in allowed and y not in comp:
+                comp.add(y)
+                stack.append(y)
+    return frozenset(comp)
 
 
-def _components(vertices: Iterable[int], adj: dict) -> list[frozenset]:
-    """Connected components, each a frozenset, ordered by smallest member."""
+def components_within(g: Graph, S: Iterable[int]) -> list[frozenset]:
+    """Connected components of G|_S, ordered by smallest member."""
+    adj = adjacency(g)
+    S = frozenset(S)
     seen: set = set()
     comps = []
-    for v in sorted(vertices):
-        if v in seen:
-            continue
-        comp = {v}
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        seen |= comp
-        comps.append(frozenset(comp))
+    for v in sorted(S):
+        if v not in seen:
+            comp = component(adj, S, v)
+            seen |= comp
+            comps.append(comp)
     return comps
 
 
 def components(g: Graph) -> list[frozenset]:
-    adj = {v: set(adjacency(g)[v]) for v in g.vertices}
-    return _components(g.vertices, adj)
+    return components_within(g, g.vertices)
 
 
 def _check_vertex_subset(g: Graph, I: Iterable[int]) -> frozenset:
@@ -203,10 +209,9 @@ def contract(g: Graph, I: Iterable[int]) -> LabeledGraph:
     """
     I = _check_vertex_subset(g, I)
     rest = tuple(sorted(set(g.vertices) - I))
-    sub = induced_subgraph(g, I)
-    comps = _components(sub.vertices, _labeled_adjacency(sub.vertices, sub.edges))
+    comps = components_within(g, I)
     adj = adjacency(g)
-    edges = set(e for e in g.edges if e[0] in set(rest) and e[1] in set(rest))
+    edges = set(e for e in g.edges if e[0] not in I and e[1] not in I)
     for i, j in itertools.combinations(rest, 2):
         if (i, j) in edges:
             continue
@@ -219,19 +224,7 @@ def contract(g: Graph, I: Iterable[int]) -> LabeledGraph:
 def is_tube(g: Graph, I: Iterable[int]) -> bool:
     """True iff I is nonempty and G induces a connected subgraph on it."""
     I = _check_vertex_subset(g, I)
-    if not I:
-        return False
-    adj = adjacency(g)
-    start = next(iter(I))
-    comp = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y in I and y not in comp:
-                comp.add(y)
-                stack.append(y)
-    return len(comp) == len(I)
+    return bool(I) and len(component(adjacency(g), I, min(I))) == len(I)
 
 
 @lru_cache(maxsize=None)
@@ -254,7 +247,7 @@ def tubes(g: Graph) -> tuple[frozenset, ...]:
 
     for v in range(1, g.n + 1):
         grow(frozenset([v]), frozenset(), v)
-    return tuple(sorted(out, key=lambda t: (len(t), sorted(t))))
+    return tuple(sorted(out, key=tube_key))
 
 
 def tubes_by_subset_filter(g: Graph) -> tuple[frozenset, ...]:
@@ -264,7 +257,7 @@ def tubes_by_subset_filter(g: Graph) -> tuple[frozenset, ...]:
         for sub in itertools.combinations(g.vertices, r):
             if is_tube(g, sub):
                 out.append(frozenset(sub))
-    return tuple(sorted(out, key=lambda t: (len(t), sorted(t))))
+    return tuple(sorted(out, key=tube_key))
 
 
 @dataclass(frozen=True)

@@ -395,14 +395,6 @@ def embed_c(x: Tubing) -> FormalSum:
     return out
 
 
-def embed_c_sum(a: FormalSum) -> FormalSum:
-    out = FormalSum("F")
-    for x, c in a.terms.items():
-        for w in linear_extensions(tau(x)):
-            out.add_term(w, c)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Tubing coalgebra
 # ---------------------------------------------------------------------------
@@ -435,18 +427,24 @@ def tubing_coproduct(family: GraphFamily, x: Tubing) -> FormalSum:
     return out
 
 
+def c_delta_holds(family: GraphFamily, x: Tubing) -> bool:
+    """Whether the permutation embedding intertwines the two coproducts at
+    the tubing x: Delta(c(P_x)) = (c (x) c)(Delta(P_x))."""
+    lhs = mr_coproduct_sum(embed_c(x))
+    rhs = FormalSum("F*F")
+    for (lx, rx), c in tubing_coproduct(family, x).terms.items():
+        for wl in linear_extensions(tau(lx)):
+            for wr in linear_extensions(tau(rx)):
+                rhs.add_term((wl, wr), c)
+    return lhs == rhs
+
+
 def c_delta_witness(family: GraphFamily, max_degree: int) -> Optional[Tubing]:
     """None when the permutation embedding intertwines the two coproducts for
     every tubing through max_degree; else the failing tubing."""
     for n in range(0, max_degree + 1):
         for x in enumerate_maximal_tubings(family(n)):
-            lhs = mr_coproduct_sum(embed_c(x))
-            rhs = FormalSum("F*F")
-            for (lx, rx), c in tubing_coproduct(family, x).terms.items():
-                for wl in linear_extensions(tau(lx)):
-                    for wr in linear_extensions(tau(rx)):
-                        rhs.add_term((wl, wr), c)
-            if lhs != rhs:
+            if not c_delta_holds(family, x):
                 return x
     return None
 

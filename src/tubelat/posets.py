@@ -314,12 +314,6 @@ class Poset:
                 covers.append(((x, other.elements[a]), (x, other.elements[b])))
         return Poset(elements, covers)
 
-    def relabel(self, f: Callable[[Hashable], Hashable]) -> "Poset":
-        return Poset(
-            [f(e) for e in self.elements],
-            [(f(self.elements[a]), f(self.elements[b])) for a, b in self.covers],
-        )
-
     def is_isomorphic_to(self, other: "Poset") -> bool:
         return _isomorphic(self, other)
 

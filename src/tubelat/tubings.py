@@ -10,6 +10,11 @@ forest to the tubing of its principal ideals, and ``tau`` inverts it.  The
 ``top`` of a tube in a maximal tubing is its unique vertex outside every
 smaller tube, and tops are a bijection onto [n].
 
+``enumerate_maximal_tubings`` builds every maximal tubing from one fact: a
+maximal tubing of a connected set picks a root and recurses on the
+components of what is left.  ``psi_tubing``, the surjection from words, and
+``maximal_tubings_oracle`` are independent routes to the same set.
+
 Flips exchange one non-maximal tube for the unique alternative; oriented by
 comparing tops they generate the partial order on maximal tubings used by the
 poset module.
@@ -34,20 +39,17 @@ from .errors import (
 from .graphs import (
     Graph,
     LabeledGraph,
-    _components,
-    _labeled_adjacency,
     adjacency,
+    component,
     components,
+    components_within,
     contract,
     induced_subgraph,
     is_tube,
     standardize,
+    tube_key,
     tubes,
 )
-
-
-def tube_key(t: frozenset) -> tuple:
-    return (len(t), tuple(sorted(t)))
 
 
 def canonical_tubes(ts: Iterable[frozenset]) -> tuple[frozenset, ...]:
@@ -68,7 +70,7 @@ class Tubing:
         return len(self.tubes)
 
     def __contains__(self, t) -> bool:
-        return frozenset(t) in set(self.tubes)
+        return frozenset(t) in self.tubes
 
     def key(self) -> tuple:
         return tuple(tube_key(t) for t in self.tubes)
@@ -79,7 +81,7 @@ class Tubing:
     def is_maximal(self) -> bool:
         if len(self.tubes) != self.graph.n:
             return False
-        return all(c in set(self.tubes) for c in components(self.graph))
+        return all(c in self.tubes for c in components(self.graph))
 
     def label(self) -> str:
         return "".join("{" + ",".join(map(str, sorted(t))) + "}" for t in self.tubes)
@@ -256,10 +258,9 @@ def tau(x: Tubing, check: bool = True) -> GForest:
         raise InvalidTubing("tau requires a maximal tubing")
     parent = [0] * x.graph.n
     tops = {t: top(x, t) for t in x.tubes}
-    by_size = sorted(x.tubes, key=tube_key)
     for t in x.tubes:
         smallest_strict = None
-        for s in by_size:
+        for s in x.tubes:
             if t < s:
                 smallest_strict = s
                 break
@@ -279,69 +280,41 @@ def psi_tubing(g: Graph, word: Sequence[int]) -> Tubing:
     ts = []
     for v in word:
         placed.add(v)
-        comp = {v}
-        stack = [v]
-        while stack:
-            a = stack.pop()
-            for b in adj[a]:
-                if b in placed and b not in comp:
-                    comp.add(b)
-                    stack.append(b)
-        ts.append(frozenset(comp))
+        ts.append(component(adj, placed, v))
     return Tubing(g, tuple(ts))
 
 
 @lru_cache(maxsize=None)
 def enumerate_maximal_tubings(g: Graph) -> tuple[Tubing, ...]:
-    """All maximal tubings, canonically ordered.
+    """All maximal tubings, sorted by ``Tubing.key``.
 
-    Sweeps the n! words through the canonical surjection (which is onto) for
-    n <= 8; larger graphs fall back to completion search over rooted
-    component decompositions.
+    A maximal tubing of a connected vertex set C picks a root r, the top of
+    the tube C, and recurses on the components of C - {r}; a disconnected
+    set combines one maximal tubing of each component.  Subsets are
+    memoized, so each is decomposed once.
     """
-    if g.n <= 8:
-        seen = {psi_tubing(g, w) for w in itertools.permutations(g.vertices)}
-        return tuple(sorted(seen))
-    return tuple(sorted(_enumerate_by_decomposition(g)))
-
-
-def _enumerate_by_decomposition(g: Graph) -> list[Tubing]:
-    adj = {v: set(adjacency(g)[v]) for v in g.vertices}
-
     memo: dict = {}
 
     def rec(S: frozenset) -> list[frozenset]:
         """Maximal tubings of the induced subgraph on S, as frozen tube-sets."""
-        if S in memo:
-            return memo[S]
-        comps = _components(S, {v: adj[v] & S for v in S})
-        per_comp = []
-        for C in comps:
-            # each maximal tubing of a component picks a root (the top of the
-            # component tube) and recurses on what is left
-            opts = []
-            for r in sorted(C):
-                for rest in rec(C - {r}):
-                    opts.append(rest | {C})
-            per_comp.append(opts)
-        if not comps:
-            memo[S] = [frozenset()]
-            return memo[S]
-        combos = [frozenset()]
-        for opts in per_comp:
-            combos = [acc | o for acc in combos for o in opts]
-        memo[S] = combos
-        return combos
+        if S not in memo:
+            combos = [frozenset()]
+            for C in components_within(g, S):
+                opts = [rest | {C} for r in sorted(C) for rest in rec(C - {r})]
+                combos = [acc | o for acc in combos for o in opts]
+            memo[S] = combos
+        return memo[S]
 
-    return [Tubing(g, tuple(ts)) for ts in rec(frozenset(g.vertices))]
+    out = [Tubing(g, tuple(ts)) for ts in rec(frozenset(g.vertices))]
+    return tuple(sorted(out, key=Tubing.key))
 
 
 def maximal_tubings_oracle(g: Graph) -> tuple[Tubing, ...]:
     """Test oracle: maximal compatible subsets of the tube list.
 
     Uses the literal 2^(#tubes) filter when that is feasible and pivoted
-    Bron-Kerbosch over the compatibility graph otherwise; both are
-    independent of the sweep used in production.
+    Bron-Kerbosch over the compatibility graph otherwise; neither uses the
+    component decomposition of ``enumerate_maximal_tubings``.
     """
     ts = tubes(g)
     m = len(ts)
@@ -398,7 +371,7 @@ def maximal_tubings_oracle(g: Graph) -> tuple[Tubing, ...]:
     out = [
         Tubing(g, tuple(ts[i] for i in range(m) if bits >> i & 1)) for bits in results
     ]
-    return tuple(sorted(out))
+    return tuple(sorted(out, key=Tubing.key))
 
 
 def restrict_tubing(x: Tubing, I: Iterable[int]) -> LabeledTubing:
@@ -408,24 +381,14 @@ def restrict_tubing(x: Tubing, I: Iterable[int]) -> LabeledTubing:
     for v in I:
         if not (1 <= v <= g.n):
             raise InvalidVertex(f"vertex {v} out of range")
-    sub = induced_subgraph(g, I)
-    adj = _labeled_adjacency(sub.vertices, sub.edges)
     out: set = set()
     for t in x.tubes:
-        s = t & I
-        if s:
-            out |= set(_components(s, {v: adj[v] & s for v in s}))
-    return LabeledTubing(sub, tuple(out))
+        out.update(components_within(g, t & I))
+    return LabeledTubing(induced_subgraph(g, I), tuple(out))
 
 
 def restrict_std(x: Tubing, I: Iterable[int]) -> Tubing:
     return standardize_tubing(restrict_tubing(x, I))
-
-
-def _ideal_components(x: Tubing, I: frozenset) -> list[frozenset]:
-    sub = induced_subgraph(x.graph, I)
-    adj = _labeled_adjacency(sub.vertices, sub.edges)
-    return _components(sub.vertices, adj)
 
 
 def is_ideal(x: Tubing, I: Iterable[int]) -> bool:
@@ -437,7 +400,7 @@ def is_ideal(x: Tubing, I: Iterable[int]) -> bool:
     if not I <= set(x.graph.vertices):
         return False
     tset = set(x.tubes)
-    return all(c in tset for c in _ideal_components(x, I))
+    return all(c in tset for c in components_within(x.graph, I))
 
 
 def quotient_tubing(x: Tubing, I: Iterable[int]) -> LabeledTubing:
@@ -464,7 +427,7 @@ def ideals(x: Tubing) -> list[frozenset]:
     for r in range(x.graph.n + 1):
         for sub in itertools.combinations(x.graph.vertices, r):
             I = frozenset(sub)
-            if not I or all(c in tset for c in _ideal_components(x, I)):
+            if all(c in tset for c in components_within(x.graph, I)):
                 out.append(I)
     return sorted(out, key=tube_key)
 
@@ -524,14 +487,6 @@ def forest_inversions(t: GForest) -> frozenset:
     )
 
 
-def forest_noninversions(t: GForest) -> frozenset:
-    return frozenset(
-        (i, j)
-        for i, j in itertools.combinations(t.graph.vertices, 2)
-        if t.less(i, j)
-    )
-
-
 def descents(t: GForest) -> frozenset:
     """Pairs (i, k), i < k, where i covers k in the forest."""
     return frozenset(
@@ -557,7 +512,7 @@ def flip(x: Tubing, I: Iterable[int]) -> tuple[Tubing, frozenset]:
     if I not in x:
         raise TubeNotInTubing(f"{sorted(I)} not in tubing")
     K = None
-    for t in sorted(x.tubes, key=tube_key):
+    for t in x.tubes:
         if I < t:
             K = t
             break
@@ -568,17 +523,7 @@ def flip(x: Tubing, I: Iterable[int]) -> tuple[Tubing, frozenset]:
     a = top(x, I)
     b = top(x, K)
     g = x.graph
-    adj = adjacency(g)
-    allowed = K - {a}
-    comp = {b}
-    stack = [b]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v in allowed and v not in comp:
-                comp.add(v)
-                stack.append(v)
-    J = frozenset(comp)
+    J = component(adjacency(g), K - {a}, b)
     new_tubes = tuple(t for t in x.tubes if t != I) + (J,)
     return Tubing(g, new_tubes), J
 

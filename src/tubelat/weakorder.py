@@ -32,7 +32,14 @@ from .errors import (
     SizeMismatch,
     TubelatError,
 )
-from .graphs import Graph, GraphFamily, adjacency, filled_status, minimal_non_edges
+from .graphs import (
+    Graph,
+    GraphFamily,
+    adjacency,
+    component,
+    filled_status,
+    minimal_non_edges,
+)
 from .posets import Poset
 from .tubings import Tubing, psi_tubing, sigma_min, tau
 
@@ -502,15 +509,7 @@ def is_g_permutation(g: Graph, w: Sequence[int]) -> bool:
     for v in w:
         placed.add(v)
         running_max = max(running_max, v)
-        comp = {v}
-        stack = [v]
-        while stack:
-            a = stack.pop()
-            for b in adj[a]:
-                if b in placed and b not in comp:
-                    comp.add(b)
-                    stack.append(b)
-        if running_max not in comp:
+        if running_max not in component(adj, placed, v):
             return False
     return True
 
@@ -606,14 +605,6 @@ def lattice_map_report(g: Graph, lg: Optional[Poset] = None) -> LatticeMapReport
 
 def is_lattice_quotient_map(g: Graph) -> bool:
     return lattice_map_report(g).ok
-
-
-def is_meet_quotient_map(g: Graph) -> bool:
-    return lattice_map_report(g).meet_ok
-
-
-def is_join_quotient_map(g: Graph) -> bool:
-    return lattice_map_report(g).join_ok
 
 
 # ---------------------------------------------------------------------------

@@ -202,7 +202,7 @@ def test_verify_smoke(capsys):
 def test_verify_all_maxn4(capsys):
     code, out, _ = invoke(capsys, "verify", "--suite", "all", "--max-n", "4")
     assert code == 0
-    assert "31/31 checks passed" in out
+    assert "30/30 checks passed" in out
 
 
 def test_verify_parallel_jobs(capsys):

@@ -7,6 +7,7 @@ from tubelat.graphs import (
     Graph,
     LabeledGraph,
     all_graphs,
+    components_within,
     contract,
     delete,
     dual_graph,
@@ -35,6 +36,7 @@ def test_graph_normalizes_edges():
     g = Graph(3, ((3, 1), (2, 1)))
     assert g.edges == ((1, 2), (1, 3))
     assert g.has_edge(3, 1)
+    assert not g.has_edge(-2, 1) and not g.has_edge(4, 1) and not g.has_edge(0, 2)
 
 
 def test_graph_rejects_bad_edges():
@@ -97,6 +99,21 @@ def test_tubes_against_subset_filter():
     for n in range(5):
         for g in all_graphs(n):
             assert tubes(g) == tubes_by_subset_filter(g)
+
+
+def test_components_within_partitions_into_tubes():
+    for n in range(5):
+        for g in all_graphs(n):
+            tube_set = set(tubes_by_subset_filter(g))
+            for r in range(n + 1):
+                for S in itertools.combinations(g.vertices, r):
+                    blocks = components_within(g, S)
+                    assert sorted(v for b in blocks for v in b) == list(S)
+                    assert all(b in tube_set for b in blocks)
+                    assert [min(b) for b in blocks] == sorted(min(b) for b in blocks)
+                    owner = {v: k for k, b in enumerate(blocks) for v in b}
+                    assert all(owner[a] == owner[b] for a, b in g.edges if a in owner and b in owner)
+                    assert is_tube(g, S) == (len(blocks) == 1)
 
 
 def test_filled_status_examples():

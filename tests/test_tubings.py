@@ -89,14 +89,14 @@ def test_oracle_matches_on_structured_graphs():
 
 
 def test_decomposition_enumerator_matches_sweep():
-    from tubelat.tubings import _enumerate_by_decomposition
-
-    for g in list(all_graphs(4)) + [parse_graph("cycle:5")]:
-        assert tuple(sorted(_enumerate_by_decomposition(g))) == enumerate_maximal_tubings(g)
+    # psi is onto, so its image over all of S_n is an independent enumeration
+    for g in list(all_graphs(4)) + [parse_graph("cycle:5"), parse_graph("complete:5")]:
+        image = {psi_tubing(g, w) for w in itertools.permutations(g.vertices)}
+        assert enumerate_maximal_tubings(g) == tuple(sorted(image, key=Tubing.key))
 
 
 def test_enumeration_beyond_sweep_threshold():
-    # n = 9 takes the completion-search branch instead of the 9! sweep
+    # n = 9 is past the reach of the n! psi sweep used as an oracle above
     x = enumerate_maximal_tubings(parse_graph("path:9"))
     assert len(x) == 4862  # Catalan(9)
 
