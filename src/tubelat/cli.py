@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from .errors import TubelatError
+from .errors import NotComparable, TubelatError
 from .graphs import (
     Graph,
     filled_status,
@@ -224,6 +224,10 @@ def cmd_congruence(args) -> int:
 
 
 def cmd_arc(args) -> int:
+    if args.action in ("delete", "insert") and args.k is None:
+        raise TubelatError(f"arc {args.action} needs --k")
+    if args.action == "subarc" and args.arc2 is None:
+        raise TubelatError("arc subarc needs --arc2")
     if args.action == "delete":
         a = parse_arc(args.arc, args.n)
         out = arc_delete(a, args.k)
@@ -296,6 +300,8 @@ def cmd_mobius(args) -> int:
         hi = psi(g, parse_perm(args.upper_perm))
     else:
         lo, hi = lg.minimum(), lg.maximum()
+    if not lg.le(lo, hi):
+        raise NotComparable(f"{lo.label()} and {hi.label()} are not comparable in order")
     mu = lg.mobius(lo, hi)
     if args.json:
         _emit_json({"lower": lo.label(), "upper": hi.label(), "mobius": mu})

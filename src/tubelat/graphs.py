@@ -58,6 +58,11 @@ class Graph:
         for a, b in edges:
             if not (1 <= a < b <= self.n):
                 raise InvalidVertex(f"edge ({a},{b}) out of range for n={self.n}")
+        object.__setattr__(self, "_hash", hash((self.n, edges)))
+
+    def __hash__(self) -> int:
+        # the dataclass formula, computed once: graphs key every cache
+        return self._hash
 
     @property
     def vertices(self) -> tuple[int, ...]:
@@ -440,8 +445,11 @@ def parse_graph(descriptor: str) -> Graph:
 
 def load_graph_file(path: str) -> Graph:
     """Load a graph from the text format or the JSON alternative."""
-    with open(path) as fh:
-        text = fh.read()
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise TubelatError(f"cannot read graph file {path}: {exc.strerror}") from exc
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return Graph.from_json_obj(json.loads(text))

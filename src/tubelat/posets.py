@@ -10,7 +10,11 @@ highest-indexed common lower bound dominates all the others.
 flips oriented by comparing tops, the transitive closure is computed rather
 than assumed, and acyclicity plus irredundancy of covers are verified on
 construction (the orientation is induced by a linear functional, so a cycle
-or a redundant edge would indicate a flip bug).
+or a redundant edge would indicate a flip bug).  Each cover is found once,
+from its lower end: flipping tube I (top a) inside its smallest strict
+supertube K (top b) goes up iff a < b and puts J = component(K - {a}, b) in
+place of I, and the upper end is looked up by its tube set among the
+enumerated tubings, so no tubing is built or sorted per flip.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ from typing import Callable, Hashable, Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import ElementNotFound, NotALattice, NotComparable, TubelatError
-from .graphs import Graph, tubes
-from .tubings import Tubing, enumerate_maximal_tubings, is_tube, oriented_flips
+from .graphs import Graph, adjacency, component, tubes
+from .tubings import Tubing, enumerate_maximal_tubings, is_tube, tops_and_supertubes
 
 
 class Poset:
@@ -444,16 +448,20 @@ def _isomorphic(p: Poset, q: Poset) -> bool:
 
 
 def build_lg(g: Graph) -> Poset:
-    """The poset of maximal tubings, ordered by oriented flips."""
+    """The poset of maximal tubings, ordered by oriented flips (each cover
+    found from its lower end; ``oriented_flips`` is the per-tubing oracle)."""
     elements = enumerate_maximal_tubings(g)
-    covers = set()
-    for x in elements:
-        for y, J, goes_up in oriented_flips(x):
-            if goes_up:
-                covers.add((x, y))
-            else:
-                covers.add((y, x))
-    return Poset(elements, sorted(covers, key=lambda c: (c[0].key(), c[1].key())))
+    by_tubes = {frozenset(x.tubes): x for x in elements}
+    adj = adjacency(g)
+    covers = []
+    for tset, x in by_tubes.items():
+        tops, up = tops_and_supertubes(x)
+        for i, j in enumerate(up):
+            if j >= 0 and tops[i] < tops[j]:
+                I, K = x.tubes[i], x.tubes[j]
+                J = component(adj, K - {tops[i]}, tops[j])
+                covers.append((x, by_tubes[tset - {I} | {J}]))
+    return Poset(elements, covers)
 
 
 @dataclass(frozen=True)

@@ -64,7 +64,14 @@ class Tubing:
     tubes: tuple[frozenset, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "tubes", canonical_tubes(self.tubes))
+        ts = canonical_tubes(self.tubes)
+        object.__setattr__(self, "tubes", ts)
+        object.__setattr__(self, "_hash", hash((self.graph, ts)))
+
+    def __hash__(self) -> int:
+        # the dataclass formula, computed once: tubings key the poset and
+        # fiber dicts
+        return self._hash
 
     def __len__(self) -> int:
         return len(self.tubes)
@@ -142,26 +149,35 @@ def make_tubing(g: Graph, ts: Iterable[frozenset], check: bool = True) -> Tubing
 class GForest:
     """Forest poset on [n] as a parent array; parent 0 marks a root.
 
-    i <_T k means k lies on the path from i to its root.  Validity (principal
-    ideals are tubes, incomparable ideals have non-tube unions) is checked by
-    ``validate_gforest``; ``chi``/``tau`` always hand back valid values.
+    i <_T k means k lies on the path from i to its root.  Validity (no
+    cycle, principal ideals are tubes, incomparable ideals have non-tube
+    unions) is checked by ``validate_gforest``; ``chi``/``tau`` always hand
+    back valid values.
     """
 
     graph: Graph
     parent: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.parent) != self.graph.n:
+        n = self.graph.n
+        if len(self.parent) != n:
             raise InvalidForest("parent array length must equal n")
+        # children[0] lists the roots
+        children: list[list[int]] = [[] for _ in range(n + 1)]
+        for v, p in enumerate(self.parent, 1):
+            if not 0 <= p <= n:
+                raise InvalidForest(f"parent of {v} out of range")
+            children[p].append(v)
+        object.__setattr__(self, "_children", tuple(map(tuple, children)))
 
     def parent_of(self, v: int) -> int:
         return self.parent[v - 1]
 
-    def children(self, v: int) -> list[int]:
-        return [u for u in self.graph.vertices if self.parent[u - 1] == v]
+    def children(self, v: int) -> tuple[int, ...]:
+        return self._children[v]
 
-    def roots(self) -> list[int]:
-        return [u for u in self.graph.vertices if self.parent[u - 1] == 0]
+    def roots(self) -> tuple[int, ...]:
+        return self._children[0]
 
     def less(self, i: int, k: int) -> bool:
         """i <_T k (strictly)."""
@@ -177,8 +193,7 @@ class GForest:
         out = {v}
         stack = [v]
         while stack:
-            x = stack.pop()
-            for c in self.children(x):
+            for c in self._children[stack.pop()]:
                 if c not in out:
                     out.add(c)
                     stack.append(c)
@@ -195,35 +210,37 @@ class GForest:
         return t
 
 
-def validate_gforest(t: GForest) -> None:
+def validate_gforest(t: GForest) -> tuple[frozenset, ...]:
+    """Raise ``InvalidForest`` unless t is a G-forest; return the principal
+    ideals of vertices 1..n."""
     g = t.graph
-    n = g.n
+    # every vertex off a cycle hangs below a root
+    below_roots = list(t.roots())
+    for v in below_roots:
+        below_roots.extend(t.children(v))
+    if len(below_roots) != g.n:
+        raise InvalidForest("parent relation has a cycle")
+    ideal: list = [None] * (g.n + 1)
+    for v in reversed(below_roots):
+        ideal[v] = frozenset({v}).union(*(ideal[c] for c in t.children(v)))
+    adj = adjacency(g)
     for v in g.vertices:
-        p = t.parent_of(v)
-        if p != 0 and not (1 <= p <= n):
-            raise InvalidForest(f"parent of {v} out of range")
-        seen = {v}
-        while p != 0:
-            if p in seen:
-                raise InvalidForest("parent relation has a cycle")
-            seen.add(p)
-            p = t.parent_of(p)
-    ideals = {v: t.ideal(v) for v in g.vertices}
-    for v in g.vertices:
-        if not is_tube(g, ideals[v]):
+        if len(component(adj, ideal[v], v)) != len(ideal[v]):
             raise InvalidForest(f"principal ideal of {v} is not a tube")
     for i, k in itertools.combinations(g.vertices, 2):
-        if not t.less(i, k) and not t.less(k, i):
-            if is_tube(g, ideals[i] | ideals[k]):
+        if i not in ideal[k] and k not in ideal[i]:
+            # incomparable ideals are disjoint tubes: the union is a tube
+            # iff an edge joins them
+            if any(not adj[u].isdisjoint(ideal[k]) for u in ideal[i]):
                 raise InvalidForest(
-                    f"incomparable {i},{k} have a tube union {sorted(ideals[i] | ideals[k])}"
+                    f"incomparable {i},{k} have a tube union {sorted(ideal[i] | ideal[k])}"
                 )
+    return tuple(ideal[1:])
 
 
 def chi(t: GForest) -> Tubing:
     """Forest -> maximal tubing of principal ideals."""
-    validate_gforest(t)
-    return Tubing(t.graph, tuple(t.ideal(v) for v in t.graph.vertices))
+    return Tubing(t.graph, validate_gforest(t))
 
 
 def smallest_containing_tube(x: Tubing, v: int) -> frozenset:
@@ -252,20 +269,40 @@ def top(x: Tubing, I: Iterable[int]) -> int:
     return next(iter(rest))
 
 
+def tops_and_supertubes(x: Tubing) -> tuple[list[int], list[int]]:
+    """For a maximal tubing, indexed like ``x.tubes``: the top of each tube,
+    and the index of its smallest strict supertube (-1 for component tubes).
+
+    The supertubes of a tube form a chain, so the smallest is the first
+    strict superset in the canonical order.
+    """
+    ts = x.tubes
+    up = [-1] * len(ts)
+    covered = [set() for _ in ts]
+    for i, I in enumerate(ts):
+        for j in range(i + 1, len(ts)):
+            if I < ts[j]:
+                up[i] = j
+                covered[j] |= I
+                break
+    tops = []
+    for t, c in zip(ts, covered):
+        rest = t - c
+        if len(rest) != 1:
+            raise InvalidTubing(f"tube {sorted(t)} has no unique top; tubing not maximal?")
+        tops.extend(rest)
+    return tops, up
+
+
 def tau(x: Tubing, check: bool = True) -> GForest:
     """Maximal tubing -> forest: top(I) is covered by top of the next tube up."""
     if check and not x.is_maximal():
         raise InvalidTubing("tau requires a maximal tubing")
     parent = [0] * x.graph.n
-    tops = {t: top(x, t) for t in x.tubes}
-    for t in x.tubes:
-        smallest_strict = None
-        for s in x.tubes:
-            if t < s:
-                smallest_strict = s
-                break
-        if smallest_strict is not None:
-            parent[tops[t] - 1] = tops[smallest_strict]
+    tops, up = tops_and_supertubes(x)
+    for i, j in enumerate(up):
+        if j >= 0:
+            parent[tops[i] - 1] = tops[j]
     return GForest(x.graph, tuple(parent))
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
+import traceback
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -212,26 +213,18 @@ def acc_04_right_filled_inversion_order(max_n=None) -> str:
             invs = {x: forest_inversions(t) for x, t in trees.items()}
             sigmas = {x: sigma_min(t) for x, t in trees.items()}
             for x in lg.elements:
-                _require(
-                    inversions(sigmas[x]) == invs[x],
-                    f"inv(sigma) != inv(T) for {g}",
-                )
-                _require(
-                    perm_descents(sigmas[x]) == descents(trees[x]),
-                    f"des(sigma) != des(T) for {g}",
-                )
-                _require(
-                    is_g_permutation(g, sigmas[x]),
-                    f"sigma not a G-permutation for {g}",
-                )
+                if inversions(sigmas[x]) != invs[x]:
+                    raise VerifyFailure(f"inv(sigma) != inv(T) for {g}")
+                if perm_descents(sigmas[x]) != descents(trees[x]):
+                    raise VerifyFailure(f"des(sigma) != des(T) for {g}")
+                if not is_g_permutation(g, sigmas[x]):
+                    raise VerifyFailure(f"sigma not a G-permutation for {g}")
             gperms = {w for w in permutations(n) if is_g_permutation(g, w)}
             _require(set(sigmas.values()) == gperms, f"sigma image != G-permutations for {g}")
             for x in lg.elements:
                 for y in lg.elements:
-                    _require(
-                        lg.le(x, y) == (invs[x] <= invs[y]),
-                        f"L_G order != inversion containment for {g}",
-                    )
+                    if lg.le(x, y) != (invs[x] <= invs[y]):
+                        raise VerifyFailure(f"L_G order != inversion containment for {g}")
             report = lattice_map_report(g, lg)
             _require(report.meet_ok, f"psi not meet-preserving for right-filled {g}")
             _require(lg.is_lattice(), f"L_G not a lattice for right-filled {g}")
@@ -242,12 +235,11 @@ def acc_04_right_filled_inversion_order(max_n=None) -> str:
             for x, ws in fibers.items():
                 members = set(ws)
                 mins = [w for w in ws if not any(u in members for u in weak_covers(w))]
-                _require(mins == [sigmas[x]], f"fiber minimum mismatch for {g}")
+                if mins != [sigmas[x]]:
+                    raise VerifyFailure(f"fiber minimum mismatch for {g}")
             for u, w in weak_cover_pairs(n):
-                _require(
-                    invs[pm[u]] <= invs[pm[w]],
-                    f"pi_down not order preserving for {g}",
-                )
+                if not invs[pm[u]] <= invs[pm[w]]:
+                    raise VerifyFailure(f"pi_down not order preserving for {g}")
             graphs += 1
     return f"{graphs} right-filled graphs through n={bound}"
 
@@ -266,10 +258,8 @@ def acc_05_left_filled_joins(max_n=None) -> str:
             for x, ws in fibers.items():
                 members = set(ws)
                 maxs = [w for w in ws if not any(u in members for u in weak_upper_covers(w))]
-                _require(
-                    maxs == [sigma_max(trees[x])],
-                    f"fiber maximum is not sigma* for {g}",
-                )
+                if maxs != [sigma_max(trees[x])]:
+                    raise VerifyFailure(f"fiber maximum is not sigma* for {g}")
             graphs += 1
     return f"{graphs} left-filled graphs through n={bound}"
 
@@ -302,16 +292,15 @@ def acc_07_face_intervals_and_mobius(max_n=None) -> str:
             containment_intervals = {}
             for y in all_tubings(g):
                 res = tubing_face_interval(g, y, lg)
-                _require(res.ok, f"containing set not an interval for {g}, {y.label()}")
+                if not res.ok:
+                    raise VerifyFailure(f"containing set not an interval for {g}, {y.label()}")
                 intervals += 1
                 if maximal_tubes <= set(y.tubes):
                     expected = (-1) ** (n - len(y.tubes))
                     mu = lg.mobius(res.lower, res.upper)
                     if lattice:
-                        _require(
-                            mu == expected,
-                            f"mobius {mu} != {expected} for {g}, {y.label()}",
-                        )
+                        if mu != expected:
+                            raise VerifyFailure(f"mobius {mu} != {expected} for {g}, {y.label()}")
                     elif mu != expected:
                         conjecture_notes.append(f"{g} {y.label()}: mu={mu} expected={expected}")
                     containment_intervals[(res.lower, res.upper)] = expected
@@ -322,9 +311,10 @@ def acc_07_face_intervals_and_mobius(max_n=None) -> str:
                             continue
                         mu = lg.mobius(a, b)
                         if (a, b) in containment_intervals:
-                            _require(mu == containment_intervals[(a, b)], f"mobius form mismatch {g}")
-                        else:
-                            _require(mu == 0, f"mobius {mu} != 0 off-form for {g}")
+                            if mu != containment_intervals[(a, b)]:
+                                raise VerifyFailure(f"mobius form mismatch {g}")
+                        elif mu != 0:
+                            raise VerifyFailure(f"mobius {mu} != 0 off-form for {g}")
     note = "; conjecture holds on non-lattices" if not conjecture_notes else (
         "; conjecture counterexamples: " + " | ".join(conjecture_notes[:3])
     )
@@ -484,10 +474,8 @@ def acc_11_oracle_equivalence(max_n=None) -> str:
     graphs = 0
     for n in range(bound + 1):
         for g in all_graphs(n):
-            _require(
-                enumerate_maximal_tubings(g) == maximal_tubings_oracle(g),
-                f"enumerator != subset oracle for {g}",
-            )
+            if enumerate_maximal_tubings(g) != maximal_tubings_oracle(g):
+                raise VerifyFailure(f"enumerator != subset oracle for {g}")
             graphs += 1
     arc_bound = _cap(5, max_n)
     arcs_checked = 0
@@ -495,23 +483,23 @@ def acc_11_oracle_equivalence(max_n=None) -> str:
         for a in all_arcs(n - 1):
             for v in range(1, n + 1):
                 for b in arc_insertions(a, v):
-                    _require(arc_delete(b, v) == a, f"delete(insert) != id at {a.format()}, v={v}")
+                    if arc_delete(b, v) != a:
+                        raise VerifyFailure(f"delete(insert) != id at {a.format()}, v={v}")
                     arcs_checked += 1
         for b in all_arcs(n):
             for v in range(1, n + 1):
                 if v in (b.i, b.k):
                     continue
                 a = arc_delete(b, v)
-                _require(
-                    b in arc_insertions(a, v),
-                    f"insert(delete) misses {b.format()} at v={v}",
-                )
+                if b not in arc_insertions(a, v):
+                    raise VerifyFailure(f"insert(delete) misses {b.format()} at v={v}")
     tree_bound = _cap(5, max_n)
     round_trips = 0
     for n in range(tree_bound + 1):
         for g in all_graphs(n):
             for x in enumerate_maximal_tubings(g):
-                _require(chi(tau(x)) == x, f"chi/tau round trip fails for {g}")
+                if chi(tau(x)) != x:
+                    raise VerifyFailure(f"chi/tau round trip fails for {g}")
                 round_trips += 1
     return (
         f"{graphs} graphs vs oracle; {arcs_checked} arc insert/delete pairs; "
@@ -576,7 +564,8 @@ def ex_psi_examples(max_n=None) -> str:
             t = tau(psi(g, w))
             chain = list(w)
             for lower, upper in zip(chain, chain[1:]):
-                _require(t.less(lower, upper), f"K_n fiber of {w} is not the chain")
+                if not t.less(lower, upper):
+                    raise VerifyFailure(f"K_n fiber of {w} is not the chain")
         _require(
             len(psi_fibers(g)) == math.factorial(n), "K_n tubings should be all of S_n"
         )
@@ -584,19 +573,15 @@ def ex_psi_examples(max_n=None) -> str:
         for g in all_graphs(n):
             fibers = psi_fibers(g)
             for x, ws in fibers.items():
-                _require(
-                    set(ws) == set(linear_extensions(tau(x))),
-                    f"fiber != linear extensions for {g}",
-                )
+                if set(ws) != set(linear_extensions(tau(x))):
+                    raise VerifyFailure(f"fiber != linear extensions for {g}")
     bound4 = _cap(4, max_n)
     for n in range(bound4 + 1):
         for g in all_graphs(n):
             pm = psi_map(g)
             for w in permutations(n):
-                _require(
-                    is_g_permutation(g, w) == (w == sigma_min(tau(pm[w]))),
-                    f"G-permutation != lex-min extension at {g}, {w}",
-                )
+                if is_g_permutation(g, w) != (w == sigma_min(tau(pm[w]))):
+                    raise VerifyFailure(f"G-permutation != lex-min extension at {g}, {w}")
     p3 = family_path()(3)
     x = psi(p3, (2, 1, 3))
     _require(
@@ -626,11 +611,10 @@ def ex_arc_combinatorics(max_n=None) -> str:
     for n in range(1, bound + 1):
         for a in all_arcs(n):
             j, jstar = perm_of_arc(a), perm_of_arc_lower(a)
-            _require(
-                perm_descents(j) == {(a.i, a.k)},
-                f"j_alpha should have the single descent ({a.i},{a.k})",
-            )
-            _require(arc_of_cover(jstar, j) == a, f"arc round trip fails for {a.format()}")
+            if perm_descents(j) != {(a.i, a.k)}:
+                raise VerifyFailure(f"j_alpha should have the single descent ({a.i},{a.k})")
+            if arc_of_cover(jstar, j) != a:
+                raise VerifyFailure(f"arc round trip fails for {a.format()}")
     for n in range(1, _cap(4, max_n) + 1):
         for a in all_arcs(n):
             single = congruence_classes(congruence_from_generators(n, [a]))
@@ -738,10 +722,8 @@ def ex_prefix_interval_square(max_n=None) -> str:
                         w = tuple(head) + tuple(rest)
                         lhs = restrict_std(psi(g, w), V)
                         rhs = psi(gprime, tuple(phi[v] for v in head))
-                        _require(
-                            lhs == rhs,
-                            f"interval square fails at {g}, V={V}, w={w}",
-                        )
+                        if lhs != rhs:
+                            raise VerifyFailure(f"interval square fails at {g}, V={V}, w={w}")
     return f"restriction square commutes on prefix intervals (n<={bound})"
 
 
@@ -757,10 +739,8 @@ def ex_cover_relations_formula(max_n=None) -> str:
                     y_formula = _descent_flip_formula(t, i, k)
                     y_flip, J = flip(x, kdown)
                     y_search, J2 = flip_by_search(x, kdown)
-                    _require(
-                        y_flip == y_search == y_formula,
-                        f"flip formula mismatch at {g}, descent ({i},{k})",
-                    )
+                    if not y_flip == y_search == y_formula:
+                        raise VerifyFailure(f"flip formula mismatch at {g}, descent ({i},{k})")
                     _require(
                         top(x, kdown) > top(y_flip, J),
                         "descent flip should go down",
@@ -823,10 +803,11 @@ def ex_lg_structure_sweep(max_n=None) -> str:
                     expected = [0] * n
                     expected[i_t - 1] = scale
                     expected[j_t - 1] = -scale
-                    _require(diff == expected, f"flip difference not c(e_i - e_j) at {g}")
+                    if diff != expected:
+                        raise VerifyFailure(f"flip difference not c(e_i - e_j) at {g}")
                     _require(scale > 0, "flip difference must gain on the leaving top")
-                    if goes_up:
-                        _require(lam(vy) > lam(vx), f"lambda orientation fails at {g}")
+                    if goes_up and not lam(vy) > lam(vx):
+                        raise VerifyFailure(f"lambda orientation fails at {g}")
             graphs += 1
     return f"{graphs} graphs: unique extrema, covers=descents=ascents, lambda-monotone flips"
 
@@ -887,12 +868,14 @@ def ex_restriction_quotient_maximality(max_n=None) -> str:
                 for r in range(n + 1):
                     for I in itertools.combinations(g.vertices, r):
                         rx = restrict_std(x, I)
-                        _require(rx.is_maximal(), f"restriction not maximal for {g}")
+                        if not rx.is_maximal():
+                            raise VerifyFailure(f"restriction not maximal for {g}")
                 for I in ideals(x):
                     from .tubings import quotient_std
 
                     qx = quotient_std(x, I)
-                    _require(qx.is_maximal(), f"quotient not maximal for {g}")
+                    if not qx.is_maximal():
+                        raise VerifyFailure(f"quotient not maximal for {g}")
     return f"restrictions and quotients stay maximal (n<={bound})"
 
 
@@ -979,7 +962,8 @@ def ex_coarsen_restriction_commutes(max_n=None) -> str:
                 for w in enumerate_maximal_tubings(gb):
                     lhs = restrict_std(coarsen(ga, w), range(1, n + 1))
                     lhs2 = coarsen(fam_a(n), restrict_std(w, range(1, n + 1)))
-                    _require(lhs == lhs2, f"psi restriction fails {fam_a.name}<{fam_b.name}")
+                    if lhs != lhs2:
+                        raise VerifyFailure(f"psi restriction fails {fam_a.name}<{fam_b.name}")
     return f"coarsening commutes with restriction (degrees <= {bound})"
 
 
@@ -995,10 +979,10 @@ def ex_coarsen_well_defined(max_n=None) -> str:
                 h = Graph(n, tuple(e for e in g.edges if e != drop))
                 for w in enumerate_maximal_tubings(g):
                     images = {psi_tubing(h, u) for u in linear_extensions(tau(w))}
-                    _require(
-                        len(images) == 1,
-                        f"coarsening depends on the extension at {g} minus {drop}",
-                    )
+                    if len(images) != 1:
+                        raise VerifyFailure(
+                            f"coarsening depends on the extension at {g} minus {drop}"
+                        )
     return f"coarsening independent of the chosen extension (n<={bound})"
 
 
@@ -1105,6 +1089,7 @@ EXAMPLE_CHECKS: list[tuple[str, Callable]] = [
 
 
 def _run_one(item: tuple[str, Callable], max_n: Optional[int]) -> CheckResult:
+    """Run one check; a crash is reported as a failure of that check alone."""
     name, fn = item
     start = time.time()
     try:
@@ -1112,6 +1097,10 @@ def _run_one(item: tuple[str, Callable], max_n: Optional[int]) -> CheckResult:
         return CheckResult(name, True, detail, time.time() - start)
     except VerifyFailure as exc:
         return CheckResult(name, False, str(exc), time.time() - start)
+    except Exception as exc:
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        detail = f"{type(exc).__name__}: {exc} (in {where.name}, line {where.lineno})"
+        return CheckResult(name, False, detail, time.time() - start)
 
 
 def run_suite(

@@ -132,6 +132,12 @@ def test_mobius_command(capsys):
     assert out.strip() == "1"
     code, out, _ = invoke(capsys, "mobius", "--graph", "complete:2")
     assert code == 0 and out.strip() == "-1"
+    # psi(213) and psi(132) are incomparable: named by label, not repr
+    code, _, err = invoke(
+        capsys, "mobius", "--graph", "path:3", "--lower-perm", "213", "--upper-perm", "132"
+    )
+    assert code == 2
+    assert "{2}{1,2}{1,2,3} and {1}{3}{1,2,3}" in err and "Tubing(" not in err
 
 
 def test_family_commands(capsys):
@@ -186,11 +192,23 @@ def test_annotated_nonlattice_dot(capsys):
         os.unlink(path)
 
 
+BAD_INPUTS = [
+    ("tubings", "--graph", "nonsense"),
+    ("psi", "--graph", "path:3", "--perm", "211"),
+    ("tubings",),
+    ("arc", "delete", "--arc", "9-2:", "--n", "4", "--k", "1"),
+    ("arc", "delete", "--arc", "2-5:-+", "--n", "5"),
+    ("arc", "insert", "--arc", "1-2:", "--n", "2"),
+    ("arc", "subarc", "--arc", "2-4:+", "--n", "4"),
+    ("tubings", "--graph-file", "no-such-dir/no-such-graph.txt"),
+]
+
+
 def test_bad_input_exits_2(capsys):
-    assert invoke(capsys, "tubings", "--graph", "nonsense")[0] == 2
-    assert invoke(capsys, "psi", "--graph", "path:3", "--perm", "211")[0] == 2
-    assert invoke(capsys, "tubings")[0] == 2
-    assert invoke(capsys, "arc", "delete", "--arc", "9-2:", "--n", "4", "--k", "1")[0] == 2
+    for argv in BAD_INPUTS:
+        code, _, err = invoke(capsys, *argv)
+        assert code == 2, argv
+        assert "error:" in err and "Traceback" not in err, argv
 
 
 def test_verify_smoke(capsys):
@@ -213,3 +231,43 @@ def test_verify_parallel_jobs(capsys):
     assert [(r.name, r.ok, r.detail) for r in serial] == [
         (r.name, r.ok, r.detail) for r in parallel
     ]
+
+
+def _crashing_check(max_n=None):
+    return 1 // 0
+
+
+def test_verify_reports_crashing_check(monkeypatch):
+    from tubelat import verify
+
+    crash = ("X01 crashing check", _crashing_check)
+    monkeypatch.setattr(verify, "ACCEPTANCE_CHECKS", [crash, verify.ACCEPTANCE_CHECKS[2]])
+    for jobs in (1, 2):
+        bad, good = verify.run_suite(suite="acceptance", max_n=2, jobs=jobs)
+        assert not bad.ok and bad.detail.startswith("ZeroDivisionError"), bad.detail
+        assert bad.line().startswith("FAIL  X01 crashing check")
+        assert good.ok
+
+
+def test_verify_json_independent_of_hash_seed_and_jobs():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for seed, jobs in (("0", "1"), ("1", "1"), ("1", "2")):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "tubelat.cli", "--json", "verify", "--suite",
+             "acceptance", "--max-n", "4", "--jobs", jobs],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        results = json.loads(proc.stdout)
+        for r in results:
+            del r["seconds"]
+        outputs.append(json.dumps(results, sort_keys=True))
+    assert outputs[0] == outputs[1] == outputs[2]

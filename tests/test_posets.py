@@ -186,6 +186,21 @@ def test_build_lg_small_examples():
     assert len(build_lg(Graph(4))) == 1
 
 
+def test_build_lg_covers_match_oriented_flips():
+    # the pre-optimization construction, kept as the oracle: every oriented
+    # flip of every tubing, from both ends, unioned
+    from tubelat.tubings import enumerate_maximal_tubings, oriented_flips
+
+    graphs = [g for n in range(6) for g in all_graphs(n)]
+    for g in graphs + [parse_graph("cycle:7"), parse_graph("path:8")]:
+        expected = set()
+        for x in enumerate_maximal_tubings(g):
+            for y, _, goes_up in oriented_flips(x):
+                expected.add((x, y) if goes_up else (y, x))
+        lg = build_lg(g)
+        assert {(lg.elements[a], lg.elements[b]) for a, b in lg.covers} == expected
+
+
 def test_lg_min_is_identity_image():
     from tubelat.weakorder import psi
 

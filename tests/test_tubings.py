@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from tubelat.errors import (
+    InvalidForest,
     InvalidTubing,
     MaximalTubeNotFlippable,
     NotAnIdeal,
@@ -112,14 +113,30 @@ def test_chi_tau_examples():
 
 
 def test_validate_gforest_rejects_bad_forests():
-    with pytest.raises(Exception):
+    with pytest.raises(InvalidForest):
         validate_gforest(GForest(P3, (2, 1, 0)))  # cycle between 1 and 2
     # ideals must be tubes: parent 3 covers 1 directly in the path graph
-    with pytest.raises(Exception):
+    with pytest.raises(InvalidForest):
         validate_gforest(GForest(P3, (3, 0, 0)))
     # incomparable ideals whose union is a tube
-    with pytest.raises(Exception):
+    with pytest.raises(InvalidForest):
         validate_gforest(GForest(K2, (0, 0)))
+    # parents outside [0, n] never reach the children table
+    for parent in ((5, 0, 0), (-1, 0, 0)):
+        with pytest.raises(InvalidForest):
+            validate_gforest(GForest(P3, parent))
+
+
+def test_gforest_children_and_ideals_match_parent_scan():
+    for g in itertools.chain.from_iterable(all_graphs(n) for n in range(5)):
+        for x in enumerate_maximal_tubings(g):
+            t = tau(x)
+            assert t.roots() == tuple(u for u in g.vertices if t.parent_of(u) == 0)
+            for v in g.vertices:
+                assert t.children(v) == tuple(u for u in g.vertices if t.parent_of(u) == v)
+                below = {u for u in g.vertices if t.less(u, v)}
+                assert t.ideal(v) == frozenset(below | {v})
+            assert validate_gforest(t) == tuple(t.ideal(v) for v in g.vertices)
 
 
 def test_top_examples():
