@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from .errors import NotComparable, TubelatError
+from .errors import NotAdmissibleAtDegree, NotComparable, TubelatError
 from .graphs import (
     Graph,
     filled_status,
@@ -329,9 +329,13 @@ def cmd_family(args) -> int:
                 f"gives uncontracted {wit[2].format()}"
             )
     elif args.property == "associative":
-        wit = associativity_witness(fam, n)
-        if wit is not None:
-            wit = " . ".join(t.label() for t in wit)
+        try:
+            wit = associativity_witness(fam, n)
+        except NotAdmissibleAtDegree as exc:
+            wit = f"product undefined: {exc}"
+        else:
+            if wit is not None:
+                wit = " . ".join(t.label() for t in wit)
     else:
         raise TubelatError(f"unknown family property {args.property!r}")
     ok = wit is None

@@ -2,9 +2,19 @@
 
 Elements are arbitrary hashable keys stored in a deterministic topological
 order; the reachability relation is kept as one up-set and one down-set
-bitmask per element.  Because the storage order extends the partial order,
-meets and joins are O(1) bitmask probes: the meet of x and y exists iff the
+bitmask per element.  Because the storage order extends the partial order, a
+single meet or join is a bitmask probe: the meet of x and y exists iff the
 highest-indexed common lower bound dominates all the others.
+
+Whole-lattice queries work from the covers.  The meet and join tables are
+filled by cover recursion, a level of rows per numpy step: the join of
+incomparable i and j is the least of the joins c v j over the upper covers c
+of i, if one of them lies below all the others (meets dually), with the probe
+as the fallback where a c v j is missing, so the tables are exact for every
+poset; they are refused above ``MAX_TABLE_ELEMENTS`` elements.  A lattice is
+semidistributive iff the kappa map exists on every join-irreducible and its
+dual on every meet-irreducible, one bitmask probe each; the scan over all
+triples runs only to find the witness of a failure.
 
 ``build_lg`` assembles the poset L_G of maximal tubings: covers are the
 flips oriented by comparing tops, the transitive closure is computed rather
@@ -29,6 +39,11 @@ import numpy as np
 from .errors import ElementNotFound, NotALattice, NotComparable, TubelatError
 from .graphs import Graph, adjacency, component, tubes
 from .tubings import Tubing, enumerate_maximal_tubings, is_tube, tops_and_supertubes
+
+# Meet and join tables are n x n int32.  At this bound each takes 144 MB;
+# S_7 (5,040 elements) fits, S_8 (40,320) would need 6.5 GB per table.
+MAX_TABLE_ELEMENTS = 6000
+_TABLE_BLOCK = 1 << 16  # candidate entries per numpy block of table rows
 
 
 class Poset:
@@ -201,29 +216,73 @@ class Poset:
     def meet_table(self) -> np.ndarray:
         """n x n int32 table of meet indices, -1 where no meet exists."""
         if self._meets is None:
-            n = len(self)
-            t = np.empty((n, n), dtype=np.int32)
-            for i in range(n):
-                t[i, i] = i
-                for j in range(i + 1, n):
-                    m = self._meet_idx(i, j)
-                    t[i, j] = m
-                    t[j, i] = m
-            self._meets = t
+            self._meets = self._bound_table(joins=False)
         return self._meets
 
     def join_table(self) -> np.ndarray:
+        """n x n int32 table of join indices, -1 where no join exists."""
         if self._joins is None:
-            n = len(self)
-            t = np.empty((n, n), dtype=np.int32)
-            for i in range(n):
-                t[i, i] = i
-                for j in range(i + 1, n):
-                    m = self._join_idx(i, j)
-                    t[i, j] = m
-                    t[j, i] = m
-            self._joins = t
+            self._joins = self._bound_table(joins=True)
         return self._joins
+
+    def _bound_table(self, joins: bool) -> np.ndarray:
+        """The join table (``joins``) or the meet table, by cover recursion.
+
+        For joins: an upper bound of incomparable i and j lies above some
+        upper cover c of i, so the upper bounds of {i, j} are the union of
+        those of the {c, j}.  When every c v j exists, i v j therefore exists
+        iff the least-indexed candidate m = c v j lies below all the others,
+        and then it is m.  Rows are filled one level at a time, from the
+        maximal elements down, so the rows of the covers are done first.  A
+        pair with a candidate lacking a join gets no reduction and falls back
+        to the bitmask probe, which keeps the table exact for any poset.
+        Meets are the dual: lower covers, down-sets, the largest index.
+        """
+        n = len(self)
+        if n > MAX_TABLE_ELEMENTS:
+            raise TubelatError(
+                f"meet/join tables over {n:,} elements would take {4 * n * n:,} bytes "
+                f"each; the limit is {MAX_TABLE_ELEMENTS:,} elements"
+            )
+        nbytes = (n + 7) // 8
+        packed = np.frombuffer(
+            b"".join(m.to_bytes(nbytes, "little") for m in self._up), dtype=np.uint8
+        ).reshape(n, nbytes)
+        le = np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
+        # ahead[a, b]: b is a bound of a in the table's direction
+        ahead, pick, probe = (le, np.min, self._join_idx) if joins else (le.T, np.max, self._meet_idx)
+        nexts = [[] for _ in range(n)]  # the covers of each row's element
+        for a, b in self.covers if joins else ((b, a) for a, b in self.covers):
+            nexts[a].append(b)
+        level = [0] * n  # longest chain to an extreme in the table's direction
+        for i in range(n - 1, -1, -1) if joins else range(n):
+            if nexts[i]:
+                level[i] = 1 + max(level[c] for c in nexts[i])
+        level = np.array(level)
+        table = np.empty((n, n), dtype=np.int32)
+        cols = np.arange(n, dtype=np.int32)
+        for lv in range(int(level.max(initial=-1)) + 1):
+            rows = np.flatnonzero(level == lv).astype(np.int32)
+            if lv == 0:  # no covers: i v j is i for j behind i, else missing
+                table[rows] = np.where(ahead[:, rows].T, rows[:, None], -1)
+                continue
+            width = max(len(nexts[i]) for i in rows)
+            step = max(1, _TABLE_BLOCK // (width * n))
+            for lo in range(0, len(rows), step):
+                block = rows[lo : lo + step]
+                pad = [nexts[i] + nexts[i][:1] * (width - len(nexts[i])) for i in block]
+                cand = table[np.array(pad)]  # (row, cover c, j) -> bound of c and j
+                missing = (cand < 0).any(axis=1)
+                np.maximum(cand, 0, out=cand)
+                best = pick(cand, axis=1)
+                out = np.where(ahead[best[:, None, :], cand].all(axis=1), best, -1)
+                beyond, behind = ahead[block], ahead[:, block].T
+                out = np.where(behind, block[:, None], out)
+                out = np.where(beyond, cols, out)
+                for r, j in np.argwhere(missing & ~beyond & ~behind):
+                    out[r, j] = probe(int(block[r]), int(j))
+                table[block] = out
+        return table
 
     def is_meet_semilattice(self) -> bool:
         return bool((self.meet_table() >= 0).all())
@@ -262,9 +321,20 @@ class Poset:
         return self.semidistributivity_witness() is None
 
     def semidistributivity_witness(self):
-        """None if both SD-meet and SD-join hold; else ((x, y, z), kind)."""
+        """None if both SD-meet and SD-join hold; else ((x, y, z), kind).
+
+        The answer comes from the kappa test; only a lattice that fails it is
+        scanned for the first violating triple.
+        """
         if not self.is_lattice():
             raise NotALattice("semidistributivity is defined for lattices")
+        if self._kappa_maps_exist():
+            return None
+        return self._semidistributivity_scan()
+
+    def _semidistributivity_scan(self):
+        """The first violating triple, by scanning every z against all pairs
+        (x, y) of this lattice; None when there is none."""
         m, j = self.meet_table(), self.join_table()
         n = len(self)
         for z in range(n):
@@ -283,6 +353,33 @@ class Poset:
                 x, y = map(int, np.argwhere(bad)[0])
                 return (self.elements[x], self.elements[y], self.elements[z]), "SD-join"
         return None
+
+    def _kappa_maps_exist(self) -> bool:
+        """Whether this lattice is semidistributive, by the kappa test.
+
+        A finite lattice is meet-semidistributive iff every join-irreducible
+        j, with lower cover j_*, has kappa(j) = max{x >= j_*, x not >= j};
+        join-semidistributivity is the dual statement for meet-irreducibles
+        (Freese, Jezek, Nation, *Free Lattices*, 1995, Ch. 2).  Storage order
+        extends the partial order, so only the highest-indexed element of a
+        set can be its maximum (the lowest its minimum), and each test is one
+        bitmask probe.
+        """
+        lower = [[] for _ in range(len(self))]
+        upper = [[] for _ in range(len(self))]
+        for a, b in self.covers:
+            upper[a].append(b)
+            lower[b].append(a)
+        for j in range(len(self)):
+            if len(lower[j]) == 1:
+                s = self._up[lower[j][0]] & ~self._up[j]
+                if s & ~self._down[s.bit_length() - 1]:
+                    return False
+            if len(upper[j]) == 1:
+                s = self._down[upper[j][0]] & ~self._down[j]
+                if s & ~self._up[(s & -s).bit_length() - 1]:
+                    return False
+        return True
 
     def mobius(self, x: Hashable, y: Hashable) -> int:
         """Mobius function on the interval [x, y]."""

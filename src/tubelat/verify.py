@@ -231,7 +231,6 @@ def acc_04_right_filled_inversion_order(max_n=None) -> str:
             # fiber minima are the G-permutations; the projection is monotone
             fibers = psi_fibers(g)
             pm = psi_map(g)
-            sn = weak_order_poset(n)
             for x, ws in fibers.items():
                 members = set(ws)
                 mins = [w for w in ws if not any(u in members for u in weak_covers(w))]

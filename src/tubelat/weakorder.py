@@ -556,6 +556,9 @@ def generators_of_theta_g(g: Graph) -> list[Arc]:
 # ---------------------------------------------------------------------------
 
 
+_PAIR_BLOCK = 1 << 16  # pairs of S_n compared per numpy block
+
+
 @dataclass(frozen=True)
 class LatticeMapReport:
     meet_ok: bool
@@ -570,37 +573,44 @@ class LatticeMapReport:
 def lattice_map_report(g: Graph, lg: Optional[Poset] = None) -> LatticeMapReport:
     """Exhaustively test whether psi preserves meets and joins.
 
-    A pair whose images lack a meet/join in L_G counts as a failure and is
-    reported as the witness.
+    Every pair a < b of S_n (in storage order) is compared through the meet
+    and join tables of S_n and of L_G, a block of rows at a time.  A pair
+    whose images lack a meet/join in L_G counts as a failure.  The witness
+    is the first failing pair in row-major order, the meet when both kinds
+    fail there first.
     """
+    import numpy as np
+
     from .posets import build_lg
 
     lg = lg if lg is not None else build_lg(g)
-    n = g.n
-    sn = weak_order_poset(n)
+    sn = weak_order_poset(g.n)
     pm = psi_map(g)
-    img = [lg.index(pm[w]) for w in sn.elements]
-    mt, jt = sn.meet_table(), sn.join_table()
-    meet_ok, join_ok = True, True
+    img = np.array([lg.index(pm[w]) for w in sn.elements], dtype=np.int32)
+    m = len(img)
+    tables = {
+        "meet": (lg.meet_table(), sn.meet_table()),
+        "join": (lg.join_table(), sn.join_table()),
+    }
+    first: dict = {}  # kind -> flat index of its first failing pair
+    cols = np.arange(m)
+    step = max(1, _PAIR_BLOCK // m)
+    for lo in range(0, m, step):
+        rows = cols[lo : lo + step]
+        for kind, (lt, st) in tables.items():
+            if kind not in first:
+                bad = lt[img[rows, None], img] != img[st[rows]]
+                hits = np.flatnonzero(bad & (cols > rows[:, None]))
+                if hits.size:
+                    first[kind] = lo * m + int(hits[0])
+        if len(first) == 2:
+            break
     witness = None
-    m = len(sn.elements)
-    for a in range(m):
-        for b in range(a + 1, m):
-            if meet_ok:
-                lm = lg._meet_idx(img[a], img[b])
-                if lm < 0 or lm != img[mt[a, b]]:
-                    meet_ok = False
-                    if witness is None:
-                        witness = ("meet", sn.elements[a], sn.elements[b])
-            if join_ok:
-                lj = lg._join_idx(img[a], img[b])
-                if lj < 0 or lj != img[jt[a, b]]:
-                    join_ok = False
-                    if witness is None:
-                        witness = ("join", sn.elements[a], sn.elements[b])
-            if not meet_ok and not join_ok:
-                return LatticeMapReport(meet_ok, join_ok, witness)
-    return LatticeMapReport(meet_ok, join_ok, witness)
+    if first:
+        kind = min(first, key=lambda k: (first[k], k != "meet"))
+        a, b = divmod(first[kind], m)
+        witness = (kind, sn.elements[a], sn.elements[b])
+    return LatticeMapReport("meet" not in first, "join" not in first, witness)
 
 
 def is_lattice_quotient_map(g: Graph) -> bool:

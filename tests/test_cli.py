@@ -211,6 +211,36 @@ def test_bad_input_exits_2(capsys):
         assert "error:" in err and "Traceback" not in err, argv
 
 
+FALSE_PROPERTIES = [
+    # the product of a non-admissible family is undefined: the witness says where
+    ("family", "associative", "--family", "cycle", "--max-degree", "4"),
+]
+
+
+def test_false_property_exits_1(capsys):
+    for argv in FALSE_PROPERTIES:
+        code, out, err = invoke(capsys, "--json", *argv)
+        assert code == 1, argv
+        assert json.loads(out)["witness"] and err == "", argv
+
+
+def test_python_dash_m_runs_the_cli():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tubelat", "tubings", "--graph", "path:3", "--count"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "5\n"
+
+
 def test_verify_smoke(capsys):
     code, out, _ = invoke(capsys, "verify", "--suite", "acceptance", "--max-n", "3")
     assert code == 0

@@ -1,5 +1,8 @@
+import numpy as np
 import pytest
 
+from tubelat import posets
+from tubelat.cli import run
 from tubelat.errors import ElementNotFound, NotALattice, NotComparable, TubelatError
 from tubelat.graphs import Graph, all_graphs, parse_graph
 from tubelat.posets import Poset, all_tubings, build_lg, poset_from_le, tubing_face_interval
@@ -13,6 +16,12 @@ def chain(n):
 
 def antichain(n):
     return Poset(list(range(n)), [])
+
+
+@pytest.fixture(scope="module")
+def small_lgs():
+    """L_G for every graph with n <= 5 (1,100 posets, 410 of them not lattices)."""
+    return [build_lg(g) for n in range(6) for g in all_graphs(n)]
 
 
 PENTAGON = Poset(
@@ -158,15 +167,55 @@ def _naive_semidistributive(p):
     return True
 
 
-def test_semidistributivity_against_naive_scan():
+def test_semidistributivity_against_naive_scan(small_lgs):
     star = build_lg(Graph(4, ((1, 2), (1, 3), (1, 4))))
     m3 = Poset(
         ["0", "a", "b", "c", "1"],
         [("0", "a"), ("0", "b"), ("0", "c"), ("a", "1"), ("b", "1"), ("c", "1")],
     )
+    # join- but not meet-semidistributive, and its dual
+    one_sided = Poset(range(7), [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (2, 5), (3, 5), (4, 6), (5, 6)])
     for p in [PENTAGON, weak_order_poset(3), weak_order_poset(4), star, m3,
-              build_lg(parse_graph("cycle:4"))]:
+              build_lg(parse_graph("cycle:4")), one_sided, one_sided.dual()]:
         assert p.is_semidistributive() == _naive_semidistributive(p)
+    # the kappa test against the numpy scan over all triples
+    lattices = [p for p in small_lgs if p.is_lattice()]
+    assert len(lattices) == 690
+    for p in [PENTAGON, star, m3, one_sided, one_sided.dual(), weak_order_poset(5)] + lattices:
+        assert p._kappa_maps_exist() == (p._semidistributivity_scan() is None)
+
+
+BOWTIE = Poset(["a", "b", "c", "d"], [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])
+
+
+def _probe_table(p, probe):
+    n = len(p)
+    t = np.empty((n, n), dtype=np.int32)
+    for i in range(n):
+        for j in range(i, n):
+            t[i, j] = t[j, i] = probe(i, j)
+    return t
+
+
+def test_meet_join_tables_against_probes(small_lgs):
+    # the pair-by-pair tables the cover recursion replaced, kept as the oracle
+    for p in small_lgs + [weak_order_poset(5), BOWTIE, PENTAGON.dual(), Poset([], [])]:
+        assert np.array_equal(p.meet_table(), _probe_table(p, p._meet_idx))
+        assert np.array_equal(p.join_table(), _probe_table(p, p._join_idx))
+    assert not BOWTIE.is_meet_semilattice() and not BOWTIE.is_join_semilattice()
+
+
+def test_table_size_guard(monkeypatch, capsys):
+    n = posets.MAX_TABLE_ELEMENTS + 1
+    big = chain(n)
+    for build in (big.meet_table, big.join_table, big.is_lattice):
+        with pytest.raises(TubelatError, match=f"{n:,} elements would take {4 * n * n:,} bytes"):
+            build()
+    assert big._meets is None and big._joins is None
+    monkeypatch.setattr(posets, "MAX_TABLE_ELEMENTS", 10)  # L_path:4 has 14 elements
+    assert run(["check", "lattice", "--graph", "path:4"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: meet/join tables over 14 elements") and "Traceback" not in err
 
 
 def test_weak_order_meets_against_brute_force_s4():

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from tubelat.errors import (
@@ -226,6 +228,55 @@ def test_lattice_map_variants():
     mirror = Graph(3, ((1, 2), (1, 3)))  # left-filled
     rep = lattice_map_report(mirror)
     assert rep.join_ok and not rep.meet_ok
+
+
+def _lattice_map_report_by_pairs(g):
+    # the pair loop the table-driven report replaced, kept as the oracle
+    from tubelat.posets import build_lg
+    from tubelat.weakorder import LatticeMapReport, psi_map
+
+    lg = build_lg(g)
+    sn = weak_order_poset(g.n)
+    pm = psi_map(g)
+    img = [lg.index(pm[w]) for w in sn.elements]
+    mt, jt = sn.meet_table(), sn.join_table()
+    meet_ok, join_ok = True, True
+    witness = None
+    m = len(sn.elements)
+    for a in range(m):
+        for b in range(a + 1, m):
+            if meet_ok:
+                lm = lg._meet_idx(img[a], img[b])
+                if lm < 0 or lm != img[mt[a, b]]:
+                    meet_ok = False
+                    if witness is None:
+                        witness = ("meet", sn.elements[a], sn.elements[b])
+            if join_ok:
+                lj = lg._join_idx(img[a], img[b])
+                if lj < 0 or lj != img[jt[a, b]]:
+                    join_ok = False
+                    if witness is None:
+                        witness = ("join", sn.elements[a], sn.elements[b])
+            if not meet_ok and not join_ok:
+                return LatticeMapReport(meet_ok, join_ok, witness)
+    return LatticeMapReport(meet_ok, join_ok, witness)
+
+
+def test_lattice_map_report_against_pair_loop():
+    import random
+
+    rng = random.Random(20181)
+    graphs = [g for n in range(5) for g in all_graphs(n)]
+    graphs += [
+        Graph(5, tuple(p for p in itertools.combinations(range(1, 6), 2) if rng.random() < 0.5))
+        for _ in range(128)
+    ]
+    kinds = set()
+    for g in graphs:
+        rep = lattice_map_report(g)
+        assert rep == _lattice_map_report_by_pairs(g), g
+        kinds.add(rep.witness and rep.witness[0])
+    assert kinds == {None, "meet", "join"}
 
 
 def test_arc_delete_examples():
