@@ -124,8 +124,13 @@ class LabeledGraph:
                 raise InvalidVertex(f"edge ({a},{b}) not within labels")
 
 
+@lru_cache(maxsize=None)
 def tube_key(t: frozenset) -> tuple:
-    """The canonical tube order: by size, then by sorted vertex list."""
+    """The canonical tube order: by size, then by sorted vertex list.
+
+    Memoized, so each vertex set is sorted once; the keys are subsets of
+    [n], at most 2^n of them per n.  ``t`` must be a frozenset.
+    """
     return (len(t), tuple(sorted(t)))
 
 
@@ -137,6 +142,18 @@ def adjacency(g: Graph) -> tuple[frozenset, ...]:
         adj[a].add(b)
         adj[b].add(a)
     return tuple(frozenset(s) for s in adj)
+
+
+@lru_cache(maxsize=None)
+def adjacency_masks(g: Graph) -> tuple[int, ...]:
+    """``adjacency`` as int bitmasks: bit u of entry v is set iff u ~ v."""
+    return tuple(sum(1 << u for u in nbrs) for nbrs in adjacency(g))
+
+
+@lru_cache(maxsize=None)
+def component_tubes(g: Graph) -> tuple[frozenset, ...]:
+    """The connected components of G, ordered by smallest member."""
+    return tuple(components_within(g, g.vertices))
 
 
 def component(adj: Sequence[frozenset], allowed: Container[int], v: int) -> frozenset:
@@ -171,7 +188,7 @@ def components_within(g: Graph, S: Iterable[int]) -> list[frozenset]:
 
 
 def components(g: Graph) -> list[frozenset]:
-    return components_within(g, g.vertices)
+    return list(component_tubes(g))
 
 
 def _check_vertex_subset(g: Graph, I: Iterable[int]) -> frozenset:
@@ -464,4 +481,4 @@ def all_graphs(n: int) -> Iterator[Graph]:
 
 
 def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(components(g)) == 1
+    return g.n <= 1 or len(component_tubes(g)) == 1

@@ -29,7 +29,14 @@ from .errors import (
     NotRestrictionCompatible,
     SizeMismatch,
 )
-from .graphs import Graph, GraphFamily, contract, induced_subgraph, standardize
+from .graphs import (
+    Graph,
+    GraphFamily,
+    components_within,
+    contract,
+    induced_subgraph,
+    standardize,
+)
 from .tubings import (
     Tubing,
     enumerate_maximal_tubings,
@@ -241,14 +248,30 @@ def _require_admissible_at(family: GraphFamily, n: int, m: int) -> None:
 
 @lru_cache(maxsize=None)
 def _split_index(family: GraphFamily, n: int, m: int) -> dict:
-    """(X, Y) -> tuple of Z in MTub(G_{n+m}) restricting to the pair."""
+    """(X, Y) -> tuple of Z in MTub(G_{n+m}) restricting to the pair.
+
+    Admissibility makes G_{n+m} equal to G_n on [1..n] and to G_m shifted by
+    n above it, so the restrictions of Z are the components of its tubes cut
+    to either side, looked up by tube set among the enumerated tubings of G_n
+    and those of G_m shifted up by n.
+    """
     _require_admissible_at(family, n, m)
     big = family(n + m)
+    low = {frozenset(x.tubes): x for x in enumerate_maximal_tubings(family(n))}
+    high = {
+        frozenset(frozenset(v + n for v in t) for t in y.tubes): y
+        for y in enumerate_maximal_tubings(family(m))
+    }
+    below = frozenset(range(1, n + 1))
     index: dict = {}
     for z in enumerate_maximal_tubings(big):
-        left = restrict_std(z, range(1, n + 1))
-        right = restrict_std(z, range(n + 1, n + m + 1))
-        index.setdefault((left, right), []).append(z)
+        left: set = set()
+        right: set = set()
+        for cut in {t & below for t in z.tubes}:
+            left.update(components_within(big, cut))
+        for cut in {t - below for t in z.tubes}:
+            right.update(components_within(big, cut))
+        index.setdefault((low[frozenset(left)], high[frozenset(right)]), []).append(z)
     return {k: tuple(v) for k, v in index.items()}
 
 

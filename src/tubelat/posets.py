@@ -46,6 +46,15 @@ MAX_TABLE_ELEMENTS = 6000
 _TABLE_BLOCK = 1 << 16  # candidate entries per numpy block of table rows
 
 
+def check_table_size(n: int) -> None:
+    """Refuse meet/join tables over more than ``MAX_TABLE_ELEMENTS`` elements."""
+    if n > MAX_TABLE_ELEMENTS:
+        raise TubelatError(
+            f"meet/join tables over {n:,} elements would take {4 * n * n:,} bytes "
+            f"each; the limit is {MAX_TABLE_ELEMENTS:,} elements"
+        )
+
+
 class Poset:
     """Immutable finite poset over hashable element keys."""
 
@@ -239,11 +248,7 @@ class Poset:
         Meets are the dual: lower covers, down-sets, the largest index.
         """
         n = len(self)
-        if n > MAX_TABLE_ELEMENTS:
-            raise TubelatError(
-                f"meet/join tables over {n:,} elements would take {4 * n * n:,} bytes "
-                f"each; the limit is {MAX_TABLE_ELEMENTS:,} elements"
-            )
+        check_table_size(n)
         nbytes = (n + 7) // 8
         packed = np.frombuffer(
             b"".join(m.to_bytes(nbytes, "little") for m in self._up), dtype=np.uint8

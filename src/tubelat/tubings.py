@@ -10,6 +10,18 @@ forest to the tubing of its principal ideals, and ``tau`` inverts it.  The
 ``top`` of a tube in a maximal tubing is its unique vertex outside every
 smaller tube, and tops are a bijection onto [n].
 
+A parent array is a G-forest when it has no cycle, every principal ideal is
+a tube, and incomparable vertices have ideals whose union is not a tube;
+disjoint tubes have a tube union exactly when an edge joins them.
+``validate_gforest`` tests this locally, bottom-up on bitmasks: every vertex
+v is adjacent to the ideal of each child, and no edge joins the ideals of
+two children of v or of two roots.  The local test is equivalent.  Given
+the sibling condition, v's ideal is a tube iff v touches each child's ideal,
+since a path out of a child's ideal can only leave through v.  Two
+incomparable vertices lie under distinct children c, c' of their lowest
+common ancestor (or under distinct roots), and an edge between their ideals
+is an edge between the ideals of c and c'.
+
 ``enumerate_maximal_tubings`` builds every maximal tubing from one fact: a
 maximal tubing of a connected set picks a root and recurses on the
 components of what is left.  ``psi_tubing``, the surjection from words, and
@@ -40,8 +52,9 @@ from .graphs import (
     Graph,
     LabeledGraph,
     adjacency,
+    adjacency_masks,
     component,
-    components,
+    component_tubes,
     components_within,
     contract,
     induced_subgraph,
@@ -80,7 +93,7 @@ class Tubing:
         return frozenset(t) in self.tubes
 
     def key(self) -> tuple:
-        return tuple(tube_key(t) for t in self.tubes)
+        return tuple(map(tube_key, self.tubes))
 
     def __lt__(self, other: "Tubing") -> bool:
         return self.key() < other.key()
@@ -88,7 +101,7 @@ class Tubing:
     def is_maximal(self) -> bool:
         if len(self.tubes) != self.graph.n:
             return False
-        return all(c in self.tubes for c in components(self.graph))
+        return all(c in self.tubes for c in component_tubes(self.graph))
 
     def label(self) -> str:
         return "".join("{" + ",".join(map(str, sorted(t))) + "}" for t in self.tubes)
@@ -210,16 +223,52 @@ class GForest:
         return t
 
 
+@lru_cache(maxsize=None)
+def _mask_vertices(mask: int) -> frozenset:
+    """The vertex set of a bitmask (bit v stands for vertex v)."""
+    return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
 def validate_gforest(t: GForest) -> tuple[frozenset, ...]:
     """Raise ``InvalidForest`` unless t is a G-forest; return the principal
-    ideals of vertices 1..n."""
+    ideals of vertices 1..n.
+
+    One bottom-up pass over bitmasks applies the local test of the module
+    docstring; a forest it rejects goes through ``_gforest_scan``, which
+    names the first failure.
+    """
     g = t.graph
+    children = t._children
     # every vertex off a cycle hangs below a root
-    below_roots = list(t.roots())
+    below_roots = list(children[0])
     for v in below_roots:
-        below_roots.extend(t.children(v))
+        below_roots.extend(children[v])
     if len(below_roots) != g.n:
         raise InvalidForest("parent relation has a cycle")
+    adj = adjacency_masks(g)
+    ideal = [0] * (g.n + 1)  # mask of v's principal ideal
+    reach = [0] * (g.n + 1)  # mask of the vertices adjacent to that ideal
+    for v in reversed(below_roots):
+        down, near = 0, adj[v]
+        for c in children[v]:
+            # v touches each child's ideal; sibling ideals do not touch
+            if not adj[v] & ideal[c] or reach[c] & down:
+                return _gforest_scan(t, below_roots)
+            down |= ideal[c]
+            near |= reach[c]
+        ideal[v], reach[v] = down | 1 << v, near
+    apart = 0
+    for r in children[0]:
+        if reach[r] & apart:
+            return _gforest_scan(t, below_roots)
+        apart |= ideal[r]
+    return tuple(map(_mask_vertices, ideal[1:]))
+
+
+def _gforest_scan(t: GForest, below_roots: list[int]) -> tuple[frozenset, ...]:
+    """``validate_gforest`` for an acyclic t, by testing every ideal and every
+    incomparable pair in turn; it names the first failure."""
+    g = t.graph
     ideal: list = [None] * (g.n + 1)
     for v in reversed(below_roots):
         ideal[v] = frozenset({v}).union(*(ideal[c] for c in t.children(v)))
@@ -587,7 +636,7 @@ def flip_by_search(x: Tubing, I: Iterable[int]) -> tuple[Tubing, frozenset]:
 
 def oriented_flips(x: Tubing) -> Iterator[tuple[Tubing, frozenset, bool]]:
     """Yield (neighbor, new tube, goes_up) for every flippable tube of x."""
-    comps = set(components(x.graph))
+    comps = component_tubes(x.graph)
     for I in x.tubes:
         if I in comps:
             continue

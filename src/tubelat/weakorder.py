@@ -20,6 +20,7 @@ arcs over minimal non-edges, and the translational/insertional family checks.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
@@ -40,7 +41,7 @@ from .graphs import (
     filled_status,
     minimal_non_edges,
 )
-from .posets import Poset
+from .posets import Poset, check_table_size
 from .tubings import Tubing, psi_tubing, sigma_min, tau
 
 Perm = tuple[int, ...]
@@ -577,12 +578,14 @@ def lattice_map_report(g: Graph, lg: Optional[Poset] = None) -> LatticeMapReport
     and join tables of S_n and of L_G, a block of rows at a time.  A pair
     whose images lack a meet/join in L_G counts as a failure.  The witness
     is the first failing pair in row-major order, the meet when both kinds
-    fail there first.
+    fail there first.  When S_n is too large for the tables, the request is
+    refused before L_G, S_n or psi is built.
     """
     import numpy as np
 
     from .posets import build_lg
 
+    check_table_size(math.factorial(g.n))
     lg = lg if lg is not None else build_lg(g)
     sn = weak_order_poset(g.n)
     pm = psi_map(g)

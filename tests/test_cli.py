@@ -201,6 +201,7 @@ BAD_INPUTS = [
     ("arc", "insert", "--arc", "1-2:", "--n", "2"),
     ("arc", "subarc", "--arc", "2-4:+", "--n", "4"),
     ("tubings", "--graph-file", "no-such-dir/no-such-graph.txt"),
+    ("check", "lattice-map", "--graph", "path:8"),  # S_8 is past the table limit
 ]
 
 

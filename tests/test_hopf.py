@@ -14,6 +14,7 @@ from tubelat.graphs import (
     family_cycle,
     family_empty,
     family_from_A,
+    family_h,
     family_odd_bipartite,
     family_path,
     parse_graph,
@@ -37,7 +38,8 @@ from tubelat.hopf import (
     tubing_coproduct,
     tubing_product,
 )
-from tubelat.tubings import enumerate_maximal_tubings, sigma_min, tau
+from tubelat.hopf import _require_admissible_at, _split_index
+from tubelat.tubings import enumerate_maximal_tubings, restrict_std, sigma_min, tau
 from tubelat.weakorder import permutations, psi
 
 
@@ -127,6 +129,39 @@ def test_tubing_product_complete_matches_mr():
                     for z, c in s.terms.items():
                         words.add_term(sigma_min(tau(z)), c)
                     assert words == mr_product(u, v)
+
+
+def _split_index_by_restriction(family, n, m):
+    # the construction the lookup in _split_index replaced, kept as the
+    # oracle: restrict and standardize every tubing of G_{n+m}
+    _require_admissible_at(family, n, m)
+    index = {}
+    for z in enumerate_maximal_tubings(family(n + m)):
+        left = restrict_std(z, range(1, n + 1))
+        right = restrict_std(z, range(n + 1, n + m + 1))
+        index.setdefault((left, right), []).append(z)
+    return {k: tuple(v) for k, v in index.items()}
+
+
+def test_split_index_matches_restriction():
+    path, complete, h2, a13, oddbip = (
+        family_path(),
+        family_complete(),
+        family_h(2),
+        family_from_A({1, 3}),
+        family_odd_bipartite(),
+    )
+    splits = [
+        (fam, n, total - n)
+        for fam in (path, complete, h2, a13, oddbip)
+        for total in range(6)
+        for n in range(total + 1)
+    ]
+    # the splits of the benchmark's hopf workload
+    splits += [(path, 3, 4), (complete, 3, 3), (h2, 3, 4), (a13, 3, 3), (oddbip, 3, 4)]
+    for fam, n, m in splits:
+        expected = _split_index_by_restriction(fam, n, m)
+        assert list(_split_index(fam, n, m).items()) == list(expected.items()), (fam.name, n, m)
 
 
 def test_tubing_product_unit_and_edge_free():

@@ -4,7 +4,7 @@ import pytest
 from tubelat import posets
 from tubelat.cli import run
 from tubelat.errors import ElementNotFound, NotALattice, NotComparable, TubelatError
-from tubelat.graphs import Graph, all_graphs, parse_graph
+from tubelat.graphs import Graph, all_graphs, component_tubes, parse_graph
 from tubelat.posets import Poset, all_tubings, build_lg, poset_from_le, tubing_face_interval
 from tubelat.tubings import Tubing
 from tubelat.weakorder import weak_order_poset
@@ -268,6 +268,23 @@ def test_face_interval_trivial_cases():
     for x in lg.elements:
         res = tubing_face_interval(g, x, lg)
         assert res.ok and res.lower == res.upper == x
+
+
+def test_lower_cover_degrees_are_palindromic():
+    # L_G orients the graph of a simple polytope of dimension n - #components
+    # by a generic linear functional, so the number of elements with k lower
+    # covers is the h-vector entry h_k, and Dehn-Sommerville makes it
+    # palindromic
+    descriptors = ("cycle:6", "h:2:6", "complete:5", "path:7")
+    for g in [parse_graph(d) for d in descriptors] + list(all_graphs(4)):
+        lg = build_lg(g)
+        lower = [0] * len(lg)
+        for _, b in lg.covers:
+            lower[b] += 1
+        h = [0] * (g.n - len(component_tubes(g)) + 1)
+        for k in lower:
+            h[k] += 1
+        assert h == h[::-1], g
 
 
 def test_all_tubings_counts():

@@ -1,6 +1,9 @@
 import itertools
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tubelat.errors import (
     InvalidForest,
@@ -10,7 +13,7 @@ from tubelat.errors import (
     NotATube,
     TubeNotInTubing,
 )
-from tubelat.graphs import Graph, all_graphs, parse_graph
+from tubelat.graphs import Graph, all_graphs, component_tubes, is_tube, parse_graph
 from tubelat.tubings import (
     GForest,
     Tubing,
@@ -286,3 +289,108 @@ def test_degree_zero_tubing():
     assert x.is_maximal()
     assert tau(x).parent == ()
     assert linear_extensions(tau(x)) == [()]
+
+
+# ---------------------------------------------------------------------------
+# Closed-form counts beyond the exhaustive bounds
+# ---------------------------------------------------------------------------
+
+
+def test_cyclohedron_counts():
+    for n in range(1, 9):
+        count = len(enumerate_maximal_tubings(parse_graph(f"cycle:{n}")))
+        assert count == math.comb(2 * n - 2, n - 1)
+
+
+def test_stellohedron_counts():
+    for n in range(1, 8):
+        star = Graph(n, tuple((1, j) for j in range(2, n + 1)))
+        expected = sum(math.factorial(n - 1) // math.factorial(k) for k in range(n))
+        assert len(enumerate_maximal_tubings(star)) == expected
+
+
+def test_associahedron_counts():
+    for n in range(11):
+        count = len(enumerate_maximal_tubings(parse_graph(f"path:{n}")))
+        assert count == math.comb(2 * n, n) // (n + 1)
+
+
+# ---------------------------------------------------------------------------
+# Randomized differential tests against the oracles
+# ---------------------------------------------------------------------------
+
+RANDOMIZED = settings(derandomize=True, database=None, deadline=None, max_examples=50)
+
+
+@st.composite
+def random_graphs(draw, lo=6, hi=9):
+    n = draw(st.integers(lo, hi))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, tuple(p for p, k in zip(pairs, keep) if k))
+
+
+@RANDOMIZED
+@given(random_graphs(), st.data())
+def test_chi_tau_round_trip_random(g, data):
+    x = psi_tubing(g, data.draw(st.permutations(g.vertices)))
+    assert chi(tau(x)) == x
+
+
+@RANDOMIZED
+@given(random_graphs(), st.data())
+def test_flip_matches_search_random(g, data):
+    x = psi_tubing(g, data.draw(st.permutations(g.vertices)))
+    for t in x.tubes:
+        if t not in component_tubes(g):
+            assert flip(x, t) == flip_by_search(x, t)
+
+
+@settings(RANDOMIZED, max_examples=12)
+@given(random_graphs(6, 7))
+def test_enumerator_matches_oracle_random(g):
+    assert enumerate_maximal_tubings(g) == maximal_tubings_oracle(g)
+
+
+def _gforest_failure(t: GForest):
+    """The definition of a G-forest, read off literally: the message
+    ``validate_gforest`` must raise for t, or None when t is one."""
+    g = t.graph
+    for v in g.vertices:
+        u = v
+        for _ in range(g.n):
+            u = t.parent_of(u) if u else 0
+        if u:
+            return "parent relation has a cycle"
+    for v in g.vertices:
+        if not is_tube(g, t.ideal(v)):
+            return f"principal ideal of {v} is not a tube"
+    for i, k in itertools.combinations(g.vertices, 2):
+        if not t.less(i, k) and not t.less(k, i) and not compatible(g, t.ideal(i), t.ideal(k)):
+            return f"incomparable {i},{k} have a tube union {sorted(t.ideal(i) | t.ideal(k))}"
+    return None
+
+
+@st.composite
+def random_parent_arrays(draw):
+    """G-forests with up to two parents redrawn, and arbitrary arrays."""
+    g = draw(random_graphs(1, 9))
+    if draw(st.integers(0, 3)):
+        parent = list(tau(psi_tubing(g, draw(st.permutations(g.vertices)))).parent)
+        for _ in range(draw(st.integers(0, 2))):
+            parent[draw(st.integers(0, g.n - 1))] = draw(st.integers(0, g.n))
+    else:
+        parent = draw(st.lists(st.integers(0, g.n), min_size=g.n, max_size=g.n))
+    return GForest(g, tuple(parent))
+
+
+@settings(RANDOMIZED, max_examples=400)
+@given(random_parent_arrays())
+def test_validate_gforest_matches_definition_random(t):
+    expected = _gforest_failure(t)
+    if expected is None:
+        assert validate_gforest(t) == tuple(t.ideal(v) for v in t.graph.vertices)
+    else:
+        with pytest.raises(InvalidForest) as err:
+            validate_gforest(t)
+        assert str(err.value) == expected

@@ -279,6 +279,18 @@ def test_lattice_map_report_against_pair_loop():
     assert kinds == {None, "meet", "join"}
 
 
+def test_lattice_map_refuses_oversized_sn_before_building():
+    from tubelat import tubings, weakorder
+
+    caches = (weakorder.psi_map, weakorder.weak_order_poset, tubings.enumerate_maximal_tubings)
+    before = [c.cache_info().currsize for c in caches]
+    n = 40320  # |S_8|
+    message = f"tables over {n:,} elements would take {4 * n * n:,} bytes"
+    with pytest.raises(TubelatError, match=message):
+        lattice_map_report(parse_graph("path:8"))
+    assert [c.cache_info().currsize for c in caches] == before
+
+
 def test_arc_delete_examples():
     assert arc_delete(Arc(2, 5, (-1, 1), 5), 3) == Arc(2, 4, (1,), 4)
     assert arc_delete(Arc(2, 4, (1,), 4), 1) == Arc(1, 3, (1,), 3)
