@@ -295,11 +295,9 @@ def cmd_coproduct(args) -> int:
 def cmd_mobius(args) -> int:
     g = _graph_from_args(args)
     lg = build_lg(g)
-    if args.lower_perm and args.upper_perm:
-        lo = psi(g, parse_perm(args.lower_perm))
-        hi = psi(g, parse_perm(args.upper_perm))
-    else:
-        lo, hi = lg.minimum(), lg.maximum()
+    # a bound left out defaults to the extreme of L_G on its side
+    lo = psi(g, parse_perm(args.lower_perm)) if args.lower_perm else lg.minimum()
+    hi = psi(g, parse_perm(args.upper_perm)) if args.upper_perm else lg.maximum()
     if not lg.le(lo, hi):
         raise NotComparable(f"{lo.label()} and {hi.label()} are not comparable in order")
     mu = lg.mobius(lo, hi)

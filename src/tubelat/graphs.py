@@ -96,7 +96,17 @@ class Graph:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "Graph":
-        return Graph(int(obj["n"]), tuple((int(a), int(b)) for a, b in obj["edges"]))
+        """The inverse of ``to_json_obj``: {"n": int, "edges": [[int, int], ...]}."""
+        if not isinstance(obj, dict) or not {"n", "edges"} <= obj.keys():
+            raise TubelatError('a JSON graph needs the keys "n" and "edges"')
+        n, edges = obj["n"], obj["edges"]
+        if not isinstance(edges, list) or not all(
+            isinstance(e, list) and len(e) == 2 for e in edges
+        ):
+            raise TubelatError("JSON graph edges must be a list of vertex pairs")
+        if not all(type(v) is int for v in [n, *itertools.chain.from_iterable(edges)]):
+            raise TubelatError("JSON graph vertex counts and edge ends must be integers")
+        return Graph(n, tuple((a, b) for a, b in edges))
 
     def __str__(self) -> str:
         return f"Graph(n={self.n}, edges={{{', '.join(f'{a}{b}' if self.n < 10 else f'{a}-{b}' for a, b in self.edges)}}})"

@@ -324,10 +324,6 @@ def associativity_witness(family: GraphFamily, max_degree: int):
     return None
 
 
-def check_associativity(family: GraphFamily, max_degree: int) -> bool:
-    return associativity_witness(family, max_degree) is None
-
-
 def admissibility_witness(family: GraphFamily, max_degree: int):
     """None when all split restrictions through max_degree match; else a
     message describing the first mismatch."""
@@ -470,7 +466,3 @@ def c_delta_witness(family: GraphFamily, max_degree: int) -> Optional[Tubing]:
             if not c_delta_holds(family, x):
                 return x
     return None
-
-
-def check_c_commutes_with_delta(family: GraphFamily, max_degree: int) -> bool:
-    return c_delta_witness(family, max_degree) is None

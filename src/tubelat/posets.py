@@ -21,10 +21,9 @@ flips oriented by comparing tops, the transitive closure is computed rather
 than assumed, and acyclicity plus irredundancy of covers are verified on
 construction (the orientation is induced by a linear functional, so a cycle
 or a redundant edge would indicate a flip bug).  Each cover is found once,
-from its lower end: flipping tube I (top a) inside its smallest strict
-supertube K (top b) goes up iff a < b and puts J = component(K - {a}, b) in
-place of I, and the upper end is looked up by its tube set among the
-enumerated tubings, so no tubing is built or sorted per flip.
+from its lower end, among the ``oriented_flips`` that go up, and the upper
+end is looked up by its tube set among the enumerated tubings, so no tubing
+is built or sorted per flip.
 """
 
 from __future__ import annotations
@@ -37,8 +36,8 @@ from typing import Callable, Hashable, Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import ElementNotFound, NotALattice, NotComparable, TubelatError
-from .graphs import Graph, adjacency, component, tubes
-from .tubings import Tubing, enumerate_maximal_tubings, is_tube, tops_and_supertubes
+from .graphs import Graph, tubes
+from .tubings import Tubing, enumerate_maximal_tubings, is_tube, oriented_flips
 
 # Meet and join tables are n x n int32.  At this bound each takes 144 MB;
 # S_7 (5,040 elements) fits, S_8 (40,320) would need 6.5 GB per table.
@@ -58,7 +57,9 @@ def check_table_size(n: int) -> None:
 class Poset:
     """Immutable finite poset over hashable element keys."""
 
-    __slots__ = ("elements", "_index", "covers", "_up", "_down", "_meets", "_joins")
+    __slots__ = (
+        "elements", "_index", "covers", "_upper", "_lower", "_up", "_down", "_meets", "_joins"
+    )
 
     def __init__(self, elements: Sequence[Hashable], covers: Iterable[tuple]):
         """Build from elements and cover pairs (lower, upper), given by key.
@@ -95,19 +96,21 @@ class Poset:
         self.elements = tuple(elements[old] for old in order)
         self._index = {e: i for i, e in enumerate(self.elements)}
         self.covers = tuple(sorted((pos[a], pos[b]) for a, b in cov))
-        up = [1 << i for i in range(n)]
-        cov_by_lower = [[] for _ in range(n)]
+        # the upper and the lower covers of each element, in index order
+        upper = [[] for _ in range(n)]
+        lower = [[] for _ in range(n)]
         for a, b in self.covers:
-            cov_by_lower[a].append(b)
+            upper[a].append(b)
+            lower[b].append(a)
+        self._upper = tuple(map(tuple, upper))
+        self._lower = tuple(map(tuple, lower))
+        up = [1 << i for i in range(n)]
         for i in range(n - 1, -1, -1):
-            for b in cov_by_lower[i]:
+            for b in upper[i]:
                 up[i] |= up[b]
         down = [1 << i for i in range(n)]
-        cov_by_upper = [[] for _ in range(n)]
-        for a, b in self.covers:
-            cov_by_upper[b].append(a)
         for i in range(n):
-            for a in cov_by_upper[i]:
+            for a in lower[i]:
                 down[i] |= down[a]
         self._up = tuple(up)
         self._down = tuple(down)
@@ -185,12 +188,10 @@ class Poset:
         return self.le(x, y) or self.le(y, x)
 
     def upper_covers(self, x: Hashable) -> list:
-        i = self.index(x)
-        return [self.elements[b] for a, b in self.covers if a == i]
+        return [self.elements[b] for b in self._upper[self.index(x)]]
 
     def lower_covers(self, x: Hashable) -> list:
-        i = self.index(x)
-        return [self.elements[a] for a, b in self.covers if b == i]
+        return [self.elements[a] for a in self._lower[self.index(x)]]
 
     def minimum(self) -> Optional[Hashable]:
         mins = [i for i in range(len(self)) if self._down[i] == 1 << i]
@@ -256,9 +257,7 @@ class Poset:
         le = np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
         # ahead[a, b]: b is a bound of a in the table's direction
         ahead, pick, probe = (le, np.min, self._join_idx) if joins else (le.T, np.max, self._meet_idx)
-        nexts = [[] for _ in range(n)]  # the covers of each row's element
-        for a, b in self.covers if joins else ((b, a) for a, b in self.covers):
-            nexts[a].append(b)
+        nexts = self._upper if joins else self._lower  # the covers of each row's element
         level = [0] * n  # longest chain to an extreme in the table's direction
         for i in range(n - 1, -1, -1) if joins else range(n):
             if nexts[i]:
@@ -370,18 +369,13 @@ class Poset:
         set can be its maximum (the lowest its minimum), and each test is one
         bitmask probe.
         """
-        lower = [[] for _ in range(len(self))]
-        upper = [[] for _ in range(len(self))]
-        for a, b in self.covers:
-            upper[a].append(b)
-            lower[b].append(a)
         for j in range(len(self)):
-            if len(lower[j]) == 1:
-                s = self._up[lower[j][0]] & ~self._up[j]
+            if len(self._lower[j]) == 1:
+                s = self._up[self._lower[j][0]] & ~self._up[j]
                 if s & ~self._down[s.bit_length() - 1]:
                     return False
-            if len(upper[j]) == 1:
-                s = self._down[upper[j][0]] & ~self._down[j]
+            if len(self._upper[j]) == 1:
+                s = self._down[self._upper[j][0]] & ~self._down[j]
                 if s & ~self._up[(s & -s).bit_length() - 1]:
                     return False
         return True
@@ -469,12 +463,7 @@ def poset_from_le(elements: Sequence[Hashable], le: Callable[[Hashable, Hashable
 
 def _refine_labels(p: Poset) -> list:
     n = len(p)
-    labels = [0] * n
-    up_covers = [[] for _ in range(n)]
-    down_covers = [[] for _ in range(n)]
-    for a, b in p.covers:
-        up_covers[a].append(b)
-        down_covers[b].append(a)
+    up_covers, down_covers = p._upper, p._lower
     labels = [
         (len(up_covers[i]), len(down_covers[i]), bin(p._up[i]).count("1"), bin(p._down[i]).count("1"))
         for i in range(n)
@@ -507,11 +496,7 @@ def _isomorphic(p: Poset, q: Poset) -> bool:
     candidates = [[j for j in range(n) if lq[j] == lp[i]] for i in range(n)]
     order = sorted(range(n), key=lambda i: len(candidates[i]))
     qcov = set(q.covers)
-    up_adj = [set() for _ in range(n)]
-    down_adj = [set() for _ in range(n)]
-    for a, b in p.covers:
-        up_adj[a].add(b)
-        down_adj[b].add(a)
+    up_adj, down_adj = p._upper, p._lower
     assignment: dict = {}
     used = set()
 
@@ -550,19 +535,16 @@ def _isomorphic(p: Poset, q: Poset) -> bool:
 
 
 def build_lg(g: Graph) -> Poset:
-    """The poset of maximal tubings, ordered by oriented flips (each cover
-    found from its lower end; ``oriented_flips`` is the per-tubing oracle)."""
+    """The poset of maximal tubings; its covers are the ``oriented_flips``
+    that go up, each found from its lower end."""
     elements = enumerate_maximal_tubings(g)
     by_tubes = {frozenset(x.tubes): x for x in elements}
-    adj = adjacency(g)
-    covers = []
-    for tset, x in by_tubes.items():
-        tops, up = tops_and_supertubes(x)
-        for i, j in enumerate(up):
-            if j >= 0 and tops[i] < tops[j]:
-                I, K = x.tubes[i], x.tubes[j]
-                J = component(adj, K - {tops[i]}, tops[j])
-                covers.append((x, by_tubes[tset - {I} | {J}]))
+    covers = [
+        (x, by_tubes[tset - {I} | {J}])
+        for tset, x in by_tubes.items()
+        for I, J, a, b in oriented_flips(x)
+        if a < b
+    ]
     return Poset(elements, covers)
 
 

@@ -27,9 +27,10 @@ maximal tubing of a connected set picks a root and recurses on the
 components of what is left.  ``psi_tubing``, the surjection from words, and
 ``maximal_tubings_oracle`` are independent routes to the same set.
 
-Flips exchange one non-maximal tube for the unique alternative; oriented by
-comparing tops they generate the partial order on maximal tubings used by the
-poset module.
+Flips exchange one non-component tube for the unique alternative.
+``oriented_flips`` finds every flip of a tubing from one pass over its tops
+and smallest supertubes; oriented by comparing tops, the flips are the covers
+of the partial order on maximal tubings built in the poset module.
 """
 
 from __future__ import annotations
@@ -146,15 +147,14 @@ def compatible(g: Graph, I: Iterable[int], J: Iterable[int]) -> bool:
     return not is_tube(g, I | J)
 
 
-def make_tubing(g: Graph, ts: Iterable[frozenset], check: bool = True) -> Tubing:
+def make_tubing(g: Graph, ts: Iterable[frozenset]) -> Tubing:
     ts = [frozenset(t) for t in ts]
-    if check:
-        for t in ts:
-            if not is_tube(g, t):
-                raise NotATube(f"{sorted(t)} is not a tube of the graph")
-        for a, b in itertools.combinations(set(ts), 2):
-            if not compatible(g, a, b):
-                raise InvalidTubing(f"incompatible tubes {sorted(a)}, {sorted(b)}")
+    for t in ts:
+        if not is_tube(g, t):
+            raise NotATube(f"{sorted(t)} is not a tube of the graph")
+    for a, b in itertools.combinations(set(ts), 2):
+        if not compatible(g, a, b):
+            raise InvalidTubing(f"incompatible tubes {sorted(a)}, {sorted(b)}")
     return Tubing(g, tuple(ts))
 
 
@@ -343,9 +343,9 @@ def tops_and_supertubes(x: Tubing) -> tuple[list[int], list[int]]:
     return tops, up
 
 
-def tau(x: Tubing, check: bool = True) -> GForest:
+def tau(x: Tubing) -> GForest:
     """Maximal tubing -> forest: top(I) is covered by top of the next tube up."""
-    if check and not x.is_maximal():
+    if not x.is_maximal():
         raise InvalidTubing("tau requires a maximal tubing")
     parent = [0] * x.graph.n
     tops, up = tops_and_supertubes(x)
@@ -396,16 +396,12 @@ def enumerate_maximal_tubings(g: Graph) -> tuple[Tubing, ...]:
 
 
 def maximal_tubings_oracle(g: Graph) -> tuple[Tubing, ...]:
-    """Test oracle: maximal compatible subsets of the tube list.
-
-    Uses the literal 2^(#tubes) filter when that is feasible and pivoted
-    Bron-Kerbosch over the compatibility graph otherwise; neither uses the
+    """Test oracle: maximal compatible subsets of the tube list, by pivoted
+    Bron-Kerbosch over the compatibility graph; it does not use the
     component decomposition of ``enumerate_maximal_tubings``.
     """
     ts = tubes(g)
     m = len(ts)
-    if m == 0:
-        return (Tubing(g, ()),)
     comp_mask = [0] * m
     for i in range(m):
         for j in range(i + 1, m):
@@ -415,45 +411,32 @@ def maximal_tubings_oracle(g: Graph) -> tuple[Tubing, ...]:
                 comp_mask[i] |= 1 << j
                 comp_mask[j] |= 1 << i
     results = []
-    if m <= 16:
-        for bits in range(1 << m):
-            members = [i for i in range(m) if bits >> i & 1]
-            if any(bits & ~(comp_mask[i] | 1 << i) for i in members):
-                continue
-            extendable = any(
-                not bits >> i & 1 and bits & comp_mask[i] == bits for i in range(m)
-            )
-            if extendable:
-                continue
-            results.append(bits)
-    else:
-        full = (1 << m) - 1
 
-        def bron_kerbosch(R: int, P: int, X: int):
-            if P == 0 and X == 0:
-                results.append(R)
-                return
-            pivot_pool = P | X
-            pivot = (pivot_pool & -pivot_pool).bit_length() - 1
-            best = -1
-            pool = pivot_pool
-            while pool:
-                b = pool & -pool
-                v = b.bit_length() - 1
-                deg = bin(P & comp_mask[v]).count("1")
-                if deg > best:
-                    best, pivot = deg, v
-                pool ^= b
-            cand = P & ~comp_mask[pivot]
-            while cand:
-                b = cand & -cand
-                v = b.bit_length() - 1
-                bron_kerbosch(R | b, P & comp_mask[v], X & comp_mask[v])
-                P &= ~b
-                X |= b
-                cand ^= b
+    def bron_kerbosch(R: int, P: int, X: int):
+        if P == 0 and X == 0:
+            results.append(R)
+            return
+        pivot_pool = P | X
+        pivot = (pivot_pool & -pivot_pool).bit_length() - 1
+        best = -1
+        pool = pivot_pool
+        while pool:
+            b = pool & -pool
+            v = b.bit_length() - 1
+            deg = bin(P & comp_mask[v]).count("1")
+            if deg > best:
+                best, pivot = deg, v
+            pool ^= b
+        cand = P & ~comp_mask[pivot]
+        while cand:
+            b = cand & -cand
+            v = b.bit_length() - 1
+            bron_kerbosch(R | b, P & comp_mask[v], X & comp_mask[v])
+            P &= ~b
+            X |= b
+            cand ^= b
 
-        bron_kerbosch(0, full, 0)
+    bron_kerbosch(0, (1 << m) - 1, 0)
     out = [
         Tubing(g, tuple(ts[i] for i in range(m) if bits >> i & 1)) for bits in results
     ]
@@ -588,30 +571,19 @@ def ascents(t: GForest) -> frozenset:
 
 
 def flip(x: Tubing, I: Iterable[int]) -> tuple[Tubing, frozenset]:
-    """Exchange tube I of the maximal tubing x for the unique alternative J.
-
-    Let K be the smallest tube of x strictly containing I, a = top(I) and
-    b = top(K); then J is the component of b in G restricted to K - {a}.
-    Component tubes have no such K and cannot be flipped.
-    """
+    """Exchange tube I of the maximal tubing x for the unique alternative J
+    (see ``oriented_flips``); component tubes cannot be flipped."""
     I = frozenset(I)
+    if not x.is_maximal():
+        raise InvalidTubing("flip requires a maximal tubing")
     if I not in x:
         raise TubeNotInTubing(f"{sorted(I)} not in tubing")
-    K = None
-    for t in x.tubes:
-        if I < t:
-            K = t
-            break
-    if K is None:
-        raise MaximalTubeNotFlippable(
-            f"{sorted(I)} is the tube of a whole component; it cannot be flipped"
-        )
-    a = top(x, I)
-    b = top(x, K)
-    g = x.graph
-    J = component(adjacency(g), K - {a}, b)
-    new_tubes = tuple(t for t in x.tubes if t != I) + (J,)
-    return Tubing(g, new_tubes), J
+    for old, J, _, _ in oriented_flips(x):
+        if old == I:
+            return Tubing(x.graph, tuple(t for t in x.tubes if t != I) + (J,)), J
+    raise MaximalTubeNotFlippable(
+        f"{sorted(I)} is the tube of a whole component; it cannot be flipped"
+    )
 
 
 def flip_by_search(x: Tubing, I: Iterable[int]) -> tuple[Tubing, frozenset]:
@@ -634,14 +606,20 @@ def flip_by_search(x: Tubing, I: Iterable[int]) -> tuple[Tubing, frozenset]:
     return Tubing(x.graph, tuple(rest) + (J,)), J
 
 
-def oriented_flips(x: Tubing) -> Iterator[tuple[Tubing, frozenset, bool]]:
-    """Yield (neighbor, new tube, goes_up) for every flippable tube of x."""
-    comps = component_tubes(x.graph)
-    for I in x.tubes:
-        if I in comps:
-            continue
-        y, J = flip(x, I)
-        yield y, J, top(x, I) < top(y, J)
+def oriented_flips(x: Tubing) -> Iterator[tuple[frozenset, frozenset, int, int]]:
+    """Yield (I, J, a, b) for every flippable tube I of the maximal tubing x.
+
+    Let K be the smallest tube of x strictly containing I, a = top(I) and
+    b = top(K); then J is the component of b in G restricted to K - {a}, and
+    b is the top of J after the flip.  The flip goes up in L_G iff a < b.
+    Component tubes have no such K and are skipped.
+    """
+    adj = adjacency(x.graph)
+    tops, up = tops_and_supertubes(x)
+    for i, j in enumerate(up):
+        if j >= 0:
+            a, b = tops[i], tops[j]
+            yield x.tubes[i], component(adj, x.tubes[j] - {a}, b), a, b
 
 
 def vertex_coordinates(x: Tubing) -> tuple[int, ...]:

@@ -616,10 +616,6 @@ def lattice_map_report(g: Graph, lg: Optional[Poset] = None) -> LatticeMapReport
     return LatticeMapReport("meet" not in first, "join" not in first, witness)
 
 
-def is_lattice_quotient_map(g: Graph) -> bool:
-    return lattice_map_report(g).ok
-
-
 # ---------------------------------------------------------------------------
 # Translational / insertional families
 # ---------------------------------------------------------------------------

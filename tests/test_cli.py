@@ -140,6 +140,17 @@ def test_mobius_command(capsys):
     assert "{2}{1,2}{1,2,3} and {1}{3}{1,2,3}" in err and "Tubing(" not in err
 
 
+def test_mobius_single_bound(capsys):
+    # a bound left out is the extreme of L_G on its side: psi(213) sits in
+    # the middle of the long side of the pentagon, psi(132) is an atom
+    code, out, _ = invoke(capsys, "--json", "mobius", "--graph", "path:3", "--lower-perm", "213")
+    assert code == 0
+    assert json.loads(out) == {"lower": "{2}{1,2}{1,2,3}", "upper": "{3}{2,3}{1,2,3}", "mobius": 0}
+    code, out, _ = invoke(capsys, "--json", "mobius", "--graph", "path:3", "--upper-perm", "132")
+    assert code == 0
+    assert json.loads(out) == {"lower": "{1}{1,2}{1,2,3}", "upper": "{1}{3}{1,2,3}", "mobius": -1}
+
+
 def test_family_commands(capsys):
     code, _, _ = invoke(capsys, "family", "admissible", "--family", "path", "--max-degree", "5")
     assert code == 0
@@ -202,14 +213,23 @@ BAD_INPUTS = [
     ("arc", "subarc", "--arc", "2-4:+", "--n", "4"),
     ("tubings", "--graph-file", "no-such-dir/no-such-graph.txt"),
     ("check", "lattice-map", "--graph", "path:8"),  # S_8 is past the table limit
+    # a dict stands for a --graph-file holding it as JSON
+    ("tubings", "--graph-file", {"n": 3}),
+    ("tubings", "--graph-file", {"n": 3, "edges": 5}),
+    ("tubings", "--graph-file", {"n": 3, "edges": [[1, 2.5]]}),
 ]
 
 
-def test_bad_input_exits_2(capsys):
-    for argv in BAD_INPUTS:
+def test_bad_input_exits_2(capsys, tmp_path):
+    for row in BAD_INPUTS:
+        argv = list(row)
+        for k, arg in enumerate(argv):
+            if isinstance(arg, dict):
+                argv[k] = str(tmp_path / f"graph{k}.json")
+                (tmp_path / f"graph{k}.json").write_text(json.dumps(arg))
         code, _, err = invoke(capsys, *argv)
-        assert code == 2, argv
-        assert "error:" in err and "Traceback" not in err, argv
+        assert code == 2, row
+        assert "error:" in err and "Traceback" not in err, row
 
 
 FALSE_PROPERTIES = [
@@ -262,6 +282,37 @@ def test_verify_parallel_jobs(capsys):
     assert [(r.name, r.ok, r.detail) for r in serial] == [
         (r.name, r.ok, r.detail) for r in parallel
     ]
+
+
+def test_verify_jobs_capped_at_check_count(monkeypatch):
+    # the pool is replaced by one that records its size and runs each check
+    # in this process, so no worker is started
+    import concurrent.futures
+
+    from tubelat import verify
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(verify, "ACCEPTANCE_CHECKS", verify.ACCEPTANCE_CHECKS[2:5])
+    for jobs, expected in ((5000, 3), (3, 3), (2, 2)):
+        results = verify.run_suite(suite="acceptance", max_n=2, jobs=jobs)
+        assert sizes.pop() == expected and all(r.ok for r in results)
 
 
 def _crashing_check(max_n=None):

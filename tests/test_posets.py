@@ -1,12 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tubelat import posets
 from tubelat.cli import run
 from tubelat.errors import ElementNotFound, NotALattice, NotComparable, TubelatError
-from tubelat.graphs import Graph, all_graphs, component_tubes, parse_graph
+from tubelat.graphs import Graph, adjacency, all_graphs, component, component_tubes, parse_graph
 from tubelat.posets import Poset, all_tubings, build_lg, poset_from_le, tubing_face_interval
-from tubelat.tubings import Tubing
+from tubelat.tubings import Tubing, enumerate_maximal_tubings, flip_by_search, psi_tubing, top
 from tubelat.weakorder import weak_order_poset
 
 
@@ -235,19 +239,54 @@ def test_build_lg_small_examples():
     assert len(build_lg(Graph(4))) == 1
 
 
-def test_build_lg_covers_match_oriented_flips():
-    # the pre-optimization construction, kept as the oracle: every oriented
-    # flip of every tubing, from both ends, unioned
-    from tubelat.tubings import enumerate_maximal_tubings, oriented_flips
+def _cover_set(lg):
+    return {(lg.elements[a], lg.elements[b]) for a, b in lg.covers}
 
+
+def _oriented_flips_by_top(x):
+    """The first flip construction, kept as an oracle: for each tube I with a
+    smallest strict supertube K, J is the component of top(K) in K - top(I),
+    found by separate ``top`` scans; yields (neighbour, goes up)."""
+    g = x.graph
+    for I in x.tubes:
+        K = next((t for t in x.tubes if I < t), None)
+        if K is not None:
+            J = component(adjacency(g), K - {top(x, I)}, top(x, K))
+            y = Tubing(g, tuple(t for t in x.tubes if t != I) + (J,))
+            yield y, top(x, I) < top(y, J)
+
+
+def test_build_lg_covers_match_oriented_flips():
+    # every flip of every tubing, from both ends, unioned
     graphs = [g for n in range(6) for g in all_graphs(n)]
     for g in graphs + [parse_graph("cycle:7"), parse_graph("path:8")]:
         expected = set()
         for x in enumerate_maximal_tubings(g):
-            for y, _, goes_up in oriented_flips(x):
+            for y, goes_up in _oriented_flips_by_top(x):
                 expected.add((x, y) if goes_up else (y, x))
-        lg = build_lg(g)
-        assert {(lg.elements[a], lg.elements[b]) for a, b in lg.covers} == expected
+        assert _cover_set(build_lg(g)) == expected, g
+
+
+def test_build_lg_covers_match_flip_by_search():
+    # the flip found by scanning every tube of G, oriented by comparing tops
+    graphs = [g for n in range(5) for g in all_graphs(n)]
+    for g in graphs + [parse_graph(d) for d in ("cycle:5", "complete:5", "path:5")]:
+        expected = set()
+        for x in enumerate_maximal_tubings(g):
+            for I in x.tubes:
+                if I not in component_tubes(g):
+                    y, J = flip_by_search(x, I)
+                    expected.add((x, y) if top(x, I) < top(y, J) else (y, x))
+        assert _cover_set(build_lg(g)) == expected, g
+
+
+def test_cover_lists_match_cover_scan(small_lgs):
+    s4 = weak_order_poset(4)
+    cases = small_lgs + [s4, s4.dual(), PENTAGON, PENTAGON.product(chain(3)), antichain(3)]
+    for p in cases:
+        for i, x in enumerate(p.elements):
+            assert p.upper_covers(x) == [p.elements[b] for a, b in p.covers if a == i]
+            assert p.lower_covers(x) == [p.elements[a] for a, b in p.covers if b == i]
 
 
 def test_lg_min_is_identity_image():
@@ -268,6 +307,28 @@ def test_face_interval_trivial_cases():
     for x in lg.elements:
         res = tubing_face_interval(g, x, lg)
         assert res.ok and res.lower == res.upper == x
+
+
+@st.composite
+def _random_faces(draw):
+    """A graph on 5 or 6 vertices and a random subset of the tubes of one
+    of its maximal tubings."""
+    n = draw(st.integers(5, 6))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    g = Graph(n, tuple(p for p in pairs if draw(st.booleans())))
+    x = psi_tubing(g, draw(st.permutations(g.vertices)))
+    keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return g, Tubing(g, tuple(t for t, k in zip(x.tubes, keep) if k))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(_random_faces())
+def test_face_intervals_are_convex_random(face):
+    g, y = face
+    lg = build_lg(g)
+    res = tubing_face_interval(g, y, lg)
+    assert res.ok, (g, y.label(), res.witness)
+    assert lg.le(res.lower, res.upper)
 
 
 def test_lower_cover_degrees_are_palindromic():

@@ -244,6 +244,14 @@ def test_flip_examples():
         flip(x, fs(2))
 
 
+def test_flip_rejects_non_maximal_tubings():
+    # a tube without a unique top, and a tubing missing a component tube
+    with pytest.raises(InvalidTubing):
+        flip(Tubing(P3, (fs(1), fs(1, 2, 3))), fs(1))
+    with pytest.raises(InvalidTubing):
+        flip(Tubing(Graph(2), (fs(1),)), fs(1))
+
+
 def test_flip_matches_search_everywhere_small():
     from tubelat.graphs import components
 
