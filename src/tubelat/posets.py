@@ -181,6 +181,10 @@ class Poset:
         i, j = self.index(x), self.index(y)
         return bool(self._up[i] >> j & 1)
 
+    def up_mask(self, x: Hashable) -> int:
+        """The elements y >= x, as a bitmask: bit i stands for ``elements[i]``."""
+        return self._up[self.index(x)]
+
     def lt(self, x: Hashable, y: Hashable) -> bool:
         return x != y and self.le(x, y)
 

@@ -626,9 +626,11 @@ def vertex_coordinates(x: Tubing) -> tuple[int, ...]:
     """Vertex of the graph associahedron: coordinate i counts the tubes of G
     inside the smallest x-tube containing i that themselves contain i."""
     g = x.graph
-    all_tubes = tubes(g)
-    coords = []
-    for i in g.vertices:
-        idown = smallest_containing_tube(x, i)
-        coords.append(sum(1 for t in all_tubes if i in t and t <= idown))
-    return tuple(coords)
+    return tuple(_containment_counts(g, smallest_containing_tube(x, i))[i] for i in g.vertices)
+
+
+@lru_cache(maxsize=None)
+def _containment_counts(g: Graph, S: frozenset) -> tuple[int, ...]:
+    """Entry i counts the tubes t of G with i in t <= S (entry 0 unused)."""
+    inside = [t for t in tubes(g) if t <= S]
+    return tuple(sum(i in t for t in inside) for i in range(g.n + 1))

@@ -221,10 +221,16 @@ def acc_04_right_filled_inversion_order(max_n=None) -> str:
                     raise VerifyFailure(f"sigma not a G-permutation for {g}")
             gperms = {w for w in permutations(n) if is_g_permutation(g, w)}
             _require(set(sigmas.values()) == gperms, f"sigma image != G-permutations for {g}")
+            holders: dict = {}  # pair -> the elements whose inversions hold it
+            for j, x in enumerate(lg.elements):
+                for pair in invs[x]:
+                    holders[pair] = holders.get(pair, 0) | 1 << j
             for x in lg.elements:
-                for y in lg.elements:
-                    if lg.le(x, y) != (invs[x] <= invs[y]):
-                        raise VerifyFailure(f"L_G order != inversion containment for {g}")
+                above = (1 << len(lg)) - 1  # the y with inv(x) <= inv(y)
+                for pair in invs[x]:
+                    above &= holders[pair]
+                if lg.up_mask(x) != above:
+                    raise VerifyFailure(f"L_G order != inversion containment for {g}")
             report = lattice_map_report(g, lg)
             _require(report.meet_ok, f"psi not meet-preserving for right-filled {g}")
             _require(lg.is_lattice(), f"L_G not a lattice for right-filled {g}")
@@ -783,8 +789,9 @@ def ex_lg_structure_sweep(max_n=None) -> str:
                 len({find(v) for v in range(len(lg))}) == 1,
                 f"Hasse diagram of L_G disconnected for {g}",
             )
-            total_desc = sum(len(descents(tau(x))) for x in lg.elements)
-            total_asc = sum(len(ascents(tau(x))) for x in lg.elements)
+            trees = [tau(x) for x in lg.elements]
+            total_desc = sum(len(descents(t)) for t in trees)
+            total_asc = sum(len(ascents(t)) for t in trees)
             _require(
                 len(lg.covers) == total_desc == total_asc,
                 f"cover/descent/ascent counts differ for {g}",

@@ -9,12 +9,15 @@ of an intermediate value j records whether j sits before (-) or after (+) the
 swapped pair.  Arcs index the join-irreducible lattice congruences, and one
 arc forces another exactly when it is a subarc, so a congruence is described
 by the upward closure of its generating arcs.  Congruence classes are then
-connected components of the Hasse diagram along contracted covers.
+connected components of the Hasse diagram along contracted covers, read from
+``weak_cover_arcs``, the covers of S_n grouped by arc once per n.
 
 The canonical surjection ``psi`` onto maximal tubings lives here as well,
 together with the derived notions: G-permutations, the projection pi_down for
 right-filled graphs, the congruence of a filled graph generated by positive
 arcs over minimal non-edges, and the translational/insertional family checks.
+``psi_map`` takes S_n in one bitmask walk over word prefixes onto the
+tubings ``enumerate_maximal_tubings`` holds, building none per word.
 """
 
 from __future__ import annotations
@@ -37,12 +40,14 @@ from .graphs import (
     Graph,
     GraphFamily,
     adjacency,
+    adjacency_masks,
     component,
     filled_status,
     minimal_non_edges,
+    tubes,
 )
 from .posets import Poset, check_table_size
-from .tubings import Tubing, psi_tubing, sigma_min, tau
+from .tubings import Tubing, enumerate_maximal_tubings, psi_tubing, sigma_min, tau
 
 Perm = tuple[int, ...]
 
@@ -152,6 +157,16 @@ def weak_cover_pairs(n: int) -> tuple[tuple[Perm, Perm], ...]:
     return tuple(
         (u, w) for u in permutations(n) for w in weak_upper_covers(u)
     )
+
+
+@lru_cache(maxsize=None)
+def weak_cover_arcs(n: int) -> tuple[tuple[Arc, tuple[tuple[Perm, Perm], ...]], ...]:
+    """(arc, its covers (u, w) in ``weak_cover_pairs`` order) for each arc of
+    a cover of S_n; graphs and congruences on [n] read arcs from here."""
+    out: dict = {}
+    for u, w in weak_cover_pairs(n):
+        out.setdefault(arc_of_cover(u, w), []).append((u, w))
+    return tuple((arc, tuple(pairs)) for arc, pairs in out.items())
 
 
 # ---------------------------------------------------------------------------
@@ -360,11 +375,12 @@ def congruence_classes(theta: Congruence) -> tuple[tuple[Perm, ...], ...]:
             x = parent[x]
         return x
 
-    for u, w in weak_cover_pairs(theta.n):
-        if arc_of_cover(u, w) in theta.contracted:
-            ru, rw = find(u), find(w)
-            if ru != rw:
-                parent[ru] = rw
+    for arc, pairs in weak_cover_arcs(theta.n):
+        if arc in theta.contracted:
+            for u, w in pairs:
+                ru, rw = find(u), find(w)
+                if ru != rw:
+                    parent[ru] = rw
     groups: dict = {}
     for w in perms:
         groups.setdefault(find(w), []).append(w)
@@ -487,8 +503,41 @@ def psi(g: Graph, w: Sequence[int]) -> Tubing:
 
 @lru_cache(maxsize=None)
 def psi_map(g: Graph) -> dict:
-    """w -> psi(w) for every w in S_n (cached per graph)."""
-    return {w: psi_tubing(g, w) for w in permutations(g.n)}
+    """w -> psi(w) for every w in S_n, in ``permutations`` order (cached per
+    graph).  One depth-first walk over word prefixes keeps the components of
+    the prefix as bitmasks, placing v merges v with those it touches, and each
+    leaf's tube masks pick its value among ``enumerate_maximal_tubings(g)``."""
+    adj = adjacency_masks(g)
+    mask = {t: sum(1 << v for v in t) for t in tubes(g)}
+    by_tubes = {frozenset(mask[t] for t in x.tubes): x for x in enumerate_maximal_tubings(g)}
+    images: list = []
+    placed: list = []  # the tube of each prefix vertex, in word order
+
+    def walk(rest: int, comps: list) -> None:
+        if not rest:
+            x = by_tubes.get(frozenset(placed))
+            if x is None:
+                w = format_perm(permutations(g.n)[len(images)])
+                raise TubelatError(f"psi({w}) is not an enumerated maximal tubing of {g}")
+            images.append(x)
+            return
+        todo = rest
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
+            near = adj[bit.bit_length() - 1]
+            after = [bit]  # the new tube, then the components it does not touch
+            for c in comps:
+                if c & near:
+                    after[0] |= c
+                else:
+                    after.append(c)
+            placed.append(after[0])
+            walk(rest ^ bit, after)
+            placed.pop()
+
+    walk(sum(1 << v for v in g.vertices), [])
+    return dict(zip(permutations(g.n), images))
 
 
 @lru_cache(maxsize=None)
@@ -530,12 +579,9 @@ def contracted_arcs_of_graph(g: Graph) -> frozenset:
     For filled graphs this is the contracted-arc set of the lattice
     congruence; it is well-defined from the raw fibers for every graph.
     """
-    pm = psi_map(g)
-    out = set()
-    for u, w in weak_cover_pairs(g.n):
-        if pm[u] == pm[w]:
-            out.add(arc_of_cover(u, w))
-    return frozenset(out)
+    pm = psi_map(g)  # one object per tubing, so ``is`` compares tubings
+    arcs = weak_cover_arcs(g.n)
+    return frozenset(arc for arc, pairs in arcs if any(pm[u] is pm[w] for u, w in pairs))
 
 
 def theta_g(g: Graph) -> Congruence:

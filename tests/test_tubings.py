@@ -13,7 +13,7 @@ from tubelat.errors import (
     NotATube,
     TubeNotInTubing,
 )
-from tubelat.graphs import Graph, all_graphs, component_tubes, is_tube, parse_graph
+from tubelat.graphs import Graph, all_graphs, component_tubes, is_tube, parse_graph, tubes
 from tubelat.tubings import (
     GForest,
     Tubing,
@@ -37,6 +37,7 @@ from tubelat.tubings import (
     restrict_tubing,
     sigma_max,
     sigma_min,
+    smallest_containing_tube,
     tau,
     top,
     validate_gforest,
@@ -273,6 +274,24 @@ def test_vertex_coordinates_examples():
     for g in all_graphs(4):
         coords = [vertex_coordinates(x) for x in enumerate_maximal_tubings(g)]
         assert len(set(coords)) == len(coords)
+
+
+def _vertex_coordinates_by_scan(x):
+    # the per-vertex scan over every tube of G that the cached counts
+    # replaced, kept as the oracle
+    all_tubes = tubes(x.graph)
+    coords = []
+    for i in x.graph.vertices:
+        idown = smallest_containing_tube(x, i)
+        coords.append(sum(1 for t in all_tubes if i in t and t <= idown))
+    return tuple(coords)
+
+
+def test_vertex_coordinates_match_scan():
+    for n in range(6):
+        for g in all_graphs(n):
+            for x in enumerate_maximal_tubings(g):
+                assert vertex_coordinates(x) == _vertex_coordinates_by_scan(x), (g, x.label())
 
 
 def test_tubing_json_round_trip():

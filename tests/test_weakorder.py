@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tubelat.errors import (
     InvalidVertex,
@@ -11,7 +13,7 @@ from tubelat.errors import (
     TubelatError,
 )
 from tubelat.graphs import Graph, all_graphs, family_h, family_path, parse_graph
-from tubelat.tubings import sigma_min, tau
+from tubelat.tubings import enumerate_maximal_tubings, psi_tubing, sigma_min, tau
 from tubelat.weakorder import (
     Arc,
     all_arcs,
@@ -42,8 +44,11 @@ from tubelat.weakorder import (
     positive_arc,
     psi,
     psi_fibers,
+    psi_map,
     quotient_poset,
     theta_g,
+    weak_cover_arcs,
+    weak_cover_pairs,
     weak_covers,
     weak_join,
     weak_le,
@@ -173,6 +178,59 @@ def test_psi_examples():
     assert len({psi(free, w) for w in permutations(3)}) == 1
     with pytest.raises(SizeMismatch):
         psi(g, (1, 2, 3, 4))
+
+
+def _assert_psi_map_is_psi_tubing(g):
+    pm = psi_map(g)
+    expected = {w: psi_tubing(g, w) for w in permutations(g.n)}
+    assert list(pm) == list(expected)
+    assert pm == expected
+    enumerated = {x: x for x in enumerate_maximal_tubings(g)}
+    assert all(x is enumerated[x] for x in pm.values())
+
+
+def test_psi_map_matches_psi_tubing():
+    for n in range(6):
+        for g in all_graphs(n):
+            _assert_psi_map_is_psi_tubing(g)
+
+
+@st.composite
+def random_graphs(draw, lo, hi):
+    n = draw(st.integers(lo, hi))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, tuple(p for p, k in zip(pairs, keep) if k))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=20)
+@given(random_graphs(6, 7))
+def test_psi_map_matches_psi_tubing_random(g):
+    _assert_psi_map_is_psi_tubing(g)
+
+
+def test_psi_map_names_a_word_missing_from_the_enumeration(monkeypatch):
+    from tubelat import weakorder
+
+    g = parse_graph("cycle:4")
+    full = enumerate_maximal_tubings(g)
+    first = next(w for w in permutations(4) if psi_tubing(g, w) == full[0])
+    monkeypatch.setattr(weakorder, "enumerate_maximal_tubings", lambda h: full[1:])
+    psi_map.cache_clear()
+    try:
+        with pytest.raises(TubelatError, match=f"psi\\({format_perm(first)}\\)"):
+            psi_map(g)
+    finally:
+        psi_map.cache_clear()
+
+
+def test_weak_cover_arcs_match_arc_of_cover():
+    for n in range(7):
+        table = weak_cover_arcs(n)
+        by_cover = {(u, w): arc for arc, pairs in table for u, w in pairs}
+        assert len(by_cover) == sum(len(pairs) for _, pairs in table)
+        assert by_cover == {(u, w): arc_of_cover(u, w) for u, w in weak_cover_pairs(n)}
+        assert sorted(arc for arc, _ in table) == list(all_arcs(n))
 
 
 def test_is_g_permutation_examples():
