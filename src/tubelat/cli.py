@@ -311,6 +311,8 @@ def cmd_mobius(args) -> int:
 def cmd_family(args) -> int:
     fam = parse_family(args.family)
     n = args.max_degree
+    if n < 0:
+        raise TubelatError(f"--max-degree must be nonnegative, not {n}")
     if args.property == "admissible":
         wit = admissibility_witness(fam, n)
     elif args.property == "restriction-compatible":

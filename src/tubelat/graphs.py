@@ -71,9 +71,6 @@ class Graph:
     def has_edge(self, i: int, j: int) -> bool:
         return 1 <= i <= self.n and j in adjacency(self)[i]
 
-    def neighbors(self, v: int) -> frozenset:
-        return adjacency(self)[v]
-
     def to_text(self) -> str:
         lines = [str(self.n)]
         lines.extend(f"{a} {b}" for a, b in self.edges)
@@ -195,10 +192,6 @@ def components_within(g: Graph, S: Iterable[int]) -> list[frozenset]:
             seen |= comp
             comps.append(comp)
     return comps
-
-
-def components(g: Graph) -> list[frozenset]:
-    return list(component_tubes(g))
 
 
 def _check_vertex_subset(g: Graph, I: Iterable[int]) -> frozenset:

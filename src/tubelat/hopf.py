@@ -50,8 +50,6 @@ from .tubings import (
 )
 from .weakorder import Perm, check_perm
 
-IOTA: Perm = ()
-
 
 class FormalSum:
     """Integer-coefficient linear combination over hashable basis keys."""

@@ -1,5 +1,8 @@
 """Finite poset engine and the flip order on maximal tubings.
 
+A poset is built only from its covers, never by reducing a relation: every
+caller (L_G, the weak order and its quotients, products, duals) knows its
+covers, and construction rejects a cycle or a transitively redundant cover.
 Elements are arbitrary hashable keys stored in a deterministic topological
 order; the reachability relation is kept as one up-set and one down-set
 bitmask per element.  Because the storage order extends the partial order, a
@@ -23,13 +26,13 @@ construction (the orientation is induced by a linear functional, so a cycle
 or a redundant edge would indicate a flip bug).  Each cover is found once,
 from its lower end, among the ``oriented_flips`` that go up, and the upper
 end is looked up by its tube set among the enumerated tubings, so no tubing
-is built or sorted per flip.
+is built or sorted per flip.  ``all_tubings`` lists the faces as the cliques
+of the per-graph ``compatibility_masks`` table.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
@@ -37,7 +40,7 @@ import numpy as np
 
 from .errors import ElementNotFound, NotALattice, NotComparable, TubelatError
 from .graphs import Graph, tubes
-from .tubings import Tubing, enumerate_maximal_tubings, is_tube, oriented_flips
+from .tubings import Tubing, compatibility_masks, enumerate_maximal_tubings, oriented_flips
 
 # Meet and join tables are n x n int32.  At this bound each takes 144 MB;
 # S_7 (5,040 elements) fits, S_8 (40,320) would need 6.5 GB per table.
@@ -122,49 +125,6 @@ class Poset:
                 raise TubelatError(
                     f"cover {self.elements[a]!r} < {self.elements[b]!r} is transitively redundant"
                 )
-
-    # -- construction helpers ------------------------------------------------
-
-    @staticmethod
-    def from_relation(elements: Sequence[Hashable], pairs: Iterable[tuple]) -> "Poset":
-        """Build from an arbitrary set of (lower, upper) relation pairs; the
-        transitive reduction is computed here."""
-        idx = {e: i for i, e in enumerate(elements)}
-        n = len(elements)
-        succ = [set() for _ in range(n)]
-        for a, b in pairs:
-            ia, ib = idx[a], idx[b]
-            if ia != ib:
-                succ[ia].add(ib)
-        # transitive closure by DFS from each node
-        reach = [0] * n
-        def dfs(v: int) -> int:
-            if reach[v]:
-                return reach[v]
-            acc = 1 << v
-            reach[v] = acc  # cycle guard; overwritten below
-            for w in succ[v]:
-                acc |= dfs(w)
-            reach[v] = acc
-            return acc
-        for v in range(n):
-            dfs(v)
-        for v in range(n):
-            for w in succ[v]:
-                if reach[w] >> v & 1:
-                    raise TubelatError("relation has a cycle")
-        covers = []
-        for v in range(n):
-            strict = reach[v] & ~(1 << v)
-            for w in _bits(strict):
-                between = 0
-                for u in _bits(strict & ~(1 << w)):
-                    if reach[u] >> w & 1:
-                        between = 1
-                        break
-                if not between:
-                    covers.append((elements[v], elements[w]))
-        return Poset(elements, covers)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -456,15 +416,6 @@ def _bits(mask: int):
         mask ^= b
 
 
-def poset_from_le(elements: Sequence[Hashable], le: Callable[[Hashable, Hashable], bool]) -> Poset:
-    pairs = [
-        (x, y)
-        for x, y in itertools.permutations(elements, 2)
-        if le(x, y)
-    ]
-    return Poset.from_relation(elements, pairs)
-
-
 def _refine_labels(p: Poset) -> list:
     n = len(p)
     up_covers, down_covers = p._upper, p._lower
@@ -596,24 +547,21 @@ def tubing_face_interval(g: Graph, y: Tubing, lg: Optional[Poset] = None) -> Fac
 
 
 def all_tubings(g: Graph) -> list[Tubing]:
-    """Every tubing of g (all faces of the nested set complex, incl. empty)."""
-    ts = list(tubes(g))
-    m = len(ts)
-    compat = [[False] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            a, b = ts[i], ts[j]
-            ok = a <= b or b <= a or not is_tube(g, a | b)
-            compat[i][j] = compat[j][i] = ok
+    """Every tubing of g (all faces of the nested set complex, incl. empty):
+    cliques of ``compatibility_masks``, each extended by larger tube indices."""
+    ts = tubes(g)
+    compat = compatibility_masks(g)
     out: list[Tubing] = []
 
-    def rec(chosen: list, start: int):
+    def rec(chosen: list, allowed: int):
         out.append(Tubing(g, tuple(ts[i] for i in chosen)))
-        for k in range(start, m):
-            if all(compat[i][k] for i in chosen):
-                chosen.append(k)
-                rec(chosen, k + 1)
-                chosen.pop()
+        while allowed:
+            bit = allowed & -allowed
+            allowed ^= bit
+            k = bit.bit_length() - 1
+            chosen.append(k)
+            rec(chosen, allowed & compat[k])
+            chosen.pop()
 
-    rec([], 0)
+    rec([], (1 << len(ts)) - 1)
     return out

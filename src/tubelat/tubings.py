@@ -25,7 +25,12 @@ is an edge between the ideals of c and c'.
 ``enumerate_maximal_tubings`` builds every maximal tubing from one fact: a
 maximal tubing of a connected set picks a root and recurses on the
 components of what is left.  ``psi_tubing``, the surjection from words, and
-``maximal_tubings_oracle`` are independent routes to the same set.
+``maximal_tubings_oracle``, a clique search over the per-graph table
+``compatibility_masks``, are independent routes to the same set.
+
+The words of a forest (``linear_extensions``, and its lexicographic
+extremes ``sigma_min`` and ``sigma_max``) come from one walk over the
+bitmask of unplaced vertices, in ascending or descending vertex order.
 
 Flips exchange one non-component tube for the unique alternative.
 ``oriented_flips`` finds every flip of a tubing from one pass over its tops
@@ -147,6 +152,21 @@ def compatible(g: Graph, I: Iterable[int], J: Iterable[int]) -> bool:
     return not is_tube(g, I | J)
 
 
+@lru_cache(maxsize=None)
+def compatibility_masks(g: Graph) -> tuple[int, ...]:
+    """Indexed like ``tubes(g)``: bit j of entry i is set iff tubes i and j
+    are distinct and compatible (nested, or the union is not a tube)."""
+    ts = tubes(g)
+    tset = set(ts)
+    out = [0] * len(ts)
+    for i, j in itertools.combinations(range(len(ts)), 2):
+        a, b = ts[i], ts[j]
+        if a <= b or b <= a or a | b not in tset:
+            out[i] |= 1 << j
+            out[j] |= 1 << i
+    return tuple(out)
+
+
 def make_tubing(g: Graph, ts: Iterable[frozenset]) -> Tubing:
     ts = [frozenset(t) for t in ts]
     for t in ts:
@@ -175,13 +195,16 @@ class GForest:
         n = self.graph.n
         if len(self.parent) != n:
             raise InvalidForest("parent array length must equal n")
-        # children[0] lists the roots
+        # children[0] lists the roots; bit c of below[v] marks a child c of v
         children: list[list[int]] = [[] for _ in range(n + 1)]
+        below = [0] * (n + 1)
         for v, p in enumerate(self.parent, 1):
             if not 0 <= p <= n:
                 raise InvalidForest(f"parent of {v} out of range")
             children[p].append(v)
+            below[p] |= 1 << v
         object.__setattr__(self, "_children", tuple(map(tuple, children)))
+        object.__setattr__(self, "_below", tuple(below))
 
     def parent_of(self, v: int) -> int:
         return self.parent[v - 1]
@@ -402,14 +425,7 @@ def maximal_tubings_oracle(g: Graph) -> tuple[Tubing, ...]:
     """
     ts = tubes(g)
     m = len(ts)
-    comp_mask = [0] * m
-    for i in range(m):
-        for j in range(i + 1, m):
-            a, b = ts[i], ts[j]
-            ok = a <= b or b <= a or not is_tube(g, a | b)
-            if ok:
-                comp_mask[i] |= 1 << j
-                comp_mask[j] |= 1 << i
+    comp_mask = compatibility_masks(g)
     results = []
 
     def bron_kerbosch(R: int, P: int, X: int):
@@ -501,50 +517,49 @@ def ideals(x: Tubing) -> list[frozenset]:
     return sorted(out, key=tube_key)
 
 
+def _forest_words(t: GForest, descending: bool = False) -> Iterator[tuple[int, ...]]:
+    """The linear extensions of t in lexicographic order (reversed when
+    ``descending``), by one depth-first walk over the bitmask of unplaced
+    vertices.  A vertex is available once its children are placed; every
+    available vertex extends to a whole word, so the first word is greedy."""
+    below = t._below
+    order = t.graph.vertices[::-1] if descending else t.graph.vertices
+    word: list[int] = []
+
+    def walk(rest: int) -> Iterator[tuple[int, ...]]:
+        if not rest:
+            yield tuple(word)
+            return
+        for v in order:
+            if rest >> v & 1 and not below[v] & rest:
+                word.append(v)
+                yield from walk(rest ^ 1 << v)
+                word.pop()
+
+    return walk((1 << t.graph.n + 1) - 2)
+
+
 def linear_extensions(t: GForest) -> list[tuple[int, ...]]:
     """All words listing every element after everything below it in t."""
-    n = t.graph.n
-    children = {v: set(t.children(v)) for v in t.graph.vertices}
-    out: list[tuple[int, ...]] = []
-
-    def rec(remaining: set, pending: dict, acc: list):
-        if not remaining:
-            out.append(tuple(acc))
-            return
-        for v in sorted(remaining):
-            if not pending[v]:
-                acc.append(v)
-                rest = remaining - {v}
-                newpend = {u: pending[u] - {v} for u in rest}
-                rec(rest, newpend, acc)
-                acc.pop()
-
-    rec(set(t.graph.vertices), {v: set(children[v]) for v in t.graph.vertices}, [])
-    return out
+    return list(_forest_words(t))
 
 
-def _greedy_extension(t: GForest, pick_max: bool) -> tuple[int, ...]:
-    remaining = set(t.graph.vertices)
-    children = {v: set(t.children(v)) for v in t.graph.vertices}
-    word = []
-    while remaining:
-        avail = [v for v in remaining if not (children[v] & remaining)]
-        v = max(avail) if pick_max else min(avail)
-        word.append(v)
-        remaining.discard(v)
-    return tuple(word)
+def _first_word(t: GForest, descending: bool) -> tuple[int, ...]:
+    for word in _forest_words(t, descending):
+        return word
+    raise InvalidForest("parent relation has a cycle")
 
 
 def sigma_min(t: GForest) -> tuple[int, ...]:
     """Lexicographically minimal linear extension (take the least available
     minimal element at each step)."""
-    return _greedy_extension(t, pick_max=False)
+    return _first_word(t, descending=False)
 
 
 def sigma_max(t: GForest) -> tuple[int, ...]:
     """Lexicographically maximal linear extension; for left- or right-filled
     graphs this is the unique largest element of the fiber."""
-    return _greedy_extension(t, pick_max=True)
+    return _first_word(t, descending=True)
 
 
 def forest_inversions(t: GForest) -> frozenset:

@@ -131,13 +131,11 @@ def weak_upper_covers(w: Perm) -> list[Perm]:
 
 @lru_cache(maxsize=None)
 def weak_order_poset(n: int) -> Poset:
-    """The weak order on S_n as a Poset (intended for n <= 8)."""
-    elements = permutations(n)
-    covers = []
-    for u in elements:
-        for w in weak_upper_covers(u):
-            covers.append((u, w))
-    return Poset(elements, covers)
+    """The weak order on S_n as a Poset, for 0 <= n <= 8; other sizes are
+    refused before anything is built (S_9's closure would take ~33 GB)."""
+    if not 0 <= n <= 8:
+        raise TubelatError(f"the weak order is built for n = 0..8, not n = {n}")
+    return Poset(permutations(n), weak_cover_pairs(n))
 
 
 def weak_meet(u: Perm, w: Perm) -> Perm:
@@ -350,6 +348,8 @@ class Congruence:
 
 
 def congruence_from_generators(n: int, arcs: Iterable[Arc]) -> Congruence:
+    if n < 0:
+        raise TubelatError(f"a congruence of S_n needs n >= 0, not n = {n}")
     arcs = list(arcs)
     for a in arcs:
         if a.n != n:
@@ -407,18 +407,20 @@ def class_maximum(cls: Sequence[Perm]) -> Perm:
 
 
 def quotient_poset(theta: Congruence) -> Poset:
-    """Quotient of the weak order: classes keyed by their minimum."""
-    classes = congruence_classes(theta)
+    """Quotient of the weak order: classes keyed by their minimum.
+
+    Its covers are the images of the weak-order covers that cross classes;
+    for a lattice congruence none is redundant: if x < y is a cover, x, y
+    lie in different classes and [x] < Z < [y], then for z in Z, (z v x) ^ y
+    lies in Z and in [x, y] = {x, y}.  ``Poset`` rejects redundant covers.
+    """
     rep = {}
-    for cls in classes:
+    for cls in congruence_classes(theta):
         m = class_minimum(cls)
         for w in cls:
             rep[w] = m
-    pairs = set()
-    for u, w in weak_cover_pairs(theta.n):
-        if rep[u] != rep[w]:
-            pairs.add((rep[u], rep[w]))
-    return Poset.from_relation(sorted(set(rep.values())), sorted(pairs))
+    covers = {(rep[u], rep[w]) for u, w in weak_cover_pairs(theta.n) if rep[u] != rep[w]}
+    return Poset(sorted(set(rep.values())), covers)
 
 
 def is_lattice_congruence(partition: Iterable[Sequence[Perm]], n: int) -> bool:

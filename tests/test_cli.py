@@ -213,6 +213,11 @@ BAD_INPUTS = [
     ("arc", "subarc", "--arc", "2-4:+", "--n", "4"),
     ("tubings", "--graph-file", "no-such-dir/no-such-graph.txt"),
     ("check", "lattice-map", "--graph", "path:8"),  # S_8 is past the table limit
+    # negative sizes, and a weak order past S_8, are refused before building
+    ("export-dot", "--weak-order", "-1"),
+    ("export-dot", "--weak-order", "9"),
+    ("congruence", "classes", "--arcs", ",", "--n", "-2"),
+    ("family", "translational", "--family", "path", "--max-degree", "-1"),
     # a dict stands for a --graph-file holding it as JSON
     ("tubings", "--graph-file", {"n": 3}),
     ("tubings", "--graph-file", {"n": 3, "edges": 5}),

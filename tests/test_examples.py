@@ -3,7 +3,7 @@ full stated range with exact equality and prints one pass/fail line (use
 ``pytest -s`` to see them).
 
 Budgets are several times the serial time of a check on a 2-core x86-64 VM
-(E09 ~7.5 s, E03 ~5.5 s, E05 ~2 s, every other check under 1 s).
+(E09 ~7.5 s, E03 ~4.5 s, E05 ~2 s, every other check under 1 s).
 """
 
 import pytest

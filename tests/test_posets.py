@@ -8,8 +8,17 @@ from hypothesis import strategies as st
 from tubelat import posets
 from tubelat.cli import run
 from tubelat.errors import ElementNotFound, NotALattice, NotComparable, TubelatError
-from tubelat.graphs import Graph, adjacency, all_graphs, component, component_tubes, parse_graph
-from tubelat.posets import Poset, all_tubings, build_lg, poset_from_le, tubing_face_interval
+from tubelat.graphs import (
+    Graph,
+    adjacency,
+    all_graphs,
+    component,
+    component_tubes,
+    is_tube,
+    parse_graph,
+    tubes,
+)
+from tubelat.posets import Poset, all_tubings, build_lg, tubing_face_interval
 from tubelat.tubings import Tubing, enumerate_maximal_tubings, flip_by_search, psi_tubing, top
 from tubelat.weakorder import weak_order_poset
 
@@ -20,6 +29,21 @@ def chain(n):
 
 def antichain(n):
     return Poset(list(range(n)), [])
+
+
+def divisor_lattice(m):
+    """The divisors of m; d is covered by d * p for each prime p."""
+    divisors = [d for d in range(1, m + 1) if m % d == 0]
+    primes = [p for p in divisors[1:] if all(p % q for q in range(2, p))]
+    return Poset(divisors, [(d, d * p) for d in divisors for p in primes if m % (d * p) == 0])
+
+
+def boolean_lattice(k):
+    """Subsets of k bits as ints; a is covered by a with one more bit."""
+    return Poset(
+        list(range(1 << k)),
+        [(a, a | 1 << i) for a in range(1 << k) for i in range(k) if not a >> i & 1],
+    )
 
 
 @pytest.fixture(scope="module")
@@ -39,12 +63,6 @@ def test_covers_must_be_acyclic_and_irredundant():
         Poset([1, 2], [(1, 2), (2, 1)])
     with pytest.raises(TubelatError):
         Poset([1, 2, 3], [(1, 2), (2, 3), (1, 3)])
-
-
-def test_from_relation_reduces():
-    p = Poset.from_relation([1, 2, 3], [(1, 2), (2, 3), (1, 3)])
-    assert sorted(p.covers) == [(0, 1), (1, 2)]
-    assert p.le(1, 3)
 
 
 def test_le_and_covers():
@@ -105,12 +123,6 @@ def test_dual_and_product():
     assert PENTAGON.dual().is_isomorphic_to(PENTAGON)
 
 
-def test_poset_from_le():
-    p = poset_from_le([1, 2, 3, 6], lambda a, b: b % a == 0 and a != b)
-    assert p.le(1, 6) and p.le(2, 6) and not p.comparable(2, 3)
-    assert p.join(2, 3) == 6
-
-
 def _brute_meet(p, x, y):
     lower = [z for z in p.elements if p.le(z, x) and p.le(z, y)]
     maxima = [z for z in lower if not any(p.lt(z, w) for w in lower)]
@@ -118,12 +130,7 @@ def _brute_meet(p, x, y):
 
 
 def test_meet_join_against_brute_force():
-    divisors = [d for d in range(1, 61) if 60 % d == 0]
-    divisor_lattice = poset_from_le(divisors, lambda a, b: a != b and b % a == 0)
-    boolean = poset_from_le(
-        list(range(8)), lambda a, b: a != b and a & b == a
-    )
-    posets = [divisor_lattice, boolean, PENTAGON, weak_order_poset(3)]
+    posets = [divisor_lattice(60), boolean_lattice(3), PENTAGON, weak_order_poset(3)]
     for g in all_graphs(3):
         posets.append(build_lg(g))
     for p in posets:
@@ -134,7 +141,7 @@ def test_meet_join_against_brute_force():
 
 
 def test_mobius_boolean_lattice():
-    boolean = poset_from_le(list(range(8)), lambda a, b: a != b and a & b == a)
+    boolean = boolean_lattice(3)
     assert boolean.mobius(0, 7) == -1
     assert boolean.mobius(0, 3) == 1
     assert boolean.mobius(0, 1) == -1
@@ -356,6 +363,36 @@ def test_all_tubings_counts():
     # tubes of K_3 are all 7 nonempty subsets and compatibility is nestedness,
     # so tubings are chains: 1 empty + 7 + 12 two-chains + 6 three-chains
     assert len(all_tubings(k3)) == 26
+
+
+def _all_tubings_by_matrix(g):
+    # the hand-built list matrix ``all_tubings`` used before it read
+    # ``compatibility_masks``, kept as the oracle
+    ts = list(tubes(g))
+    m = len(ts)
+    compat = [[False] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            a, b = ts[i], ts[j]
+            compat[i][j] = compat[j][i] = a <= b or b <= a or not is_tube(g, a | b)
+    out = []
+
+    def rec(chosen: list, start: int):
+        out.append(Tubing(g, tuple(ts[i] for i in chosen)))
+        for k in range(start, m):
+            if all(compat[i][k] for i in chosen):
+                chosen.append(k)
+                rec(chosen, k + 1)
+                chosen.pop()
+
+    rec([], 0)
+    return out
+
+
+def test_all_tubings_match_matrix_oracle():
+    for n in range(5):
+        for g in all_graphs(n):
+            assert all_tubings(g) == _all_tubings_by_matrix(g)
 
 
 def test_to_dot_and_json():

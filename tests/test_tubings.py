@@ -18,6 +18,7 @@ from tubelat.tubings import (
     GForest,
     Tubing,
     chi,
+    compatibility_masks,
     compatible,
     descents,
     ascents,
@@ -223,6 +224,69 @@ def test_sigma_minmax_are_lex_extremes():
             assert sigma_max(t) == max(exts)
 
 
+def _linear_extensions_by_copies(t: GForest):
+    # the recursion the forest walk replaced, kept as the oracle: it copies
+    # the pending-children dict at every node
+    out = []
+
+    def rec(remaining: set, pending: dict, acc: list):
+        if not remaining:
+            out.append(tuple(acc))
+            return
+        for v in sorted(remaining):
+            if not pending[v]:
+                acc.append(v)
+                rest = remaining - {v}
+                rec(rest, {u: pending[u] - {v} for u in rest}, acc)
+                acc.pop()
+
+    rec(set(t.graph.vertices), {v: set(t.children(v)) for v in t.graph.vertices}, [])
+    return out
+
+
+def _greedy_extension(t: GForest, pick_max: bool):
+    # the greedy sigma_min / sigma_max the forest walk replaced, as the oracle
+    remaining = set(t.graph.vertices)
+    word = []
+    while remaining:
+        avail = [v for v in remaining if not set(t.children(v)) & remaining]
+        v = max(avail) if pick_max else min(avail)
+        word.append(v)
+        remaining.discard(v)
+    return tuple(word)
+
+
+def _assert_forest_walk_matches_oracles(t: GForest):
+    words = _linear_extensions_by_copies(t)
+    assert linear_extensions(t) == words
+    if words:
+        assert sigma_min(t) == _greedy_extension(t, pick_max=False)
+        assert sigma_max(t) == _greedy_extension(t, pick_max=True)
+    else:  # only a parent array with a cycle has no linear extension
+        with pytest.raises(InvalidForest):
+            sigma_min(t)
+        with pytest.raises(InvalidForest):
+            sigma_max(t)
+
+
+def test_forest_walk_matches_oracles_on_every_parent_array():
+    # every forest on [n] for n <= 4, and the parent arrays with cycles
+    for n in range(5):
+        for parent in itertools.product(range(n + 1), repeat=n):
+            _assert_forest_walk_matches_oracles(GForest(Graph(n), parent))
+
+
+def test_compatibility_masks_match_compatible():
+    for n in range(5):
+        for g in all_graphs(n):
+            ts = tubes(g)
+            masks = compatibility_masks(g)
+            assert len(masks) == len(ts)
+            for i, j in itertools.product(range(len(ts)), repeat=2):
+                expected = i != j and compatible(g, ts[i], ts[j])
+                assert bool(masks[i] >> j & 1) == expected
+
+
 def test_forest_inversions_examples():
     g = parse_graph("complete:3")
     up_chain = GForest(g, (2, 3, 0))
@@ -254,10 +318,8 @@ def test_flip_rejects_non_maximal_tubings():
 
 
 def test_flip_matches_search_everywhere_small():
-    from tubelat.graphs import components
-
     for g in all_graphs(4):
-        comps = set(components(g))
+        comps = set(component_tubes(g))
         for x in enumerate_maximal_tubings(g):
             for t in x.tubes:
                 if t in comps:
@@ -377,6 +439,13 @@ def test_flip_matches_search_random(g, data):
 @given(random_graphs(6, 7))
 def test_enumerator_matches_oracle_random(g):
     assert enumerate_maximal_tubings(g) == maximal_tubings_oracle(g)
+
+
+@settings(RANDOMIZED, max_examples=12)
+@given(random_graphs(6, 7))
+def test_forest_walk_matches_oracles_random(g):
+    for x in enumerate_maximal_tubings(g):
+        _assert_forest_walk_matches_oracles(tau(x))
 
 
 def _gforest_failure(t: GForest):

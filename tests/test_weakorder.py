@@ -13,6 +13,7 @@ from tubelat.errors import (
     TubelatError,
 )
 from tubelat.graphs import Graph, all_graphs, family_h, family_path, parse_graph
+from tubelat.posets import Poset
 from tubelat.tubings import enumerate_maximal_tubings, psi_tubing, sigma_min, tau
 from tubelat.weakorder import (
     Arc,
@@ -438,3 +439,63 @@ def test_quotient_by_theta_g_is_flip_order():
             continue
         q = quotient_poset(theta_g(g))
         assert q.is_isomorphic_to(build_lg(g))
+
+
+def _quotient_by_reduction(theta):
+    # quotient_poset before it passed the crossing covers straight to Poset:
+    # the images of all covers, transitively reduced, kept as the oracle
+    rep = {}
+    for cls in congruence_classes(theta):
+        m = class_minimum(cls)
+        for w in cls:
+            rep[w] = m
+    elements = sorted(set(rep.values()))
+    idx = {e: i for i, e in enumerate(elements)}
+    succ = [set() for _ in elements]
+    for u, w in weak_cover_pairs(theta.n):
+        if rep[u] != rep[w]:
+            succ[idx[rep[u]]].add(idx[rep[w]])
+    reach = [0] * len(elements)  # bit w of reach[v]: w lies above v
+
+    def up(v):
+        if not reach[v]:
+            reach[v] = 1 << v
+            for w in succ[v]:
+                reach[v] |= up(w)
+        return reach[v]
+
+    covers = []
+    for v in range(len(elements)):
+        above = [w for w in range(len(elements)) if w != v and up(v) >> w & 1]
+        for w in above:
+            if not any(u != w and up(u) >> w & 1 for u in above):
+                covers.append((elements[v], elements[w]))
+    return Poset(elements, covers)
+
+
+def _arc_antichain_congruences(n):
+    arcs = all_arcs(n)
+    for r in range(len(arcs) + 1):
+        for gens in itertools.combinations(arcs, r):
+            pairs = itertools.combinations(gens, 2)
+            if not any(is_subarc(a, b) or is_subarc(b, a) for a, b in pairs):
+                yield congruence_from_generators(n, gens)
+
+
+def test_quotient_poset_matches_transitive_reduction():
+    thetas = [th for n in range(5) for th in _arc_antichain_congruences(n)]
+    thetas += [metasylvester_congruence(n, k) for n in range(7) for k in range(n)]
+    for th in thetas:
+        q, oracle = quotient_poset(th), _quotient_by_reduction(th)
+        assert (q.elements, q.covers) == (oracle.elements, oracle.covers), th.generators
+
+
+def test_weak_order_poset_refuses_sizes_outside_0_to_8_before_building():
+    from tubelat import weakorder
+
+    caches = (weakorder.permutations, weakorder.weak_cover_pairs, weakorder.weak_order_poset)
+    before = [c.cache_info().currsize for c in caches]
+    for n in (-1, 9):
+        with pytest.raises(TubelatError, match=f"built for n = 0..8, not n = {n}"):
+            weak_order_poset(n)
+    assert [c.cache_info().currsize for c in caches] == before
