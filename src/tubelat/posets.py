@@ -9,15 +9,19 @@ bitmask per element.  Because the storage order extends the partial order, a
 single meet or join is a bitmask probe: the meet of x and y exists iff the
 highest-indexed common lower bound dominates all the others.
 
-Whole-lattice queries work from the covers.  The meet and join tables are
-filled by cover recursion, a level of rows per numpy step: the join of
-incomparable i and j is the least of the joins c v j over the upper covers c
-of i, if one of them lies below all the others (meets dually), with the probe
-as the fallback where a c v j is missing, so the tables are exact for every
-poset; they are refused above ``MAX_TABLE_ELEMENTS`` elements.  A lattice is
-semidistributive iff the kappa map exists on every join-irreducible and its
-dual on every meet-irreducible, one bitmask probe each; the scan over all
-triples runs only to find the witness of a failure.
+Whole-lattice queries work from the covers and build no table.  A poset with
+a least element is a lattice iff every two upper covers of a common element
+have a join, one probe per such pair.  A lattice is semidistributive iff the
+kappa map exists on every join-irreducible and its dual on every
+meet-irreducible, one bitmask probe each.
+
+The meet and join tables are built only for their readers: the lattice-map
+check, the congruence helpers and the scan for a semidistributivity witness.
+They are filled by cover recursion, a level of rows per numpy step: the join
+of incomparable i and j is the least of the joins c v j over the upper covers
+c of i, if one of them lies below all the others (meets dually), with the
+probe as the fallback where a c v j is missing, so the tables are exact for
+every poset; they are refused above ``MAX_TABLE_ELEMENTS`` elements.
 
 ``build_lg`` assembles the poset L_G of maximal tubings: covers are the
 flips oriented by comparing tops, the transitive closure is computed rather
@@ -252,14 +256,30 @@ class Poset:
                 table[block] = out
         return table
 
-    def is_meet_semilattice(self) -> bool:
-        return bool((self.meet_table() >= 0).all())
-
-    def is_join_semilattice(self) -> bool:
-        return bool((self.join_table() >= 0).all())
-
     def is_lattice(self) -> bool:
-        return self.is_meet_semilattice() and self.is_join_semilattice()
+        """Whether every two elements have a meet and a join, from the covers.
+
+        A finite poset with a least element is a lattice iff every two upper
+        covers of a common element have a join (Bjorner, Edelman, Ziegler,
+        *Hyperplane arrangements with a lattice of regions*, 1990, Lemma 2.1),
+        so this is one join probe per such pair and builds no table.  Proof:
+        suppose some pair has no join, and among all common lower bounds of
+        such pairs take a maximal one, z, below the pair x, y.  They are
+        incomparable, so there are upper covers x' <= x and y' <= y of z, and
+        x' != y' by the maximality of z; w = x' v y' exists.  x and w lie
+        above x' > z, so by maximality s = x v w exists, and s and y lie above
+        y', so t = s v y exists.  Every common upper bound of x and y lies
+        above x', y', hence w, hence s, hence t: t = x v y, a contradiction.
+        A finite join-semilattice with a least element is a lattice.
+        """
+        if not self.elements:
+            return True
+        if self.minimum() is None:
+            return False
+        join = self._join_idx
+        return all(
+            join(x, y) >= 0 for ups in self._upper for k, x in enumerate(ups) for y in ups[k + 1 :]
+        )
 
     def lattice_failure_witness(self):
         """A pair with no join (reported with its minimal upper bounds) or no
@@ -286,7 +306,10 @@ class Poset:
         return None
 
     def is_semidistributive(self) -> bool:
-        return self.semidistributivity_witness() is None
+        """Whether this lattice is semidistributive, by the kappa test."""
+        if not self.is_lattice():
+            raise NotALattice("semidistributivity is defined for lattices")
+        return self._kappa_maps_exist()
 
     def semidistributivity_witness(self):
         """None if both SD-meet and SD-join hold; else ((x, y, z), kind).
@@ -294,11 +317,7 @@ class Poset:
         The answer comes from the kappa test; only a lattice that fails it is
         scanned for the first violating triple.
         """
-        if not self.is_lattice():
-            raise NotALattice("semidistributivity is defined for lattices")
-        if self._kappa_maps_exist():
-            return None
-        return self._semidistributivity_scan()
+        return None if self.is_semidistributive() else self._semidistributivity_scan()
 
     def _semidistributivity_scan(self):
         """The first violating triple, by scanning every z against all pairs

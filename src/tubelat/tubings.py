@@ -639,9 +639,19 @@ def oriented_flips(x: Tubing) -> Iterator[tuple[frozenset, frozenset, int, int]]
 
 def vertex_coordinates(x: Tubing) -> tuple[int, ...]:
     """Vertex of the graph associahedron: coordinate i counts the tubes of G
-    inside the smallest x-tube containing i that themselves contain i."""
+    inside the smallest x-tube containing i that themselves contain i.
+
+    One pass over the tubes, largest first: each writes its counts onto its
+    vertices, so the smallest tube containing a vertex writes last."""
     g = x.graph
-    return tuple(_containment_counts(g, smallest_containing_tube(x, i))[i] for i in g.vertices)
+    coords = [0] * (g.n + 1)
+    for t in reversed(x.tubes):
+        counts = _containment_counts(g, t)
+        for v in t:
+            coords[v] = counts[v]
+    if 0 in coords[1:]:
+        raise InvalidTubing(f"no tube of the tubing contains {coords.index(0, 1)}")
+    return tuple(coords[1:])
 
 
 @lru_cache(maxsize=None)

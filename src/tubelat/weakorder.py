@@ -39,9 +39,7 @@ from .errors import (
 from .graphs import (
     Graph,
     GraphFamily,
-    adjacency,
     adjacency_masks,
-    component,
     filled_status,
     minimal_non_edges,
     tubes,
@@ -551,18 +549,27 @@ def psi_fibers(g: Graph) -> dict:
 
 
 def is_g_permutation(g: Graph, w: Sequence[int]) -> bool:
-    """Each prefix keeps w_i connected to the running maximum."""
+    """Each prefix keeps w_i connected to the running maximum.
+
+    The components of the prefix are kept as bitmasks, as in ``psi_map``:
+    placing v merges v with the components it touches into its new tube."""
     w = check_perm(w)
     if len(w) != g.n:
         raise SizeMismatch("permutation size mismatch")
-    adj = adjacency(g)
-    placed: set = set()
+    adj = adjacency_masks(g)
+    comps: list = []
     running_max = 0
     for v in w:
-        placed.add(v)
+        tube, rest = 1 << v, []
+        for c in comps:
+            if c & adj[v]:
+                tube |= c
+            else:
+                rest.append(c)
         running_max = max(running_max, v)
-        if running_max not in component(adj, placed, v):
+        if not tube >> running_max & 1:
             return False
+        comps = rest + [tube]
     return True
 
 

@@ -213,20 +213,81 @@ def test_meet_join_tables_against_probes(small_lgs):
     for p in small_lgs + [weak_order_poset(5), BOWTIE, PENTAGON.dual(), Poset([], [])]:
         assert np.array_equal(p.meet_table(), _probe_table(p, p._meet_idx))
         assert np.array_equal(p.join_table(), _probe_table(p, p._join_idx))
-    assert not BOWTIE.is_meet_semilattice() and not BOWTIE.is_join_semilattice()
+    assert (BOWTIE.meet_table() < 0).any() and (BOWTIE.join_table() < 0).any()
 
 
 def test_table_size_guard(monkeypatch, capsys):
     n = posets.MAX_TABLE_ELEMENTS + 1
     big = chain(n)
-    for build in (big.meet_table, big.join_table, big.is_lattice):
+    for build in (big.meet_table, big.join_table):
         with pytest.raises(TubelatError, match=f"{n:,} elements would take {4 * n * n:,} bytes"):
             build()
+    assert big.is_lattice() and big.is_semidistributive()  # from the covers, with no table
     assert big._meets is None and big._joins is None
-    monkeypatch.setattr(posets, "MAX_TABLE_ELEMENTS", 10)  # L_path:4 has 14 elements
-    assert run(["check", "lattice", "--graph", "path:4"]) == 2
+    monkeypatch.setattr(posets, "MAX_TABLE_ELEMENTS", 10)
+    assert run(["check", "lattice-map", "--graph", "path:4"]) == 2  # S_4 has 24 elements
     err = capsys.readouterr().err
-    assert err.startswith("error: meet/join tables over 14 elements") and "Traceback" not in err
+    assert err.startswith("error: meet/join tables over 24 elements") and "Traceback" not in err
+
+
+M3 = Poset(
+    ["0", "a", "b", "c", "1"],
+    [("0", "a"), ("0", "b"), ("0", "c"), ("a", "1"), ("b", "1"), ("c", "1")],
+)
+V = Poset(["a", "b", "c"], [("a", "c"), ("b", "c")])  # two minima
+LAMBDA = V.dual()  # two maxima
+
+
+def _lattice_by_tables(p):
+    return bool((p.meet_table() >= 0).all() and (p.join_table() >= 0).all())
+
+
+def test_is_lattice_against_tables(small_lgs):
+    cases = small_lgs + [weak_order_poset(n) for n in range(6)] + [
+        BOWTIE, PENTAGON, PENTAGON.dual(), M3, antichain(2), V, LAMBDA, Poset([], []), chain(1)
+    ]
+    for p in cases:
+        assert p.is_lattice() == _lattice_by_tables(p)
+    assert not V.is_lattice() and not LAMBDA.is_lattice() and Poset([], []).is_lattice()
+
+
+@st.composite
+def _random_posets(draw):
+    """The Hasse diagram of the order generated by a random relation on
+    0..n-1 (each pair i < j drawn), with a least element -1 added or not."""
+    n = draw(st.integers(0, 9))
+    up = [1 << i for i in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        if draw(st.integers(0, 3)) == 0:
+            up[i] |= 1 << j
+    for i in range(n - 1, -1, -1):
+        for j in range(i + 1, n):
+            if up[i] >> j & 1:
+                up[i] |= up[j]
+    covers = [
+        (i, j)
+        for i, j in itertools.combinations(range(n), 2)
+        if up[i] >> j & 1 and not any(up[i] >> k & 1 and up[k] >> j & 1 for k in range(i + 1, j))
+    ]
+    elements = list(range(n))
+    if draw(st.booleans()):
+        minima = [j for j in range(n) if not any(b == j for _, b in covers)]
+        elements.append(-1)
+        covers += [(-1, j) for j in minima]
+    return Poset(elements, covers)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_random_posets())
+def test_is_lattice_against_tables_random(p):
+    assert p.is_lattice() == _lattice_by_tables(p)
+
+
+def test_is_semidistributive_matches_witness(small_lgs):
+    lattices = [p for p in small_lgs if p.is_lattice()]
+    assert len(lattices) == 690
+    for p in lattices:
+        assert p.is_semidistributive() == (p.semidistributivity_witness() is None)
 
 
 def test_weak_order_meets_against_brute_force_s4():
