@@ -15,13 +15,13 @@ have a join, one probe per such pair.  A lattice is semidistributive iff the
 kappa map exists on every join-irreducible and its dual on every
 meet-irreducible, one bitmask probe each.
 
-The meet and join tables are built only for their readers: the lattice-map
-check, the congruence helpers and the scan for a semidistributivity witness.
-They are filled by cover recursion, a level of rows per numpy step: the join
-of incomparable i and j is the least of the joins c v j over the upper covers
-c of i, if one of them lies below all the others (meets dually), with the
-probe as the fallback where a c v j is missing, so the tables are exact for
-every poset; they are refused above ``MAX_TABLE_ELEMENTS`` elements.
+The meet and join tables are built only for their readers: the congruence
+helpers and the scan for a semidistributivity witness.  They are filled by
+cover recursion, a level of rows per numpy step: the join of incomparable i
+and j is the least of the joins c v j over the upper covers c of i, if one
+of them lies below all the others (meets dually), with the probe as the
+fallback where a c v j is missing, so the tables are exact for every poset;
+they are refused above ``MAX_TABLE_ELEMENTS`` elements.
 
 ``build_lg`` assembles the poset L_G of maximal tubings: covers are the
 flips oriented by comparing tops, the transitive closure is computed rather

@@ -315,17 +315,6 @@ def chi(t: GForest) -> Tubing:
     return Tubing(t.graph, validate_gforest(t))
 
 
-def smallest_containing_tube(x: Tubing, v: int) -> frozenset:
-    """The smallest tube of x containing v (v_down when x is maximal)."""
-    best = None
-    for t in x.tubes:
-        if v in t and (best is None or len(t) < len(best)):
-            best = t
-    if best is None:
-        raise InvalidTubing(f"no tube of the tubing contains {v}")
-    return best
-
-
 def top(x: Tubing, I: Iterable[int]) -> int:
     """The unique vertex of I avoiding every tube of x properly inside I."""
     I = frozenset(I)

@@ -612,9 +612,6 @@ def generators_of_theta_g(g: Graph) -> list[Arc]:
 # ---------------------------------------------------------------------------
 
 
-_PAIR_BLOCK = 1 << 16  # pairs of S_n compared per numpy block
-
-
 @dataclass(frozen=True)
 class LatticeMapReport:
     meet_ok: bool
@@ -627,48 +624,56 @@ class LatticeMapReport:
 
 
 def lattice_map_report(g: Graph, lg: Optional[Poset] = None) -> LatticeMapReport:
-    """Exhaustively test whether psi preserves meets and joins.
+    """Whether psi: S_n -> L_G preserves meets and joins, decided from covers.
 
-    Every pair a < b of S_n (in storage order) is compared through the meet
-    and join tables of S_n and of L_G, a block of rows at a time.  A pair
-    whose images lack a meet/join in L_G counts as a failure.  The witness
-    is the first failing pair in row-major order, the meet when both kinds
-    fail there first.  When S_n is too large for the tables, the request is
-    refused before L_G, S_n or psi is built.
+    psi is onto (a tubing with an empty fiber raises).  A meet- or
+    join-preserving map is order-preserving (u <= w gives psi(u) =
+    psi(u ^ w) = psi(u) ^ psi(w)), and then psi of the bottom and top of S_n
+    bound L_G, whose elements are all images, so L_G is a lattice.  Both
+    kinds fail if psi is not monotone on a cover of S_n or L_G is not a
+    lattice.  Otherwise the fibers are convex (u <= v <= w in one fiber pins
+    psi(v)), so a member with no lower cover in its fiber is minimal in it,
+    and psi preserves meets iff every fiber has exactly one such member and
+    the fiber minima rise along every cover of L_G.  (<=) Take w in the
+    fiber of z = psi(x) ^ psi(y): its fiber minimum lies below the minima of
+    the fibers of x and y, hence below x ^ y, so z <= psi(x ^ y), and
+    monotonicity gives the reverse.  (=>) The fibers are meet-closed, so
+    each has a least element, and if psi(p) <= psi(q), the meet of the two
+    fiber minima lies in p's fiber.  Joins are the dual: maxima, upper covers.
+
+    No table is built: only a kind that fails is searched for its witness by
+    bitmask probes, the first pair a < b of S_n in storage order where it
+    fails, the meet first when both fail there.  S_8 (whose closure this
+    would build) and beyond are refused before L_G, S_n or psi is built.
     """
-    import numpy as np
-
     from .posets import build_lg
 
     check_table_size(math.factorial(g.n))
     lg = lg if lg is not None else build_lg(g)
     sn = weak_order_poset(g.n)
     pm = psi_map(g)
-    img = np.array([lg.index(pm[w]) for w in sn.elements], dtype=np.int32)
-    m = len(img)
-    tables = {
-        "meet": (lg.meet_table(), sn.meet_table()),
-        "join": (lg.join_table(), sn.join_table()),
-    }
-    first: dict = {}  # kind -> flat index of its first failing pair
-    cols = np.arange(m)
-    step = max(1, _PAIR_BLOCK // m)
-    for lo in range(0, m, step):
-        rows = cols[lo : lo + step]
-        for kind, (lt, st) in tables.items():
-            if kind not in first:
-                bad = lt[img[rows, None], img] != img[st[rows]]
-                hits = np.flatnonzero(bad & (cols > rows[:, None]))
-                if hits.size:
-                    first[kind] = lo * m + int(hits[0])
-        if len(first) == 2:
-            break
-    witness = None
-    if first:
-        kind = min(first, key=lambda k: (first[k], k != "meet"))
-        a, b = divmod(first[kind], m)
-        witness = (kind, sn.elements[a], sn.elements[b])
-    return LatticeMapReport("meet" not in first, "join" not in first, witness)
+    img = [lg.index(pm[w]) for w in sn.elements]
+    if len(set(img)) < len(lg):
+        raise TubelatError(f"psi misses a maximal tubing of {g}")
+    ok = {"meet": False, "join": False}
+    if lg.is_lattice() and all(lg._up[img[a]] >> img[b] & 1 for a, b in sn.covers):
+        for kind, nexts in (("meet", sn._lower), ("join", sn._upper)):
+            ends: list = [[] for _ in lg.elements]  # fiber -> members with no cover in it
+            for a, x in enumerate(img):
+                if all(img[c] != x for c in nexts[a]):
+                    ends[x].append(a)
+            ok[kind] = all(len(e) == 1 for e in ends) and all(
+                sn._up[ends[p][0]] >> ends[q][0] & 1 for p, q in lg.covers
+            )
+    probes = {"meet": (lg._meet_idx, sn._meet_idx), "join": (lg._join_idx, sn._join_idx)}
+    failed = [(kind, probes[kind]) for kind in ok if not ok[kind]]
+    bad = (
+        (kind, sn.elements[a], sn.elements[b])
+        for a, b in itertools.combinations(range(len(img)), 2)
+        for kind, (lg_probe, sn_probe) in failed
+        if lg_probe(img[a], img[b]) != img[sn_probe(a, b)]
+    )
+    return LatticeMapReport(ok["meet"], ok["join"], next(bad) if failed else None)
 
 
 # ---------------------------------------------------------------------------

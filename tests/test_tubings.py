@@ -38,7 +38,6 @@ from tubelat.tubings import (
     restrict_tubing,
     sigma_max,
     sigma_min,
-    smallest_containing_tube,
     tau,
     top,
     validate_gforest,
@@ -338,13 +337,24 @@ def test_vertex_coordinates_examples():
         assert len(set(coords)) == len(coords)
 
 
+def _smallest_containing_tube(x, v):
+    # v_down: the smallest tube of the maximal tubing x containing v
+    best = None
+    for t in x.tubes:
+        if v in t and (best is None or len(t) < len(best)):
+            best = t
+    if best is None:
+        raise InvalidTubing(f"no tube of the tubing contains {v}")
+    return best
+
+
 def _vertex_coordinates_by_scan(x):
     # the per-vertex scan over every tube of G that the cached counts
     # replaced, kept as the oracle
     all_tubes = tubes(x.graph)
     coords = []
     for i in x.graph.vertices:
-        idown = smallest_containing_tube(x, i)
+        idown = _smallest_containing_tube(x, i)
         coords.append(sum(1 for t in all_tubes if i in t and t <= idown))
     return tuple(coords)
 

@@ -289,12 +289,12 @@ def test_lattice_map_variants():
     assert rep.join_ok and not rep.meet_ok
 
 
-def _lattice_map_report_by_pairs(g):
+def _lattice_map_report_by_pairs(g, lg=None):
     # the pair loop the table-driven report replaced, kept as the oracle
     from tubelat.posets import build_lg
     from tubelat.weakorder import LatticeMapReport, psi_map
 
-    lg = build_lg(g)
+    lg = lg if lg is not None else build_lg(g)
     sn = weak_order_poset(g.n)
     pm = psi_map(g)
     img = [lg.index(pm[w]) for w in sn.elements]
@@ -321,21 +321,125 @@ def _lattice_map_report_by_pairs(g):
     return LatticeMapReport(meet_ok, join_ok, witness)
 
 
-def test_lattice_map_report_against_pair_loop():
-    import random
+def _lattice_map_report_by_tables(g):
+    # the numpy scan of the meet/join tables of S_n and L_G that the cover
+    # criterion replaced, kept as the oracle; S_n is a private copy, so the
+    # cached weak order keeps no table
+    import numpy as np
 
-    rng = random.Random(20181)
-    graphs = [g for n in range(5) for g in all_graphs(n)]
-    graphs += [
-        Graph(5, tuple(p for p in itertools.combinations(range(1, 6), 2) if rng.random() < 0.5))
-        for _ in range(128)
-    ]
-    kinds = set()
-    for g in graphs:
+    from tubelat.posets import build_lg
+    from tubelat.weakorder import LatticeMapReport
+
+    lg = build_lg(g)
+    sn = Poset(permutations(g.n), weak_cover_pairs(g.n))
+    pm = psi_map(g)
+    img = np.array([lg.index(pm[w]) for w in sn.elements], dtype=np.int32)
+    m = len(img)
+    tables = {
+        "meet": (lg.meet_table(), sn.meet_table()),
+        "join": (lg.join_table(), sn.join_table()),
+    }
+    first: dict = {}  # kind -> flat index of its first failing pair
+    cols = np.arange(m)
+    step = max(1, (1 << 16) // m)
+    for lo in range(0, m, step):
+        rows = cols[lo : lo + step]
+        for kind, (lt, st) in tables.items():
+            if kind not in first:
+                bad = lt[img[rows, None], img] != img[st[rows]]
+                hits = np.flatnonzero(bad & (cols > rows[:, None]))
+                if hits.size:
+                    first[kind] = lo * m + int(hits[0])
+        if len(first) == 2:
+            break
+    witness = None
+    if first:
+        kind = min(first, key=lambda k: (first[k], k != "meet"))
+        a, b = divmod(first[kind], m)
+        witness = (kind, sn.elements[a], sn.elements[b])
+    return LatticeMapReport("meet" not in first, "join" not in first, witness)
+
+
+def test_lattice_map_report_against_pair_loop():
+    cases, kinds = set(), set()
+    for g in (g for n in range(6) for g in all_graphs(n)):
         rep = lattice_map_report(g)
         assert rep == _lattice_map_report_by_pairs(g), g
+        cases.add((rep.meet_ok, rep.join_ok))
         kinds.add(rep.witness and rep.witness[0])
+    assert cases == set(itertools.product((True, False), repeat=2))
     assert kinds == {None, "meet", "join"}
+
+
+def test_lattice_map_report_against_tables():
+    import random
+
+    rng = random.Random(20186)
+    pairs = list(itertools.combinations(range(1, 7), 2))
+    graphs = [Graph(6, tuple(p for p in pairs if rng.random() < 0.5)) for _ in range(32)]
+    graphs += [parse_graph("cycle:7"), parse_graph("complete:6")]
+    graphs.append(Graph(6, tuple((i, 6) for i in range(1, 6))))  # right-filled only
+    cases, kinds = set(), set()
+    for g in graphs:
+        rep = lattice_map_report(g)
+        assert rep == _lattice_map_report_by_tables(g), g
+        cases.add((rep.meet_ok, rep.join_ok))
+        kinds.add(rep.witness and rep.witness[0])
+    assert cases == set(itertools.product((True, False), repeat=2))
+    assert kinds == {None, "meet", "join"}
+
+
+def test_lattice_map_report_builds_no_table():
+    from tubelat.posets import build_lg
+
+    weak_order_poset.cache_clear()  # drop any tables other tests built on S_n
+    for g, ok in ((Graph(3, ((1, 3), (2, 3))), False), (parse_graph("path:4"), True)):
+        lg = build_lg(g)
+        assert lattice_map_report(g, lg).ok == ok
+        for p in (lg, weak_order_poset(g.n)):
+            assert p._meets is None and p._joins is None
+
+
+def test_lattice_map_report_refuses_a_map_that_is_not_monotone(monkeypatch):
+    # psi is monotone for every graph, so the monotonicity test is tried on
+    # a stand-in map onto the chain p < q.  Its fibers {123, 213, 231, 321}
+    # and {132, 312} each have one member with no lower cover inside and the
+    # minima 123 <= 132 rise along p < q, but 312 <= 321 maps to q > p, so
+    # psi(312 ^ 321) = q is not p ^ q = p.
+    from tubelat import weakorder
+
+    g, chain = Graph(3), Poset(["p", "q"], [("p", "q")])
+    fake = {w: "q" if w in ((1, 3, 2), (3, 1, 2)) else "p" for w in permutations(3)}
+    monkeypatch.setattr(weakorder, "psi_map", lambda h: fake)
+    rep = lattice_map_report(g, chain)
+    assert rep == weakorder.LatticeMapReport(False, False, ("join", (1, 3, 2), (2, 1, 3)))
+    assert rep == _lattice_map_report_by_pairs(g, chain)
+
+
+def test_lattice_map_report_refuses_an_empty_fiber():
+    from tubelat.posets import build_lg
+
+    g = parse_graph("path:3")
+    lg = build_lg(g)
+    top = lg.maximum()
+    covers = [(lg.elements[a], lg.elements[b]) for a, b in lg.covers] + [(top, "extra")]
+    padded = Poset(lg.elements + ("extra",), covers)
+    with pytest.raises(TubelatError, match="psi misses a maximal tubing"):
+        lattice_map_report(g, padded)
+
+
+def test_lattice_map_iff_filled_on_5_vertices():
+    import time
+
+    from tubelat.graphs import filled_status
+
+    start = time.perf_counter()
+    filled = 0
+    for g in all_graphs(5):
+        assert lattice_map_report(g).ok == filled_status(g).filled, g
+        filled += filled_status(g).filled
+    assert filled == 42
+    assert time.perf_counter() - start < 10.0
 
 
 def test_lattice_map_refuses_oversized_sn_before_building():
