@@ -9,19 +9,12 @@ bitmask per element.  Because the storage order extends the partial order, a
 single meet or join is a bitmask probe: the meet of x and y exists iff the
 highest-indexed common lower bound dominates all the others.
 
-Whole-lattice queries work from the covers and build no table.  A poset with
+Whole-lattice queries work from the covers and probes alone.  A poset with
 a least element is a lattice iff every two upper covers of a common element
 have a join, one probe per such pair.  A lattice is semidistributive iff the
 kappa map exists on every join-irreducible and its dual on every
-meet-irreducible, one bitmask probe each.
-
-The meet and join tables are built only for their readers: the congruence
-helpers and the scan for a semidistributivity witness.  They are filled by
-cover recursion, a level of rows per numpy step: the join of incomparable i
-and j is the least of the joins c v j over the upper covers c of i, if one
-of them lies below all the others (meets dually), with the probe as the
-fallback where a c v j is missing, so the tables are exact for every poset;
-they are refused above ``MAX_TABLE_ELEMENTS`` elements.
+meet-irreducible, one bitmask probe each; a lattice that fails is searched
+for its first violating triple with one probe per element and z.
 
 ``build_lg`` assembles the poset L_G of maximal tubings: covers are the
 flips oriented by comparing tops, the transitive closure is computed rather
@@ -40,33 +33,14 @@ import heapq
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
-import numpy as np
-
 from .errors import ElementNotFound, NotALattice, NotComparable, TubelatError
 from .graphs import Graph, tubes
 from .tubings import Tubing, compatibility_masks, enumerate_maximal_tubings, oriented_flips
 
-# Meet and join tables are n x n int32.  At this bound each takes 144 MB;
-# S_7 (5,040 elements) fits, S_8 (40,320) would need 6.5 GB per table.
-MAX_TABLE_ELEMENTS = 6000
-_TABLE_BLOCK = 1 << 16  # candidate entries per numpy block of table rows
-
-
-def check_table_size(n: int) -> None:
-    """Refuse meet/join tables over more than ``MAX_TABLE_ELEMENTS`` elements."""
-    if n > MAX_TABLE_ELEMENTS:
-        raise TubelatError(
-            f"meet/join tables over {n:,} elements would take {4 * n * n:,} bytes "
-            f"each; the limit is {MAX_TABLE_ELEMENTS:,} elements"
-        )
-
-
 class Poset:
     """Immutable finite poset over hashable element keys."""
 
-    __slots__ = (
-        "elements", "_index", "covers", "_upper", "_lower", "_up", "_down", "_meets", "_joins"
-    )
+    __slots__ = ("elements", "_index", "covers", "_upper", "_lower", "_up", "_down")
 
     def __init__(self, elements: Sequence[Hashable], covers: Iterable[tuple]):
         """Build from elements and cover pairs (lower, upper), given by key.
@@ -121,8 +95,6 @@ class Poset:
                 down[i] |= down[a]
         self._up = tuple(up)
         self._down = tuple(down)
-        self._meets = None
-        self._joins = None
         for a, b in self.covers:
             between = self._up[a] & self._down[b] & ~(1 << a) & ~(1 << b)
             if between:
@@ -191,71 +163,6 @@ class Poset:
         z = self._join_idx(self.index(x), self.index(y))
         return None if z < 0 else self.elements[z]
 
-    def meet_table(self) -> np.ndarray:
-        """n x n int32 table of meet indices, -1 where no meet exists."""
-        if self._meets is None:
-            self._meets = self._bound_table(joins=False)
-        return self._meets
-
-    def join_table(self) -> np.ndarray:
-        """n x n int32 table of join indices, -1 where no join exists."""
-        if self._joins is None:
-            self._joins = self._bound_table(joins=True)
-        return self._joins
-
-    def _bound_table(self, joins: bool) -> np.ndarray:
-        """The join table (``joins``) or the meet table, by cover recursion.
-
-        For joins: an upper bound of incomparable i and j lies above some
-        upper cover c of i, so the upper bounds of {i, j} are the union of
-        those of the {c, j}.  When every c v j exists, i v j therefore exists
-        iff the least-indexed candidate m = c v j lies below all the others,
-        and then it is m.  Rows are filled one level at a time, from the
-        maximal elements down, so the rows of the covers are done first.  A
-        pair with a candidate lacking a join gets no reduction and falls back
-        to the bitmask probe, which keeps the table exact for any poset.
-        Meets are the dual: lower covers, down-sets, the largest index.
-        """
-        n = len(self)
-        check_table_size(n)
-        nbytes = (n + 7) // 8
-        packed = np.frombuffer(
-            b"".join(m.to_bytes(nbytes, "little") for m in self._up), dtype=np.uint8
-        ).reshape(n, nbytes)
-        le = np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
-        # ahead[a, b]: b is a bound of a in the table's direction
-        ahead, pick, probe = (le, np.min, self._join_idx) if joins else (le.T, np.max, self._meet_idx)
-        nexts = self._upper if joins else self._lower  # the covers of each row's element
-        level = [0] * n  # longest chain to an extreme in the table's direction
-        for i in range(n - 1, -1, -1) if joins else range(n):
-            if nexts[i]:
-                level[i] = 1 + max(level[c] for c in nexts[i])
-        level = np.array(level)
-        table = np.empty((n, n), dtype=np.int32)
-        cols = np.arange(n, dtype=np.int32)
-        for lv in range(int(level.max(initial=-1)) + 1):
-            rows = np.flatnonzero(level == lv).astype(np.int32)
-            if lv == 0:  # no covers: i v j is i for j behind i, else missing
-                table[rows] = np.where(ahead[:, rows].T, rows[:, None], -1)
-                continue
-            width = max(len(nexts[i]) for i in rows)
-            step = max(1, _TABLE_BLOCK // (width * n))
-            for lo in range(0, len(rows), step):
-                block = rows[lo : lo + step]
-                pad = [nexts[i] + nexts[i][:1] * (width - len(nexts[i])) for i in block]
-                cand = table[np.array(pad)]  # (row, cover c, j) -> bound of c and j
-                missing = (cand < 0).any(axis=1)
-                np.maximum(cand, 0, out=cand)
-                best = pick(cand, axis=1)
-                out = np.where(ahead[best[:, None, :], cand].all(axis=1), best, -1)
-                beyond, behind = ahead[block], ahead[:, block].T
-                out = np.where(behind, block[:, None], out)
-                out = np.where(beyond, cols, out)
-                for r, j in np.argwhere(missing & ~beyond & ~behind):
-                    out[r, j] = probe(int(block[r]), int(j))
-                table[block] = out
-        return table
-
     def is_lattice(self) -> bool:
         """Whether every two elements have a meet and a join, from the covers.
 
@@ -320,25 +227,43 @@ class Poset:
         return None if self.is_semidistributive() else self._semidistributivity_scan()
 
     def _semidistributivity_scan(self):
-        """The first violating triple, by scanning every z against all pairs
-        (x, y) of this lattice; None when there is none."""
-        m, j = self.meet_table(), self.join_table()
+        """The first triple (x, y, z) of this lattice that violates SD-meet or
+        SD-join, in the order z ascending, SD-meet before SD-join, then (x, y)
+        row-major; None when there is none.
+
+        Fix z and group the elements x by m = x ^ z.  A group is convex (x <=
+        w <= v in it gives m <= w ^ z <= m) with least element m, and (x v y)
+        ^ z >= m for x, y in it, so (x, y, z) violates SD-meet iff x and y
+        share a group that does not hold x v y.  A group is closed under joins
+        iff it has a single maximal element: the join of all its members is
+        then in it, and conversely x, y <= M puts x v y in [m, M].  Row x has
+        a violating y iff x is not below every maximal element of its group:
+        if it is, each y lies below some maximal M >= x, so x v y <= M stays
+        in the group; if x is not below a maximal M, then x v M > M leaves
+        it.  That row's first y is the first member of the group whose join
+        with x leaves it.  SD-join is the dual: groups by x v z, their
+        minimal elements, meets.  Each z costs one probe per element.
+        """
         n = len(self)
         for z in range(n):
-            mz = m[:, z]
-            gathered = mz[j]          # (x, y) -> meet(join(x, y), z)
-            eq = mz[:, None] == mz[None, :]
-            bad = eq & (gathered != mz[:, None])
-            if bad.any():
-                x, y = map(int, np.argwhere(bad)[0])
-                return (self.elements[x], self.elements[y], self.elements[z]), "SD-meet"
-            jz = j[:, z]
-            gathered = jz[m]
-            eq = jz[:, None] == jz[None, :]
-            bad = eq & (gathered != jz[:, None])
-            if bad.any():
-                x, y = map(int, np.argwhere(bad)[0])
-                return (self.elements[x], self.elements[y], self.elements[z]), "SD-join"
+            for kind, bound, other, beyond in (
+                ("SD-meet", self._meet_idx, self._join_idx, self._up),
+                ("SD-join", self._join_idx, self._meet_idx, self._down),
+            ):
+                of = [bound(x, z) for x in range(n)]
+                groups = dict.fromkeys(of, 0)
+                for x, m in enumerate(of):
+                    groups[m] |= 1 << x
+                # the maximal members of each group (the minimal ones for SD-join)
+                ends = {
+                    m: sum(1 << x for x in _bits(g) if beyond[x] & g == 1 << x)
+                    for m, g in groups.items()
+                }
+                for x, m in enumerate(of):
+                    if beyond[x] & ends[m] != ends[m]:
+                        g = groups[m]
+                        y = next(y for y in _bits(g) if not g >> other(x, y) & 1)
+                        return (self.elements[x], self.elements[y], self.elements[z]), kind
         return None
 
     def _kappa_maps_exist(self) -> bool:

@@ -44,7 +44,7 @@ from .graphs import (
     minimal_non_edges,
     tubes,
 )
-from .posets import Poset, check_table_size
+from .posets import Poset
 from .tubings import Tubing, enumerate_maximal_tubings, psi_tubing, sigma_min, tau
 
 Perm = tuple[int, ...]
@@ -421,41 +421,58 @@ def quotient_poset(theta: Congruence) -> Poset:
     return Poset(sorted(set(rep.values())), covers)
 
 
-def is_lattice_congruence(partition: Iterable[Sequence[Perm]], n: int) -> bool:
-    """Directly verify the meet and join stability of an equivalence
-    relation on S_n: within a class, meeting or joining with any fixed z
-    must land in a single class."""
-    import numpy as np
+def _class_ends(label: Sequence[int], nexts: Sequence[Sequence[int]]) -> dict:
+    """Class -> its members whose covers in ``nexts`` all lie in other
+    classes, where ``label[a]`` is the class of element a.  In a convex
+    class these are its minimal (lower covers) or maximal (upper covers)
+    members."""
+    ends: dict = {}
+    for a, x in enumerate(label):
+        if all(label[c] != x for c in nexts[a]):
+            ends.setdefault(x, []).append(a)
+    return ends
 
-    poset = weak_order_poset(n)
-    cls_arr = np.empty(len(poset.elements), dtype=np.int32)
-    nclasses = 0
-    for idx, cls in enumerate(partition):
-        nclasses = idx + 1
+
+def is_lattice_congruence(partition: Iterable[Sequence[Perm]], n: int) -> bool:
+    """Whether a partition of S_n is a lattice congruence, from the covers.
+
+    An equivalence relation on a finite lattice is a lattice congruence iff
+    every class is an interval and the maps pi_down and pi_up, taking each
+    element to the minimum and to the maximum of its class, are
+    order-preserving (Reading, *Lattice congruences of the weak order*,
+    Order 2004), and a map is order-preserving iff it is monotone on every
+    cover.  A class is an interval iff it is all of the interval between
+    some minimal member and some maximal member, and then these are its
+    minimum and maximum.  Raises unless the classes cover S_n exactly once.
+    """
+    sn = weak_order_poset(n)
+    label = [-1] * len(sn)
+    masks: dict = {}  # class -> its members, as a bitmask
+    for c, cls in enumerate(partition):
         for w in cls:
-            cls_arr[poset.index(w)] = idx
-    mt, jt = poset.meet_table(), poset.join_table()
-    for idx in range(nclasses):
-        members = np.flatnonzero(cls_arr == idx)
-        if len(members) < 2:
-            continue
-        rows = cls_arr[mt[members, :]]
-        if (rows != rows[0]).any():
-            return False
-        rows = cls_arr[jt[members, :]]
-        if (rows != rows[0]).any():
-            return False
-    return True
+            a = sn.index(w)
+            if label[a] >= 0:
+                raise TubelatError(f"{format_perm(w)} lies in two classes")
+            label[a] = c
+            masks[c] = masks.get(c, 0) | 1 << a
+    if -1 in label:
+        raise TubelatError(f"{format_perm(sn.elements[label.index(-1)])} lies in no class")
+    ends = [_class_ends(label, nexts) for nexts in (sn._lower, sn._upper)]
+    lo, hi = ({c: e[0] for c, e in side.items()} for side in ends)
+    if any(m != sn._up[lo[c]] & sn._down[hi[c]] for c, m in masks.items()):
+        return False
+    return all(
+        sn._up[lo[label[a]]] >> lo[label[b]] & 1 and sn._up[hi[label[a]]] >> hi[label[b]] & 1
+        for a, b in sn.covers
+    )
 
 
 def finest_lattice_congruence(n: int, pairs: Iterable[tuple[Perm, Perm]]):
     """The most refined equivalence on S_n identifying the given pairs that
     is stable under meet and join with arbitrary elements (congruence
-    closure by a merge worklist)."""
-    from collections import deque
-
+    closure by a merge worklist of meet and join probes)."""
     poset = weak_order_poset(n)
-    mt, jt = poset.meet_table(), poset.join_table()
+    meet, join = poset._meet_idx, poset._join_idx
     m = len(poset.elements)
     parent = list(range(m))
 
@@ -465,7 +482,7 @@ def finest_lattice_congruence(n: int, pairs: Iterable[tuple[Perm, Perm]]):
             x = parent[x]
         return x
 
-    work: deque = deque()
+    work: list = []
 
     def union(a: int, b: int) -> None:
         ra, rb = find(a), find(b)
@@ -476,16 +493,14 @@ def finest_lattice_congruence(n: int, pairs: Iterable[tuple[Perm, Perm]]):
     for u, w in pairs:
         union(poset.index(u), poset.index(w))
     while work:
-        a, b = work.popleft()
+        a, b = work.pop()
         for z in range(m):
-            union(int(mt[a, z]), int(mt[b, z]))
-            union(int(jt[a, z]), int(jt[b, z]))
+            union(meet(a, z), meet(b, z))
+            union(join(a, z), join(b, z))
     groups: dict = {}
-    for i in range(m):
-        groups.setdefault(find(i), []).append(poset.elements[i])
-    return tuple(
-        tuple(sorted(g)) for g in sorted(groups.values(), key=lambda g: sorted(g)[0])
-    )
+    for w in permutations(n):  # in lexicographic order: each class comes out sorted
+        groups.setdefault(find(poset.index(w)), []).append(w)
+    return tuple(map(tuple, groups.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -641,14 +656,17 @@ def lattice_map_report(g: Graph, lg: Optional[Poset] = None) -> LatticeMapReport
     each has a least element, and if psi(p) <= psi(q), the meet of the two
     fiber minima lies in p's fiber.  Joins are the dual: maxima, upper covers.
 
-    No table is built: only a kind that fails is searched for its witness by
-    bitmask probes, the first pair a < b of S_n in storage order where it
-    fails, the meet first when both fail there.  S_8 (whose closure this
-    would build) and beyond are refused before L_G, S_n or psi is built.
+    Only a kind that fails is searched for its witness, by bitmask probes:
+    the first pair a < b of S_n in storage order where it fails, the meet
+    first when both fail there.  S_8 (whose closure this would build) and
+    beyond are refused before L_G, S_n or psi is built.
     """
     from .posets import build_lg
 
-    check_table_size(math.factorial(g.n))
+    if g.n >= 8:
+        raise TubelatError(
+            f"the lattice-map report takes n <= 7; S_{g.n} has {math.factorial(g.n):,} elements"
+        )
     lg = lg if lg is not None else build_lg(g)
     sn = weak_order_poset(g.n)
     pm = psi_map(g)
@@ -658,11 +676,8 @@ def lattice_map_report(g: Graph, lg: Optional[Poset] = None) -> LatticeMapReport
     ok = {"meet": False, "join": False}
     if lg.is_lattice() and all(lg._up[img[a]] >> img[b] & 1 for a, b in sn.covers):
         for kind, nexts in (("meet", sn._lower), ("join", sn._upper)):
-            ends: list = [[] for _ in lg.elements]  # fiber -> members with no cover in it
-            for a, x in enumerate(img):
-                if all(img[c] != x for c in nexts[a]):
-                    ends[x].append(a)
-            ok[kind] = all(len(e) == 1 for e in ends) and all(
+            ends = _class_ends(img, nexts)
+            ok[kind] = all(len(e) == 1 for e in ends.values()) and all(
                 sn._up[ends[p][0]] >> ends[q][0] & 1 for p, q in lg.covers
             )
     probes = {"meet": (lg._meet_idx, sn._meet_idx), "join": (lg._join_idx, sn._join_idx)}

@@ -212,7 +212,7 @@ BAD_INPUTS = [
     ("arc", "insert", "--arc", "1-2:", "--n", "2"),
     ("arc", "subarc", "--arc", "2-4:+", "--n", "4"),
     ("tubings", "--graph-file", "no-such-dir/no-such-graph.txt"),
-    ("check", "lattice-map", "--graph", "path:8"),  # S_8 is past the table limit
+    ("check", "lattice-map", "--graph", "path:8"),  # the report takes n <= 7
     # negative sizes, and a weak order past S_8, are refused before building
     ("export-dot", "--weak-order", "-1"),
     ("export-dot", "--weak-order", "9"),
@@ -248,6 +248,43 @@ def test_false_property_exits_1(capsys):
         code, out, err = invoke(capsys, "--json", *argv)
         assert code == 1, argv
         assert json.loads(out)["witness"] and err == "", argv
+
+
+def test_semidistributive_witness_on_a_large_star(capsys, tmp_path):
+    # the star K_{1,7} has 13,700 tubings; its witness comes from probes
+    from tubelat.graphs import Graph
+    from tubelat.posets import build_lg
+
+    edges = [[1, i] for i in range(2, 9)]
+    path = tmp_path / "star.json"
+    path.write_text(json.dumps({"n": 8, "edges": edges}))
+    code, out, err = invoke(capsys, "--json", "check", "semidistributive", "--graph-file", str(path))
+    assert code == 1 and err == ""
+    witness = json.loads(out)["witness"]
+    assert witness["kind"] == "SD-meet"
+    lg = build_lg(Graph(8, tuple(map(tuple, edges))))
+    assert len(lg) == 13700
+    by_label = {x.label(): x for x in lg.elements}
+    x, y, z = (by_label[s] for s in witness["triple"])
+    # x ^ z = y ^ z, but (x v y) ^ z is not x ^ z
+    assert lg.meet(x, z) == lg.meet(y, z) != lg.meet(lg.join(x, y), z)
+
+
+def test_import_loads_no_numpy():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, tubelat, tubelat.cli, tubelat.verify; print('numpy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_python_dash_m_runs_the_cli():

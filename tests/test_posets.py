@@ -5,8 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tubelat import posets
-from tubelat.cli import run
 from tubelat.errors import ElementNotFound, NotALattice, NotComparable, TubelatError
 from tubelat.graphs import (
     Graph,
@@ -21,6 +19,8 @@ from tubelat.graphs import (
 from tubelat.posets import Poset, all_tubings, build_lg, tubing_face_interval
 from tubelat.tubings import Tubing, enumerate_maximal_tubings, flip_by_search, psi_tubing, top
 from tubelat.weakorder import weak_order_poset
+
+from table_oracles import join_table, meet_table, semidistributivity_scan
 
 
 def chain(n):
@@ -189,11 +189,40 @@ def test_semidistributivity_against_naive_scan(small_lgs):
     for p in [PENTAGON, weak_order_poset(3), weak_order_poset(4), star, m3,
               build_lg(parse_graph("cycle:4")), one_sided, one_sided.dual()]:
         assert p.is_semidistributive() == _naive_semidistributive(p)
-    # the kappa test against the numpy scan over all triples
+    # the kappa test against the scan over all triples
     lattices = [p for p in small_lgs if p.is_lattice()]
     assert len(lattices) == 690
     for p in [PENTAGON, star, m3, one_sided, one_sided.dual(), weak_order_poset(5)] + lattices:
         assert p._kappa_maps_exist() == (p._semidistributivity_scan() is None)
+
+
+# seven graphs on [6] and [7] whose L_G is a lattice but not semidistributive
+NON_SD_GRAPHS = [
+    Graph(6, ((2, 3), (3, 5), (3, 6), (4, 5), (4, 6))),
+    Graph(6, ((1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (5, 6))),
+    Graph(6, ((1, 4), (1, 6), (2, 3), (2, 4), (2, 6), (3, 4), (3, 6), (4, 6))),
+    Graph(6, ((1, 5), (2, 4), (2, 5), (3, 6))),
+    Graph(7, ((1, 5), (2, 3), (2, 7), (3, 4), (3, 6))),
+    Graph(7, ((1, 3), (1, 7), (3, 6), (3, 7), (5, 6), (5, 7))),
+    Graph(7, ((1, 2), (1, 7), (2, 3), (2, 5), (3, 5), (5, 7), (6, 7))),
+]
+
+
+def test_semidistributivity_scan_against_tables(small_lgs):
+    # the probe scan returns the numpy table scan's first triple, kind included
+    one_sided = Poset(range(7), [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (2, 5), (3, 5), (4, 6), (5, 6)])
+    stars = [build_lg(Graph(n, tuple((1, i) for i in range(2, n + 1)))) for n in (4, 7)]
+    lattices = [p for p in small_lgs if p.is_lattice()]
+    cases = [M3, PENTAGON, one_sided, one_sided.dual(), weak_order_poset(5)] + stars
+    non_sd = [build_lg(g) for g in NON_SD_GRAPHS]
+    assert not any(p.is_semidistributive() for p in non_sd)
+    cases += lattices + non_sd
+    kinds = set()
+    for p in cases:
+        wit = p._semidistributivity_scan()
+        assert wit == semidistributivity_scan(p)
+        kinds.add(wit and wit[1])
+    assert kinds == {None, "SD-meet", "SD-join"}
 
 
 BOWTIE = Poset(["a", "b", "c", "d"], [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])
@@ -209,25 +238,17 @@ def _probe_table(p, probe):
 
 
 def test_meet_join_tables_against_probes(small_lgs):
-    # the pair-by-pair tables the cover recursion replaced, kept as the oracle
+    # the cover-recursion tables of the test oracles against pair-by-pair probes
     for p in small_lgs + [weak_order_poset(5), BOWTIE, PENTAGON.dual(), Poset([], [])]:
-        assert np.array_equal(p.meet_table(), _probe_table(p, p._meet_idx))
-        assert np.array_equal(p.join_table(), _probe_table(p, p._join_idx))
-    assert (BOWTIE.meet_table() < 0).any() and (BOWTIE.join_table() < 0).any()
+        assert np.array_equal(meet_table(p), _probe_table(p, p._meet_idx))
+        assert np.array_equal(join_table(p), _probe_table(p, p._join_idx))
+    assert (meet_table(BOWTIE) < 0).any() and (join_table(BOWTIE) < 0).any()
 
 
-def test_table_size_guard(monkeypatch, capsys):
-    n = posets.MAX_TABLE_ELEMENTS + 1
-    big = chain(n)
-    for build in (big.meet_table, big.join_table):
-        with pytest.raises(TubelatError, match=f"{n:,} elements would take {4 * n * n:,} bytes"):
-            build()
-    assert big.is_lattice() and big.is_semidistributive()  # from the covers, with no table
-    assert big._meets is None and big._joins is None
-    monkeypatch.setattr(posets, "MAX_TABLE_ELEMENTS", 10)
-    assert run(["check", "lattice-map", "--graph", "path:4"]) == 2  # S_4 has 24 elements
-    err = capsys.readouterr().err
-    assert err.startswith("error: meet/join tables over 24 elements") and "Traceback" not in err
+def test_long_chain_is_a_semidistributive_lattice():
+    # 6,001 elements, answered from the covers alone
+    big = chain(6001)
+    assert big.is_lattice() and big.is_semidistributive()
 
 
 M3 = Poset(
@@ -239,7 +260,7 @@ LAMBDA = V.dual()  # two maxima
 
 
 def _lattice_by_tables(p):
-    return bool((p.meet_table() >= 0).all() and (p.join_table() >= 0).all())
+    return bool((meet_table(p) >= 0).all() and (join_table(p) >= 0).all())
 
 
 def test_is_lattice_against_tables(small_lgs):

@@ -26,6 +26,7 @@ from tubelat.weakorder import (
     congruence_classes,
     congruence_from_generators,
     contracted_arcs_of_graph,
+    finest_lattice_congruence,
     format_perm,
     generators_of_theta_g,
     inversions,
@@ -56,6 +57,8 @@ from tubelat.weakorder import (
     weak_meet,
     weak_order_poset,
 )
+
+import table_oracles
 
 
 def test_perm_parsing_and_formatting():
@@ -295,10 +298,9 @@ def _lattice_map_report_by_pairs(g, lg=None):
     from tubelat.weakorder import LatticeMapReport, psi_map
 
     lg = lg if lg is not None else build_lg(g)
-    sn = weak_order_poset(g.n)
+    sn, mt, jt = table_oracles.weak_order_tables(g.n)
     pm = psi_map(g)
     img = [lg.index(pm[w]) for w in sn.elements]
-    mt, jt = sn.meet_table(), sn.join_table()
     meet_ok, join_ok = True, True
     witness = None
     m = len(sn.elements)
@@ -323,21 +325,20 @@ def _lattice_map_report_by_pairs(g, lg=None):
 
 def _lattice_map_report_by_tables(g):
     # the numpy scan of the meet/join tables of S_n and L_G that the cover
-    # criterion replaced, kept as the oracle; S_n is a private copy, so the
-    # cached weak order keeps no table
+    # criterion replaced, kept as the oracle
     import numpy as np
 
     from tubelat.posets import build_lg
     from tubelat.weakorder import LatticeMapReport
 
     lg = build_lg(g)
-    sn = Poset(permutations(g.n), weak_cover_pairs(g.n))
+    sn = weak_order_poset(g.n)
     pm = psi_map(g)
     img = np.array([lg.index(pm[w]) for w in sn.elements], dtype=np.int32)
     m = len(img)
     tables = {
-        "meet": (lg.meet_table(), sn.meet_table()),
-        "join": (lg.join_table(), sn.join_table()),
+        "meet": (table_oracles.meet_table(lg), table_oracles.meet_table(sn)),
+        "join": (table_oracles.join_table(lg), table_oracles.join_table(sn)),
     }
     first: dict = {}  # kind -> flat index of its first failing pair
     cols = np.arange(m)
@@ -389,17 +390,6 @@ def test_lattice_map_report_against_tables():
     assert kinds == {None, "meet", "join"}
 
 
-def test_lattice_map_report_builds_no_table():
-    from tubelat.posets import build_lg
-
-    weak_order_poset.cache_clear()  # drop any tables other tests built on S_n
-    for g, ok in ((Graph(3, ((1, 3), (2, 3))), False), (parse_graph("path:4"), True)):
-        lg = build_lg(g)
-        assert lattice_map_report(g, lg).ok == ok
-        for p in (lg, weak_order_poset(g.n)):
-            assert p._meets is None and p._joins is None
-
-
 def test_lattice_map_report_refuses_a_map_that_is_not_monotone(monkeypatch):
     # psi is monotone for every graph, so the monotonicity test is tried on
     # a stand-in map onto the chain p < q.  Its fibers {123, 213, 231, 321}
@@ -448,7 +438,7 @@ def test_lattice_map_refuses_oversized_sn_before_building():
     caches = (weakorder.psi_map, weakorder.weak_order_poset, tubings.enumerate_maximal_tubings)
     before = [c.cache_info().currsize for c in caches]
     n = 40320  # |S_8|
-    message = f"tables over {n:,} elements would take {4 * n * n:,} bytes"
+    message = f"takes n <= 7; S_8 has {n:,} elements"
     with pytest.raises(TubelatError, match=message):
         lattice_map_report(parse_graph("path:8"))
     assert [c.cache_info().currsize for c in caches] == before
@@ -529,9 +519,94 @@ def test_is_lattice_congruence_rejects_non_congruences():
     bottom, top = (1, 2, 3), (3, 2, 1)
     partition = [[bottom, top]] + [[w] for w in perms if w not in (bottom, top)]
     assert not is_lattice_congruence(partition, 3)
+    # classes that are intervals, where only the minima (then only the
+    # maxima) fail to rise along a cover: 231 < 321, then 123 < 132
+    rest = [[(1, 2, 3)], [(1, 3, 2)]]
+    assert not is_lattice_congruence(rest + [[(2, 1, 3), (2, 3, 1)], [(3, 1, 2), (3, 2, 1)]], 3)
+    rest = [[(2, 3, 1)], [(3, 2, 1)]]
+    assert not is_lattice_congruence(rest + [[(1, 2, 3), (2, 1, 3)], [(1, 3, 2), (3, 1, 2)]], 3)
     # the discrete and the total partitions always are
     assert is_lattice_congruence([[w] for w in perms], 3)
     assert is_lattice_congruence([perms], 3)
+
+
+def test_is_lattice_congruence_refuses_a_non_partition():
+    perms = list(permutations(3))
+    with pytest.raises(TubelatError, match="321 lies in no class"):
+        is_lattice_congruence([perms[:-1]], 3)
+    with pytest.raises(TubelatError, match="123 lies in two classes"):
+        is_lattice_congruence([perms, perms], 3)
+
+
+def _e05_e06_partitions():
+    """(partition, n): the arc-generated congruences E05 checks and the
+    subword fibers E06 checks, at n <= 5."""
+    from tubelat.verify import _arc_antichains
+    from tubelat.weakorder import rho_subword
+
+    out = []
+    for n in range(1, 6):
+        arcs = all_arcs(n)
+        if n <= 4:
+            gen_sets = list(_arc_antichains(n))
+        else:
+            gen_sets = [[a] for a in arcs] + [list(p) for p in itertools.combinations(arcs, 2)]
+        out += [(congruence_classes(congruence_from_generators(n, gens)), n) for gens in gen_sets]
+        for r in range(n + 1):
+            for V in itertools.combinations(range(1, n + 1), r):
+                fibers: dict = {}
+                for w in permutations(n):
+                    fibers.setdefault(rho_subword(w, V), []).append(w)
+                out.append((list(fibers.values()), n))
+    return out
+
+
+def test_is_lattice_congruence_against_tables():
+    answers = []
+    for partition, n in _e05_e06_partitions():
+        answers.append(is_lattice_congruence(partition, n))
+        assert answers[-1] == table_oracles.is_lattice_congruence(partition, n)
+    assert len(answers) == 483 and sum(answers) == 461
+
+
+@st.composite
+def _partitions(draw):
+    """(partition of S_n, n) for n = 3, 4: the classes of a congruence
+    generated by drawn arcs or of drawn labels, then two classes merged or
+    not."""
+    n = draw(st.sampled_from((3, 4)))
+    perms = permutations(n)
+    if draw(st.booleans()):
+        gens = draw(st.lists(st.sampled_from(all_arcs(n)), max_size=3))
+        classes = [list(c) for c in congruence_classes(congruence_from_generators(n, gens))]
+    else:
+        labels = draw(st.lists(st.integers(0, 5), min_size=len(perms), max_size=len(perms)))
+        groups: dict = {}
+        for w, c in zip(perms, labels):
+            groups.setdefault(c, []).append(w)
+        classes = list(groups.values())
+    if len(classes) > 1 and draw(st.booleans()):
+        i = draw(st.integers(0, len(classes) - 2))
+        j = draw(st.integers(i + 1, len(classes) - 1))
+        classes[i] += classes.pop(j)
+    return classes, n
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_partitions())
+def test_is_lattice_congruence_against_tables_random(case):
+    partition, n = case
+    assert is_lattice_congruence(partition, n) == table_oracles.is_lattice_congruence(partition, n)
+
+
+def test_finest_lattice_congruence_against_tables():
+    # the E04 cases: the closure of one or two join-irreducible covers
+    for n in range(1, 5):
+        covers = [(perm_of_arc_lower(a), perm_of_arc(a)) for a in all_arcs(n)]
+        cases = [[c] for c in covers] + [list(p) for p in itertools.combinations(covers, 2)]
+        for pairs in cases:
+            closure = finest_lattice_congruence(n, pairs)
+            assert closure == table_oracles.finest_lattice_congruence(n, pairs)
 
 
 def test_quotient_by_theta_g_is_flip_order():
