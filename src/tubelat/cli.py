@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from .errors import NotAdmissibleAtDegree, NotComparable, TubelatError
+from .errors import NotAdmissibleAtDegree, NotALattice, NotComparable, TubelatError
 from .graphs import (
     Graph,
     filled_status,
@@ -135,12 +135,12 @@ def cmd_check(args) -> int:
         _emit_json(payload) if args.json else print(payload)
         return 0 if ok else 1
     if args.property == "semidistributive":
-        lg = build_lg(g)
-        if not lg.is_lattice():
+        try:
+            wit = build_lg(g).semidistributivity_witness()
+        except NotALattice:
             payload = {"semidistributive": False, "witness": "not a lattice"}
             _emit_json(payload) if args.json else print(payload)
             return 1
-        wit = lg.semidistributivity_witness()
         payload = {"semidistributive": wit is None}
         if wit is not None:
             (x, y, z), kind = wit

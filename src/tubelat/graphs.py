@@ -15,6 +15,11 @@ Two kinds of graph values exist:
   to ``Graph``; keeping the two apart avoids off-by-one relabeling bugs in
   chained minor operations.
 
+Connectivity is computed on int bitmasks (bit v stands for vertex v), from
+the neighbor masks of ``adjacency`` by ``component``, the one flood fill;
+frozensets are built only at the boundary, for tubes, return values and
+labels.  Only the prefix walk of ``weakorder.psi_map`` merges components.
+
 Graph families (one graph per degree) live here too: path, complete,
 edge-free, cycle, odd-bipartite, the distance bands H_{k,n}, and the general
 distance-set families where {i, j} is an edge iff |j - i| lies in a fixed set.
@@ -26,7 +31,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Container, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InvalidVertex, TubelatError
 
@@ -69,7 +74,7 @@ class Graph:
         return tuple(range(1, self.n + 1))
 
     def has_edge(self, i: int, j: int) -> bool:
-        return 1 <= i <= self.n and j in adjacency(self)[i]
+        return 1 <= i <= self.n and 1 <= j <= self.n and bool(adjacency(self)[i] >> j & 1)
 
     def to_text(self) -> str:
         lines = [str(self.n)]
@@ -142,19 +147,28 @@ def tube_key(t: frozenset) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def adjacency(g: Graph) -> tuple[frozenset, ...]:
-    """Neighbor sets indexed by vertex; index 0 is unused."""
-    adj = [set() for _ in range(g.n + 1)]
+def adjacency(g: Graph) -> tuple[int, ...]:
+    """Neighbor masks indexed by vertex: bit u of entry v is set iff u ~ v.
+    Index 0 is unused."""
+    adj = [0] * (g.n + 1)
     for a, b in g.edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    return tuple(frozenset(s) for s in adj)
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    return tuple(adj)
+
+
+def bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        b = mask & -mask
+        yield b.bit_length() - 1
+        mask ^= b
 
 
 @lru_cache(maxsize=None)
-def adjacency_masks(g: Graph) -> tuple[int, ...]:
-    """``adjacency`` as int bitmasks: bit u of entry v is set iff u ~ v."""
-    return tuple(sum(1 << u for u in nbrs) for nbrs in adjacency(g))
+def mask_vertices(mask: int) -> frozenset:
+    """The vertex set of a bitmask: bit v stands for vertex v."""
+    return frozenset(bits(mask))
 
 
 @lru_cache(maxsize=None)
@@ -163,34 +177,34 @@ def component_tubes(g: Graph) -> tuple[frozenset, ...]:
     return tuple(components_within(g, g.vertices))
 
 
-def component(adj: Sequence[frozenset], allowed: Container[int], v: int) -> frozenset:
-    """The vertices joined to v by paths inside ``allowed`` (v included).
+def component(adj: Sequence[int], allowed: int, v: int) -> int:
+    """The mask of the vertices joined to v by paths inside the mask
+    ``allowed`` (v included), by flood fill over an ``adjacency`` table.
 
-    ``adj`` is an ``adjacency`` table; every connectivity question in the
-    package is answered by growing one of these components.
-    """
-    comp = {v}
-    stack = [v]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y in allowed and y not in comp:
-                comp.add(y)
-                stack.append(y)
-    return frozenset(comp)
+    The one connected-component routine: callers keep vertex sets as masks
+    and build frozensets only at the boundary; only ``weakorder.psi_map``
+    merges components itself."""
+    comp = frontier = 1 << v
+    while frontier:
+        near = 0
+        while frontier:
+            b = frontier & -frontier
+            near |= adj[b.bit_length() - 1]
+            frontier ^= b
+        frontier = near & allowed & ~comp
+        comp |= frontier
+    return comp
 
 
 def components_within(g: Graph, S: Iterable[int]) -> list[frozenset]:
     """Connected components of G|_S, ordered by smallest member."""
     adj = adjacency(g)
-    S = frozenset(S)
-    seen: set = set()
+    rest = sum(1 << v for v in set(S))
     comps = []
-    for v in sorted(S):
-        if v not in seen:
-            comp = component(adj, S, v)
-            seen |= comp
-            comps.append(comp)
+    while rest:
+        comp = component(adj, rest, (rest & -rest).bit_length() - 1)
+        rest ^= comp
+        comps.append(mask_vertices(comp))
     return comps
 
 
@@ -230,26 +244,23 @@ def contract(g: Graph, I: Iterable[int]) -> LabeledGraph:
 
     Surviving vertices i, j are adjacent when {i,j} was an edge of G or when
     both have a neighbor inside one tube of G|_I.  It suffices to test the
-    maximal tubes, i.e. the connected components of G|_I.
+    maximal tubes, i.e. the connected components of G|_I: j must touch the
+    component of i in G|_(I + i).
     """
     I = _check_vertex_subset(g, I)
-    rest = tuple(sorted(set(g.vertices) - I))
-    comps = components_within(g, I)
     adj = adjacency(g)
-    edges = set(e for e in g.edges if e[0] not in I and e[1] not in I)
-    for i, j in itertools.combinations(rest, 2):
-        if (i, j) in edges:
-            continue
-        ni, nj = adj[i] & I, adj[j] & I
-        if any(ni & c and nj & c for c in comps):
-            edges.add((i, j))
-    return LabeledGraph(rest, tuple(sorted(edges)))
+    inside = sum(1 << v for v in I)
+    rest = tuple(v for v in g.vertices if v not in I)
+    reach = {i: component(adj, inside, i) for i in rest}
+    edges = tuple((i, j) for i, j in itertools.combinations(rest, 2) if adj[j] & reach[i])
+    return LabeledGraph(rest, edges)
 
 
 def is_tube(g: Graph, I: Iterable[int]) -> bool:
     """True iff I is nonempty and G induces a connected subgraph on it."""
     I = _check_vertex_subset(g, I)
-    return bool(I) and len(component(adjacency(g), I, min(I))) == len(I)
+    mask = sum(1 << v for v in I)
+    return bool(I) and component(adjacency(g), mask, min(I)) == mask
 
 
 @lru_cache(maxsize=None)
@@ -257,32 +268,24 @@ def tubes(g: Graph) -> tuple[frozenset, ...]:
     """All tubes, each exactly once, sorted by (size, vertex list).
 
     Enumerates by growing connected sets from their minimum vertex, so the
-    cost is proportional to the number of tubes rather than 2^n.
+    cost is proportional to the number of tubes rather than 2^n.  ``banned``
+    holds the vertices up to the minimum and those earlier branches took.
     """
     adj = adjacency(g)
-    out: list[frozenset] = []
+    out: list[int] = []
 
-    def grow(current: frozenset, banned: frozenset, vmin: int):
+    def grow(current: int, near: int, banned: int):
         out.append(current)
-        cand = sorted(
-            {u for w in current for u in adj[w] if u > vmin and u not in current and u not in banned}
-        )
-        for idx, u in enumerate(cand):
-            grow(current | {u}, banned | set(cand[:idx]), vmin)
+        cand = near & ~(current | banned)
+        while cand:
+            b = cand & -cand
+            grow(current | b, near | adj[b.bit_length() - 1], banned)
+            banned |= b
+            cand ^= b
 
     for v in range(1, g.n + 1):
-        grow(frozenset([v]), frozenset(), v)
-    return tuple(sorted(out, key=tube_key))
-
-
-def tubes_by_subset_filter(g: Graph) -> tuple[frozenset, ...]:
-    """Oracle: filter all 2^n subsets by connectivity (test use only)."""
-    out = []
-    for r in range(1, g.n + 1):
-        for sub in itertools.combinations(g.vertices, r):
-            if is_tube(g, sub):
-                out.append(frozenset(sub))
-    return tuple(sorted(out, key=tube_key))
+        grow(1 << v, adj[v], (2 << v) - 1)
+    return tuple(sorted(map(mask_vertices, out), key=tube_key))
 
 
 @dataclass(frozen=True)
@@ -479,8 +482,8 @@ def load_graph_file(path: str) -> Graph:
 def all_graphs(n: int) -> Iterator[Graph]:
     """All 2^C(n,2) graphs on [n], in a fixed deterministic order."""
     pairs = list(itertools.combinations(range(1, n + 1), 2))
-    for bits in range(1 << len(pairs)):
-        yield Graph(n, tuple(p for i, p in enumerate(pairs) if bits >> i & 1))
+    for chosen in range(1 << len(pairs)):
+        yield Graph(n, tuple(p for i, p in enumerate(pairs) if chosen >> i & 1))
 
 
 def is_connected(g: Graph) -> bool:

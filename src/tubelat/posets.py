@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .errors import ElementNotFound, NotALattice, NotComparable, TubelatError
-from .graphs import Graph, tubes
+from .graphs import Graph, bits, tubes
 from .tubings import Tubing, compatibility_masks, enumerate_maximal_tubings, oriented_flips
 
 class Poset:
@@ -198,7 +198,7 @@ class Poset:
                     common = self._up[i] & self._up[j]
                     mubs = [
                         self.elements[z]
-                        for z in _bits(common)
+                        for z in bits(common)
                         if self._down[z] & common == 1 << z
                     ]
                     return (self.elements[i], self.elements[j], "join", mubs)
@@ -206,7 +206,7 @@ class Poset:
                     common = self._down[i] & self._down[j]
                     mlbs = [
                         self.elements[z]
-                        for z in _bits(common)
+                        for z in bits(common)
                         if self._up[z] & common == 1 << z
                     ]
                     return (self.elements[i], self.elements[j], "meet", mlbs)
@@ -256,13 +256,13 @@ class Poset:
                     groups[m] |= 1 << x
                 # the maximal members of each group (the minimal ones for SD-join)
                 ends = {
-                    m: sum(1 << x for x in _bits(g) if beyond[x] & g == 1 << x)
+                    m: sum(1 << x for x in bits(g) if beyond[x] & g == 1 << x)
                     for m, g in groups.items()
                 }
                 for x, m in enumerate(of):
                     if beyond[x] & ends[m] != ends[m]:
                         g = groups[m]
-                        y = next(y for y in _bits(g) if not g >> other(x, y) & 1)
+                        y = next(y for y in bits(g) if not g >> other(x, y) & 1)
                         return (self.elements[x], self.elements[y], self.elements[z]), kind
         return None
 
@@ -295,16 +295,16 @@ class Poset:
             raise NotComparable(f"{x!r} and {y!r} are not comparable in order")
         interval = self._up[i] & self._down[j]
         mu = {i: 1}
-        for z in _bits(interval):
+        for z in bits(interval):
             if z == i:
                 continue
             below = interval & self._down[z] & ~(1 << z)
-            mu[z] = -sum(mu[w] for w in _bits(below))
+            mu[z] = -sum(mu[w] for w in bits(below))
         return mu[j]
 
     def interval(self, x: Hashable, y: Hashable) -> list:
         i, j = self.index(x), self.index(y)
-        return [self.elements[z] for z in _bits(self._up[i] & self._down[j])]
+        return [self.elements[z] for z in bits(self._up[i] & self._down[j])]
 
     # -- constructions ---------------------------------------------------------
 
@@ -351,13 +351,6 @@ class Poset:
             lines.append(f"  n{a} -> n{b};")
         lines.append("}")
         return "\n".join(lines) + "\n"
-
-
-def _bits(mask: int):
-    while mask:
-        b = mask & -mask
-        yield b.bit_length() - 1
-        mask ^= b
 
 
 def _refine_labels(p: Poset) -> list:
@@ -480,7 +473,7 @@ def tubing_face_interval(g: Graph, y: Tubing, lg: Optional[Poset] = None) -> Fac
     interval_mask = lg._up[lo] & lg._down[hi]
     if interval_mask != member_mask:
         stray = interval_mask & ~member_mask
-        z = next(_bits(stray))
+        z = next(bits(stray))
         return FaceIntervalResult(
             False,
             lg.elements[lo],

@@ -58,13 +58,14 @@ from .graphs import (
     Graph,
     LabeledGraph,
     adjacency,
-    adjacency_masks,
+    bits,
     component,
     component_tubes,
     components_within,
     contract,
     induced_subgraph,
     is_tube,
+    mask_vertices,
     standardize,
     tube_key,
     tubes,
@@ -225,15 +226,8 @@ class GForest:
         return False
 
     def ideal(self, v: int) -> frozenset:
-        """The principal order ideal v_down."""
-        out = {v}
-        stack = [v]
-        while stack:
-            for c in self._children[stack.pop()]:
-                if c not in out:
-                    out.add(c)
-                    stack.append(c)
-        return frozenset(out)
+        """The principal order ideal v_down: a flood fill over the child masks."""
+        return mask_vertices(component(self._below, -1, v))
 
     def to_json_obj(self) -> dict:
         return {"graph": self.graph.to_json_obj(), "parent": list(self.parent)}
@@ -244,12 +238,6 @@ class GForest:
         t = GForest(g, tuple(int(p) for p in obj["parent"]))
         validate_gforest(t)
         return t
-
-
-@lru_cache(maxsize=None)
-def _mask_vertices(mask: int) -> frozenset:
-    """The vertex set of a bitmask (bit v stands for vertex v)."""
-    return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
 def validate_gforest(t: GForest) -> tuple[frozenset, ...]:
@@ -268,7 +256,7 @@ def validate_gforest(t: GForest) -> tuple[frozenset, ...]:
         below_roots.extend(children[v])
     if len(below_roots) != g.n:
         raise InvalidForest("parent relation has a cycle")
-    adj = adjacency_masks(g)
+    adj = adjacency(g)
     ideal = [0] * (g.n + 1)  # mask of v's principal ideal
     reach = [0] * (g.n + 1)  # mask of the vertices adjacent to that ideal
     for v in reversed(below_roots):
@@ -285,29 +273,31 @@ def validate_gforest(t: GForest) -> tuple[frozenset, ...]:
         if reach[r] & apart:
             return _gforest_scan(t, below_roots)
         apart |= ideal[r]
-    return tuple(map(_mask_vertices, ideal[1:]))
+    return tuple(map(mask_vertices, ideal[1:]))
 
 
 def _gforest_scan(t: GForest, below_roots: list[int]) -> tuple[frozenset, ...]:
     """``validate_gforest`` for an acyclic t, by testing every ideal and every
     incomparable pair in turn; it names the first failure."""
     g = t.graph
-    ideal: list = [None] * (g.n + 1)
+    ideal = [0] * (g.n + 1)
     for v in reversed(below_roots):
-        ideal[v] = frozenset({v}).union(*(ideal[c] for c in t.children(v)))
+        ideal[v] = 1 << v
+        for c in t.children(v):
+            ideal[v] |= ideal[c]
     adj = adjacency(g)
     for v in g.vertices:
-        if len(component(adj, ideal[v], v)) != len(ideal[v]):
+        if component(adj, ideal[v], v) != ideal[v]:
             raise InvalidForest(f"principal ideal of {v} is not a tube")
     for i, k in itertools.combinations(g.vertices, 2):
-        if i not in ideal[k] and k not in ideal[i]:
+        if not (ideal[k] >> i & 1 or ideal[i] >> k & 1):
             # incomparable ideals are disjoint tubes: the union is a tube
             # iff an edge joins them
-            if any(not adj[u].isdisjoint(ideal[k]) for u in ideal[i]):
+            if any(adj[u] & ideal[k] for u in bits(ideal[i])):
                 raise InvalidForest(
-                    f"incomparable {i},{k} have a tube union {sorted(ideal[i] | ideal[k])}"
+                    f"incomparable {i},{k} have a tube union {list(bits(ideal[i] | ideal[k]))}"
                 )
-    return tuple(ideal[1:])
+    return tuple(map(mask_vertices, ideal[1:]))
 
 
 def chi(t: GForest) -> Tubing:
@@ -374,11 +364,11 @@ def psi_tubing(g: Graph, word: Sequence[int]) -> Tubing:
     by the prefix {w_1, ..., w_j}.
     """
     adj = adjacency(g)
-    placed: set = set()
+    placed = 0
     ts = []
     for v in word:
-        placed.add(v)
-        ts.append(component(adj, placed, v))
+        placed |= 1 << v
+        ts.append(mask_vertices(component(adj, placed, v)))
     return Tubing(g, tuple(ts))
 
 
@@ -391,19 +381,23 @@ def enumerate_maximal_tubings(g: Graph) -> tuple[Tubing, ...]:
     set combines one maximal tubing of each component.  Subsets are
     memoized, so each is decomposed once.
     """
+    adj = adjacency(g)
     memo: dict = {}
 
-    def rec(S: frozenset) -> list[frozenset]:
-        """Maximal tubings of the induced subgraph on S, as frozen tube-sets."""
+    def rec(S: int) -> list[frozenset]:
+        """Maximal tubings of G|_S, S a mask, as frozen sets of tube masks."""
         if S not in memo:
             combos = [frozenset()]
-            for C in components_within(g, S):
-                opts = [rest | {C} for r in sorted(C) for rest in rec(C - {r})]
+            rest = S
+            while rest:
+                C = component(adj, rest, (rest & -rest).bit_length() - 1)
+                rest ^= C
+                opts = [ts | {C} for r in bits(C) for ts in rec(C ^ 1 << r)]
                 combos = [acc | o for acc in combos for o in opts]
             memo[S] = combos
         return memo[S]
 
-    out = [Tubing(g, tuple(ts)) for ts in rec(frozenset(g.vertices))]
+    out = [Tubing(g, tuple(map(mask_vertices, ts))) for ts in rec((2 << g.n) - 2)]
     return tuple(sorted(out, key=Tubing.key))
 
 
@@ -620,10 +614,16 @@ def oriented_flips(x: Tubing) -> Iterator[tuple[frozenset, frozenset, int, int]]
     """
     adj = adjacency(x.graph)
     tops, up = tops_and_supertubes(x)
+    # a tube's mask is its top and its child tubes, which precede it in
+    # x.tubes; the component tubes (j = -1) add into the spare last entry
+    inside = [0] * (len(up) + 1)
+    for i, j in enumerate(up):
+        inside[i] |= 1 << tops[i]
+        inside[j] |= inside[i]
     for i, j in enumerate(up):
         if j >= 0:
             a, b = tops[i], tops[j]
-            yield x.tubes[i], component(adj, x.tubes[j] - {a}, b), a, b
+            yield x.tubes[i], mask_vertices(component(adj, inside[j] ^ 1 << a, b)), a, b
 
 
 def vertex_coordinates(x: Tubing) -> tuple[int, ...]:

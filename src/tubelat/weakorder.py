@@ -39,7 +39,8 @@ from .errors import (
 from .graphs import (
     Graph,
     GraphFamily,
-    adjacency_masks,
+    adjacency,
+    component,
     filled_status,
     minimal_non_edges,
     tubes,
@@ -338,9 +339,6 @@ class Congruence:
     generators: frozenset
     contracted: frozenset
 
-    def contracts(self, a: Arc) -> bool:
-        return a in self.contracted
-
     def uncontracted(self) -> frozenset:
         return frozenset(a for a in all_arcs(self.n) if a not in self.contracted)
 
@@ -521,8 +519,11 @@ def psi_map(g: Graph) -> dict:
     """w -> psi(w) for every w in S_n, in ``permutations`` order (cached per
     graph).  One depth-first walk over word prefixes keeps the components of
     the prefix as bitmasks, placing v merges v with those it touches, and each
-    leaf's tube masks pick its value among ``enumerate_maximal_tubings(g)``."""
-    adj = adjacency_masks(g)
+    leaf's tube masks pick its value among ``enumerate_maximal_tubings(g)``.
+
+    The merge stays inline, not in ``graphs.component``: the components of a
+    prefix serve every word that extends it, so the n! leaves share them."""
+    adj = adjacency(g)
     mask = {t: sum(1 << v for v in t) for t in tubes(g)}
     by_tubes = {frozenset(mask[t] for t in x.tubes): x for x in enumerate_maximal_tubings(g)}
     images: list = []
@@ -564,27 +565,17 @@ def psi_fibers(g: Graph) -> dict:
 
 
 def is_g_permutation(g: Graph, w: Sequence[int]) -> bool:
-    """Each prefix keeps w_i connected to the running maximum.
-
-    The components of the prefix are kept as bitmasks, as in ``psi_map``:
-    placing v merges v with the components it touches into its new tube."""
+    """Each prefix keeps w_i connected to the running maximum."""
     w = check_perm(w)
     if len(w) != g.n:
         raise SizeMismatch("permutation size mismatch")
-    adj = adjacency_masks(g)
-    comps: list = []
-    running_max = 0
+    adj = adjacency(g)
+    placed = running_max = 0
     for v in w:
-        tube, rest = 1 << v, []
-        for c in comps:
-            if c & adj[v]:
-                tube |= c
-            else:
-                rest.append(c)
+        placed |= 1 << v
         running_max = max(running_max, v)
-        if not tube >> running_max & 1:
+        if not component(adj, placed, v) >> running_max & 1:
             return False
-        comps = rest + [tube]
     return True
 
 

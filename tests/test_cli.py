@@ -270,6 +270,26 @@ def test_semidistributive_witness_on_a_large_star(capsys, tmp_path):
     assert lg.meet(x, z) == lg.meet(y, z) != lg.meet(lg.join(x, y), z)
 
 
+def test_check_semidistributive_decides_lattice_once(capsys, monkeypatch, tmp_path):
+    from tubelat.posets import Poset
+
+    calls = []
+    is_lattice = Poset.is_lattice
+
+    def counted(self):
+        calls.append(self)
+        return is_lattice(self)
+
+    monkeypatch.setattr(Poset, "is_lattice", counted)
+    code, out, _ = invoke(capsys, "--json", "check", "semidistributive", "--graph", "cycle:4")
+    assert (code, json.loads(out), len(calls)) == (0, {"semidistributive": True}, 1)
+    # L_G of this graph is not a lattice
+    path = tmp_path / "g.txt"
+    path.write_text("4\n1 2\n1 3\n2 4\n")
+    code, out, err = invoke(capsys, "--json", "check", "semidistributive", "--graph-file", str(path))
+    assert (code, json.loads(out), err) == (1, {"semidistributive": False, "witness": "not a lattice"}, "")
+
+
 def test_import_loads_no_numpy():
     import os
     import subprocess

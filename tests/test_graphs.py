@@ -24,7 +24,7 @@ from tubelat.graphs import (
     parse_graph,
     standardize,
     tubes,
-    tubes_by_subset_filter,
+    tube_key,
 )
 
 K3 = Graph(3, ((1, 2), (1, 3), (2, 3)))
@@ -37,6 +37,7 @@ def test_graph_normalizes_edges():
     assert g.edges == ((1, 2), (1, 3))
     assert g.has_edge(3, 1)
     assert not g.has_edge(-2, 1) and not g.has_edge(4, 1) and not g.has_edge(0, 2)
+    assert not g.has_edge(1, 0) and not g.has_edge(1, -1) and not g.has_edge(1, 4)
 
 
 def test_graph_rejects_bad_edges():
@@ -93,6 +94,34 @@ def test_tubes_examples():
     assert len(tubes(K3)) == 7
     assert [sorted(t) for t in tubes(Graph(3))] == [[1], [2], [3]]
     assert [sorted(t) for t in tubes(P3)] == [[1], [2], [3], [1, 2], [2, 3], [1, 2, 3]]
+
+
+def component_by_dfs(g, allowed, v):
+    """Oracle for ``graphs.component`` on vertex sets: the vertices joined to
+    v by paths inside ``allowed`` (v included), by a depth-first search over
+    neighbor sets read from the edge list."""
+    nbrs = {u: set() for u in range(g.n + 1)}
+    for a, b in g.edges:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    comp = {v}
+    stack = [v]
+    while stack:
+        for y in nbrs[stack.pop()]:
+            if y in allowed and y not in comp:
+                comp.add(y)
+                stack.append(y)
+    return frozenset(comp)
+
+
+def tubes_by_subset_filter(g):
+    """Oracle for ``tubes``: filter all 2^n subsets by ``component_by_dfs``."""
+    out = []
+    for r in range(1, g.n + 1):
+        for sub in itertools.combinations(g.vertices, r):
+            if component_by_dfs(g, sub, sub[0]) == frozenset(sub):
+                out.append(frozenset(sub))
+    return tuple(sorted(out, key=tube_key))
 
 
 def test_tubes_against_subset_filter():

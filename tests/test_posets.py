@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from tubelat.errors import ElementNotFound, NotALattice, NotComparable, TubelatError
 from tubelat.graphs import (
     Graph,
-    adjacency,
     all_graphs,
-    component,
     component_tubes,
     is_tube,
     parse_graph,
@@ -21,6 +19,7 @@ from tubelat.tubings import Tubing, enumerate_maximal_tubings, flip_by_search, p
 from tubelat.weakorder import weak_order_poset
 
 from table_oracles import join_table, meet_table, semidistributivity_scan
+from test_graphs import component_by_dfs
 
 
 def chain(n):
@@ -340,7 +339,7 @@ def _oriented_flips_by_top(x):
     for I in x.tubes:
         K = next((t for t in x.tubes if I < t), None)
         if K is not None:
-            J = component(adjacency(g), K - {top(x, I)}, top(x, K))
+            J = component_by_dfs(g, K - {top(x, I)}, top(x, K))
             y = Tubing(g, tuple(t for t in x.tubes if t != I) + (J,))
             yield y, top(x, I) < top(y, J)
 
