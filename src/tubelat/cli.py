@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .errors import NotAdmissibleAtDegree, NotALattice, NotComparable, TubelatError
@@ -351,8 +350,7 @@ def cmd_family(args) -> int:
 def cmd_verify(args) -> int:
     from .verify import run_suite
 
-    jobs = args.jobs or int(os.environ.get("TUBELAT_JOBS", "1"))
-    results = run_suite(suite=args.suite, max_n=args.max_n, jobs=jobs)
+    results = run_suite(suite=args.suite, max_n=args.max_n, jobs=args.jobs)
     if args.json:
         _emit_json(
             [
@@ -464,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("verify", help="run the verification suites")
     s.add_argument("--suite", choices=["all", "acceptance", "examples"], default="all")
     s.add_argument("--max-n", type=int, default=None)
-    s.add_argument("--jobs", type=int, default=None)
+    s.add_argument("--jobs", type=int, default=1)
     s.set_defaults(fn=cmd_verify)
 
     s = sub.add_parser("export-dot", help="emit a Hasse diagram as DOT")

@@ -32,10 +32,14 @@ The words of a forest (``linear_extensions``, and its lexicographic
 extremes ``sigma_min`` and ``sigma_max``) come from one walk over the
 bitmask of unplaced vertices, in ascending or descending vertex order.
 
-Flips exchange one non-component tube for the unique alternative.
-``oriented_flips`` finds every flip of a tubing from one pass over its tops
-and smallest supertubes; oriented by comparing tops, the flips are the covers
-of the partial order on maximal tubings built in the poset module.
+``tube_tree`` reads the tube tree, for ``tau``, ``top``, flips and
+coordinates, in one pass over the tubes, largest first.  Tubes of a tubing
+are nested or disjoint, so when tube I is reached each of its vertices still
+belongs to its smallest strict supertube K, and I takes them all.  Each tube
+ends up owning exactly its vertices outside every smaller tube: its top, in
+a maximal tubing.  A flip exchanges I for J, the component of top(K) in
+K - top(I); oriented by comparing tops, the flips are the covers of the
+partial order on maximal tubings built in the poset module.
 """
 
 from __future__ import annotations
@@ -305,52 +309,48 @@ def chi(t: GForest) -> Tubing:
     return Tubing(t.graph, validate_gforest(t))
 
 
+def tube_tree(x: Tubing) -> tuple[list[int], list[int], list[int]]:
+    """Indexed like ``x.tubes``: the top of each tube, the index of its
+    smallest strict supertube (-1 for none), and its vertex mask.
+
+    One pass, largest tube first (see the module docstring); raises
+    ``InvalidTubing`` unless every tube ends up owning exactly one vertex.
+    """
+    ts = x.tubes
+    owner = [-1] * (x.graph.n + 1)  # the last tube to take each vertex
+    up = [-1] * len(ts)
+    masks = [0] * len(ts)
+    for i in reversed(range(len(ts))):
+        up[i] = owner[next(iter(ts[i]), 0)]
+        mask = 0
+        for v in ts[i]:
+            owner[v] = i
+            mask |= 1 << v
+        masks[i] = mask
+    tops = [0] * len(ts)  # -1 marks a tube left with two vertices
+    for v, i in enumerate(owner):
+        if i >= 0:
+            tops[i] = -1 if tops[i] else v
+    for t, v in zip(ts, tops):
+        if v <= 0:
+            raise InvalidTubing(f"tube {sorted(t)} has no unique top; tubing not maximal?")
+    return tops, up, masks
+
+
 def top(x: Tubing, I: Iterable[int]) -> int:
     """The unique vertex of I avoiding every tube of x properly inside I."""
     I = frozenset(I)
     if I not in x:
         raise TubeNotInTubing(f"{sorted(I)} not in tubing")
-    covered = set()
-    for t in x.tubes:
-        if t < I:
-            covered |= t
-    rest = I - covered
-    if len(rest) != 1:
-        raise InvalidTubing(f"tube {sorted(I)} has no unique top; tubing not maximal?")
-    return next(iter(rest))
-
-
-def tops_and_supertubes(x: Tubing) -> tuple[list[int], list[int]]:
-    """For a maximal tubing, indexed like ``x.tubes``: the top of each tube,
-    and the index of its smallest strict supertube (-1 for component tubes).
-
-    The supertubes of a tube form a chain, so the smallest is the first
-    strict superset in the canonical order.
-    """
-    ts = x.tubes
-    up = [-1] * len(ts)
-    covered = [set() for _ in ts]
-    for i, I in enumerate(ts):
-        for j in range(i + 1, len(ts)):
-            if I < ts[j]:
-                up[i] = j
-                covered[j] |= I
-                break
-    tops = []
-    for t, c in zip(ts, covered):
-        rest = t - c
-        if len(rest) != 1:
-            raise InvalidTubing(f"tube {sorted(t)} has no unique top; tubing not maximal?")
-        tops.extend(rest)
-    return tops, up
+    return tube_tree(x)[0][x.tubes.index(I)]
 
 
 def tau(x: Tubing) -> GForest:
-    """Maximal tubing -> forest: top(I) is covered by top of the next tube up."""
+    """Maximal tubing -> forest: each top's parent is the top of the next tube up."""
     if not x.is_maximal():
         raise InvalidTubing("tau requires a maximal tubing")
     parent = [0] * x.graph.n
-    tops, up = tops_and_supertubes(x)
+    tops, up, _ = tube_tree(x)
     for i, j in enumerate(up):
         if j >= 0:
             parent[tops[i] - 1] = tops[j]
@@ -613,31 +613,21 @@ def oriented_flips(x: Tubing) -> Iterator[tuple[frozenset, frozenset, int, int]]
     Component tubes have no such K and are skipped.
     """
     adj = adjacency(x.graph)
-    tops, up = tops_and_supertubes(x)
-    # a tube's mask is its top and its child tubes, which precede it in
-    # x.tubes; the component tubes (j = -1) add into the spare last entry
-    inside = [0] * (len(up) + 1)
-    for i, j in enumerate(up):
-        inside[i] |= 1 << tops[i]
-        inside[j] |= inside[i]
+    tops, up, masks = tube_tree(x)
     for i, j in enumerate(up):
         if j >= 0:
             a, b = tops[i], tops[j]
-            yield x.tubes[i], mask_vertices(component(adj, inside[j] ^ 1 << a, b)), a, b
+            yield x.tubes[i], mask_vertices(component(adj, masks[j] ^ 1 << a, b)), a, b
 
 
 def vertex_coordinates(x: Tubing) -> tuple[int, ...]:
     """Vertex of the graph associahedron: coordinate i counts the tubes of G
     inside the smallest x-tube containing i that themselves contain i.
 
-    One pass over the tubes, largest first: each writes its counts onto its
-    vertices, so the smallest tube containing a vertex writes last."""
-    g = x.graph
-    coords = [0] * (g.n + 1)
-    for t in reversed(x.tubes):
-        counts = _containment_counts(g, t)
-        for v in t:
-            coords[v] = counts[v]
+    The smallest x-tube containing i is the tube whose top is i."""
+    coords = [0] * (x.graph.n + 1)
+    for t, v in zip(x.tubes, tube_tree(x)[0]):
+        coords[v] = _containment_counts(x.graph, t)[v]
     if 0 in coords[1:]:
         raise InvalidTubing(f"no tube of the tubing contains {coords.index(0, 1)}")
     return tuple(coords[1:])

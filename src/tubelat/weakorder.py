@@ -53,6 +53,9 @@ Perm = tuple[int, ...]
 
 @lru_cache(maxsize=None)
 def permutations(n: int) -> tuple[Perm, ...]:
+    """S_n in lexicographic order; n >= 10 is refused before it is built."""
+    if n >= 10:
+        raise TubelatError(f"S_{n} has {math.factorial(n):,} words; n <= 9 is supported")
     return tuple(itertools.permutations(range(1, n + 1)))
 
 
@@ -523,6 +526,7 @@ def psi_map(g: Graph) -> dict:
 
     The merge stays inline, not in ``graphs.component``: the components of a
     prefix serve every word that extends it, so the n! leaves share them."""
+    perms = permutations(g.n)
     adj = adjacency(g)
     mask = {t: sum(1 << v for v in t) for t in tubes(g)}
     by_tubes = {frozenset(mask[t] for t in x.tubes): x for x in enumerate_maximal_tubings(g)}
@@ -533,7 +537,7 @@ def psi_map(g: Graph) -> dict:
         if not rest:
             x = by_tubes.get(frozenset(placed))
             if x is None:
-                w = format_perm(permutations(g.n)[len(images)])
+                w = format_perm(perms[len(images)])
                 raise TubelatError(f"psi({w}) is not an enumerated maximal tubing of {g}")
             images.append(x)
             return
@@ -553,7 +557,7 @@ def psi_map(g: Graph) -> dict:
             placed.pop()
 
     walk(sum(1 << v for v in g.vertices), [])
-    return dict(zip(permutations(g.n), images))
+    return dict(zip(perms, images))
 
 
 @lru_cache(maxsize=None)

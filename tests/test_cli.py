@@ -217,6 +217,7 @@ BAD_INPUTS = [
     ("export-dot", "--weak-order", "-1"),
     ("export-dot", "--weak-order", "9"),
     ("congruence", "classes", "--arcs", ",", "--n", "-2"),
+    ("congruence", "classes", "--arcs", "1-2:", "--n", "10"),  # S_10 is refused
     ("family", "translational", "--family", "path", "--max-degree", "-1"),
     # a dict stands for a --graph-file holding it as JSON
     ("tubings", "--graph-file", {"n": 3}),

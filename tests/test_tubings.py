@@ -40,6 +40,7 @@ from tubelat.tubings import (
     sigma_min,
     tau,
     top,
+    tube_tree,
     validate_gforest,
     vertex_coordinates,
 )
@@ -153,6 +154,44 @@ def test_top_examples():
         for x in enumerate_maximal_tubings(g):
             tops = [top(x, t) for t in x.tubes]
             assert sorted(tops) == list(g.vertices)
+    # {1, 2, 3} keeps both 2 and 3: {1} is its only smaller tube
+    with pytest.raises(InvalidTubing, match=r"tube \[1, 2, 3\] has no unique top"):
+        top(Tubing(P3, (fs(1), fs(1, 2, 3))), fs(1, 2, 3))
+
+
+def _tops_and_supertubes_by_scan(x):
+    # the frozenset subset scan that the one-pass tube tree replaced, kept as
+    # the oracle: the smallest strict supertube is the first strict superset
+    # in the canonical order
+    ts = x.tubes
+    up = [-1] * len(ts)
+    covered = [set() for _ in ts]
+    for i, I in enumerate(ts):
+        for j in range(i + 1, len(ts)):
+            if I < ts[j]:
+                up[i] = j
+                covered[j] |= I
+                break
+    tops = []
+    for t, c in zip(ts, covered):
+        rest = t - c
+        if len(rest) != 1:
+            raise InvalidTubing(f"tube {sorted(t)} has no unique top; tubing not maximal?")
+        tops.extend(rest)
+    return tops, up
+
+
+def _assert_tube_tree_matches_scan(x):
+    tops, up, masks = tube_tree(x)
+    assert (tops, up) == _tops_and_supertubes_by_scan(x), x.label()
+    assert [frozenset(v for v in x.graph.vertices if m >> v & 1) for m in masks] == list(x.tubes)
+
+
+def test_tube_tree_matches_scan():
+    for n in range(6):
+        for g in all_graphs(n):
+            for x in enumerate_maximal_tubings(g):
+                _assert_tube_tree_matches_scan(x)
 
 
 def test_restrict_examples():
@@ -335,6 +374,11 @@ def test_vertex_coordinates_examples():
     for g in all_graphs(4):
         coords = [vertex_coordinates(x) for x in enumerate_maximal_tubings(g)]
         assert len(set(coords)) == len(coords)
+    # not maximal: {1, 2, 3} keeps 2 and 3, and no tube contains 3
+    with pytest.raises(InvalidTubing, match="no unique top"):
+        vertex_coordinates(Tubing(P3, (fs(1), fs(1, 2, 3))))
+    with pytest.raises(InvalidTubing, match="no tube of the tubing contains 3"):
+        vertex_coordinates(Tubing(P3, (fs(1), fs(1, 2))))
 
 
 def _smallest_containing_tube(x, v):
@@ -449,6 +493,13 @@ def test_flip_matches_search_random(g, data):
 @given(random_graphs(6, 7))
 def test_enumerator_matches_oracle_random(g):
     assert enumerate_maximal_tubings(g) == maximal_tubings_oracle(g)
+
+
+@settings(RANDOMIZED, max_examples=12)
+@given(random_graphs(6, 7))
+def test_tube_tree_matches_scan_random(g):
+    for x in enumerate_maximal_tubings(g):
+        _assert_tube_tree_matches_scan(x)
 
 
 @settings(RANDOMIZED, max_examples=12)

@@ -213,6 +213,19 @@ def test_psi_map_matches_psi_tubing_random(g):
     _assert_psi_map_is_psi_tubing(g)
 
 
+def test_permutations_refuse_n_from_10_before_building():
+    from tubelat import tubings, weakorder
+
+    caches = (weakorder.permutations, weakorder.psi_map, tubings.enumerate_maximal_tubings)
+    before = [c.cache_info().currsize for c in caches]
+    with pytest.raises(TubelatError, match="S_10 has 3,628,800 words"):
+        permutations(10)
+    # psi_map reads S_n before its walk and before enumerating the tubings
+    with pytest.raises(TubelatError, match="S_11 has 39,916,800 words"):
+        psi_map(parse_graph("path:11"))
+    assert [c.cache_info().currsize for c in caches] == before
+
+
 def test_psi_map_names_a_word_missing_from_the_enumeration(monkeypatch):
     from tubelat import weakorder
 
