@@ -24,9 +24,17 @@ is an edge between the ideals of c and c'.
 
 ``enumerate_maximal_tubings`` builds every maximal tubing from one fact: a
 maximal tubing of a connected set picks a root and recurses on the
-components of what is left.  ``psi_tubing``, the surjection from words, and
-``maximal_tubings_oracle``, a clique search over the per-graph table
-``compatibility_masks``, are independent routes to the same set.
+components of what is left.  It works on *codes*: bit k of a tubing's code
+is set iff ``tubes(g)[k]`` is one of its tubes, so adding a tube, or joining
+the tubings of disjoint components, is an OR.  Sorting the codes by their
+set-bit positions sorts the tubings by ``Tubing.key``: as ``tubes(g)`` is in
+``tube_key`` order, k -> tube_key(tubes(g)[k]) is strictly increasing, and
+it maps the positions of a code (n of them, as a maximal tubing has n tubes)
+entry by entry onto the key, which keeps the lexicographic order.
+``build_lg`` and ``psi_map`` look tubings up by code too.  ``psi_tubing``,
+the surjection from words, and ``maximal_tubings_oracle``, a clique search
+over the per-graph table ``compatibility_masks``, are independent routes to
+the same set.
 
 The words of a forest (``linear_extensions``, and its lexicographic
 extremes ``sigma_min`` and ``sigma_max``) come from one walk over the
@@ -372,6 +380,15 @@ def psi_tubing(g: Graph, word: Sequence[int]) -> Tubing:
     return Tubing(g, tuple(ts))
 
 
+def tube_bits(g: Graph) -> dict:
+    """Each tube of g, as a frozenset and as a vertex mask -> its bit in a
+    tubing's code, bit k for ``tubes(g)[k]`` (see the module docstring)."""
+    bit: dict = {}
+    for k, t in enumerate(tubes(g)):
+        bit[t] = bit[sum(1 << v for v in t)] = 1 << k
+    return bit
+
+
 @lru_cache(maxsize=None)
 def enumerate_maximal_tubings(g: Graph) -> tuple[Tubing, ...]:
     """All maximal tubings, sorted by ``Tubing.key``.
@@ -379,26 +396,29 @@ def enumerate_maximal_tubings(g: Graph) -> tuple[Tubing, ...]:
     A maximal tubing of a connected vertex set C picks a root r, the top of
     the tube C, and recurses on the components of C - {r}; a disconnected
     set combines one maximal tubing of each component.  Subsets are
-    memoized, so each is decomposed once.
+    memoized as lists of codes, so each is decomposed once.
     """
     adj = adjacency(g)
+    bit = tube_bits(g)
     memo: dict = {}
 
-    def rec(S: int) -> list[frozenset]:
-        """Maximal tubings of G|_S, S a mask, as frozen sets of tube masks."""
+    def rec(S: int) -> list[int]:
+        """Codes of the maximal tubings of G|_S, S a mask."""
         if S not in memo:
-            combos = [frozenset()]
+            combos = [0]
             rest = S
             while rest:
                 C = component(adj, rest, (rest & -rest).bit_length() - 1)
                 rest ^= C
-                opts = [ts | {C} for r in bits(C) for ts in rec(C ^ 1 << r)]
+                tube = bit[C]
+                opts = [code | tube for r in bits(C) for code in rec(C ^ 1 << r)]
                 combos = [acc | o for acc in combos for o in opts]
             memo[S] = combos
         return memo[S]
 
-    out = [Tubing(g, tuple(map(mask_vertices, ts))) for ts in rec((2 << g.n) - 2)]
-    return tuple(sorted(out, key=Tubing.key))
+    ts = tubes(g)
+    positions = sorted(tuple(bits(code)) for code in rec((2 << g.n) - 2))
+    return tuple(Tubing(g, tuple(ts[k] for k in ks)) for ks in positions)
 
 
 def maximal_tubings_oracle(g: Graph) -> tuple[Tubing, ...]:

@@ -75,6 +75,7 @@ from .tubings import (
     sigma_min,
     tau,
     top,
+    tube_bits,
     vertex_coordinates,
 )
 from .weakorder import (
@@ -775,12 +776,13 @@ def ex_lg_structure_sweep(max_n=None) -> str:
                 f"cover/descent/ascent counts differ for {g}",
             )
             lam = lambda v: sum((n - idx) * v[idx] for idx in range(n))
-            coords = {frozenset(x.tubes): vertex_coordinates(x) for x in lg.elements}
+            bit = tube_bits(g)
+            coords = {sum(bit[t] for t in x.tubes): vertex_coordinates(x) for x in lg.elements}
             for x in lg.elements:
-                tset = frozenset(x.tubes)
-                vx = coords[tset]
+                code = sum(bit[t] for t in x.tubes)
+                vx = coords[code]
                 for I, J, i_t, j_t in oriented_flips(x):
-                    vy = coords[tset - {I} | {J}]
+                    vy = coords[code ^ bit[I] ^ bit[J]]
                     diff = [a - b for a, b in zip(vy, vx)]
                     scale = diff[i_t - 1]
                     expected = [0] * n

@@ -17,7 +17,7 @@ together with the derived notions: G-permutations, the projection pi_down for
 right-filled graphs, the congruence of a filled graph generated by positive
 arcs over minimal non-edges, and the translational/insertional family checks.
 ``psi_map`` takes S_n in one bitmask walk over word prefixes onto the
-tubings ``enumerate_maximal_tubings`` holds, building none per word.
+tubings ``enumerate_maximal_tubings`` holds, by code, building none per word.
 """
 
 from __future__ import annotations
@@ -43,10 +43,9 @@ from .graphs import (
     component,
     filled_status,
     minimal_non_edges,
-    tubes,
 )
 from .posets import Poset
-from .tubings import Tubing, enumerate_maximal_tubings, psi_tubing, sigma_min, tau
+from .tubings import Tubing, enumerate_maximal_tubings, psi_tubing, sigma_min, tau, tube_bits
 
 Perm = tuple[int, ...]
 
@@ -521,21 +520,22 @@ def psi(g: Graph, w: Sequence[int]) -> Tubing:
 def psi_map(g: Graph) -> dict:
     """w -> psi(w) for every w in S_n, in ``permutations`` order (cached per
     graph).  One depth-first walk over word prefixes keeps the components of
-    the prefix as bitmasks, placing v merges v with those it touches, and each
-    leaf's tube masks pick its value among ``enumerate_maximal_tubings(g)``.
+    the prefix as bitmasks and its tubes as a code (``tubings.tube_bits``);
+    placing v merges v with those it touches into a new tube, whose bit joins
+    the code, and each leaf's code picks its value among
+    ``enumerate_maximal_tubings(g)``.
 
     The merge stays inline, not in ``graphs.component``: the components of a
     prefix serve every word that extends it, so the n! leaves share them."""
     perms = permutations(g.n)
     adj = adjacency(g)
-    mask = {t: sum(1 << v for v in t) for t in tubes(g)}
-    by_tubes = {frozenset(mask[t] for t in x.tubes): x for x in enumerate_maximal_tubings(g)}
+    bit = tube_bits(g)
+    by_code = {sum(bit[t] for t in x.tubes): x for x in enumerate_maximal_tubings(g)}
     images: list = []
-    placed: list = []  # the tube of each prefix vertex, in word order
 
-    def walk(rest: int, comps: list) -> None:
+    def walk(rest: int, comps: list, code: int) -> None:
         if not rest:
-            x = by_tubes.get(frozenset(placed))
+            x = by_code.get(code)
             if x is None:
                 w = format_perm(perms[len(images)])
                 raise TubelatError(f"psi({w}) is not an enumerated maximal tubing of {g}")
@@ -543,20 +543,18 @@ def psi_map(g: Graph) -> dict:
             return
         todo = rest
         while todo:
-            bit = todo & -todo
-            todo ^= bit
-            near = adj[bit.bit_length() - 1]
-            after = [bit]  # the new tube, then the components it does not touch
+            vbit = todo & -todo
+            todo ^= vbit
+            near = adj[vbit.bit_length() - 1]
+            after = [vbit]  # the new tube, then the components it does not touch
             for c in comps:
                 if c & near:
                     after[0] |= c
                 else:
                     after.append(c)
-            placed.append(after[0])
-            walk(rest ^ bit, after)
-            placed.pop()
+            walk(rest ^ vbit, after, code | bit[after[0]])
 
-    walk(sum(1 << v for v in g.vertices), [])
+    walk(sum(1 << v for v in g.vertices), [], 0)
     return dict(zip(perms, images))
 
 
@@ -565,7 +563,8 @@ def psi_fibers(g: Graph) -> dict:
     fibers: dict = {}
     for w, x in psi_map(g).items():
         fibers.setdefault(x, []).append(w)
-    return {x: tuple(sorted(ws)) for x, ws in fibers.items()}
+    # psi_map lists S_n in lexicographic order, so each fiber comes out sorted
+    return {x: tuple(ws) for x, ws in fibers.items()}
 
 
 def is_g_permutation(g: Graph, w: Sequence[int]) -> bool:

@@ -101,6 +101,15 @@ def test_decomposition_enumerator_matches_sweep():
         assert enumerate_maximal_tubings(g) == tuple(sorted(image, key=Tubing.key))
 
 
+def test_enumerator_sorts_by_tubing_key():
+    # the enumerator sorts codes by set-bit positions; this must be Tubing.key order
+    graphs = [g for n in range(6) for g in all_graphs(n)]
+    assert len(graphs) == 1100
+    for g in graphs + [parse_graph("complete:7"), parse_graph("path:9")]:
+        out = enumerate_maximal_tubings(g)
+        assert out == tuple(sorted(out, key=Tubing.key))
+
+
 def test_enumeration_beyond_sweep_threshold():
     # n = 9 is past the reach of the n! psi sweep used as an oracle above
     x = enumerate_maximal_tubings(parse_graph("path:9"))

@@ -213,6 +213,14 @@ def test_psi_map_matches_psi_tubing_random(g):
     _assert_psi_map_is_psi_tubing(g)
 
 
+def test_psi_fibers_are_sorted_tuples():
+    for g in all_graphs(5):
+        fibers = psi_fibers(g)
+        assert sum(map(len, fibers.values())) == 120
+        for ws in fibers.values():
+            assert type(ws) is tuple and list(ws) == sorted(ws)
+
+
 def test_permutations_refuse_n_from_10_before_building():
     from tubelat import tubings, weakorder
 
