@@ -21,8 +21,8 @@ flips oriented by comparing tops, the transitive closure is computed rather
 than assumed, and acyclicity plus irredundancy of covers are verified on
 construction (the orientation is induced by a linear functional, so a cycle
 or a redundant edge would indicate a flip bug).  Each cover is found once,
-from its lower end, as a flip that goes up, read off the tubing's
-``tube_tree``.  Tubings are looked up by their codes (``tubings.tube_bits``):
+from its lower end, among the ``oriented_flips`` that go up, which give J
+as a mask.  Tubings are looked up by their codes (``tubings.code_index``):
 the upper end's code is the lower end's with the bits of I and J toggled,
 so no tubing or tube set is built per flip.  ``all_tubings`` lists the
 faces as the cliques of the per-graph ``compatibility_masks`` table.
@@ -35,8 +35,8 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .errors import ElementNotFound, NotALattice, NotComparable, TubelatError
-from .graphs import Graph, adjacency, bits, component, tubes
-from .tubings import Tubing, compatibility_masks, enumerate_maximal_tubings, tube_bits, tube_tree
+from .graphs import Graph, bits, tubes
+from .tubings import Tubing, code_index, compatibility_masks, enumerate_maximal_tubings, oriented_flips
 
 class Poset:
     """Immutable finite poset over hashable element keys."""
@@ -428,22 +428,17 @@ def _isomorphic(p: Poset, q: Poset) -> bool:
 
 
 def build_lg(g: Graph) -> Poset:
-    """The poset of maximal tubings; its covers are the flips that go up
-    (see ``oriented_flips``), each found from its lower end x, with J kept as
-    a mask.  The upper end is the tubing whose code is x's with the bits of I
-    and J toggled."""
+    """The poset of maximal tubings; its covers are the ``oriented_flips``
+    that go up, each found from its lower end x.  The upper end is the
+    tubing whose code is x's with the bits of I and J toggled."""
     elements = enumerate_maximal_tubings(g)
-    adj = adjacency(g)
-    bit = tube_bits(g)
-    by_code = {sum(bit[t] for t in x.tubes): x for x in elements}
-    covers = []
-    for code, x in by_code.items():
-        tops, up, masks = tube_tree(x)
-        for i, k in enumerate(up):
-            a, b = tops[i], tops[k]
-            if k >= 0 and a < b:
-                J = component(adj, masks[k] ^ 1 << a, b)
-                covers.append((x, by_code[code ^ bit[masks[i]] ^ bit[J]]))
+    bit, by_code = code_index(g, elements)
+    covers = [
+        (x, by_code[code ^ bit[I] ^ bit[J]])
+        for code, x in by_code.items()
+        for I, J, a, b in oriented_flips(x)
+        if a < b
+    ]
     return Poset(elements, covers)
 
 

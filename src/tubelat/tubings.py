@@ -389,6 +389,12 @@ def tube_bits(g: Graph) -> dict:
     return bit
 
 
+def code_index(g: Graph, xs: Iterable[Tubing]) -> tuple[dict, dict]:
+    """``tube_bits(g)``, and code -> tubing for the tubings xs of g."""
+    bit = tube_bits(g)
+    return bit, {sum(bit[t] for t in x.tubes): x for x in xs}
+
+
 @lru_cache(maxsize=None)
 def enumerate_maximal_tubings(g: Graph) -> tuple[Tubing, ...]:
     """All maximal tubings, sorted by ``Tubing.key``.
@@ -598,6 +604,7 @@ def flip(x: Tubing, I: Iterable[int]) -> tuple[Tubing, frozenset]:
         raise TubeNotInTubing(f"{sorted(I)} not in tubing")
     for old, J, _, _ in oriented_flips(x):
         if old == I:
+            J = mask_vertices(J)
             return Tubing(x.graph, tuple(t for t in x.tubes if t != I) + (J,)), J
     raise MaximalTubeNotFlippable(
         f"{sorted(I)} is the tube of a whole component; it cannot be flipped"
@@ -624,8 +631,9 @@ def flip_by_search(x: Tubing, I: Iterable[int]) -> tuple[Tubing, frozenset]:
     return Tubing(x.graph, tuple(rest) + (J,)), J
 
 
-def oriented_flips(x: Tubing) -> Iterator[tuple[frozenset, frozenset, int, int]]:
-    """Yield (I, J, a, b) for every flippable tube I of the maximal tubing x.
+def oriented_flips(x: Tubing) -> Iterator[tuple[frozenset, int, int, int]]:
+    """Yield (I, J, a, b) for every flippable tube I of the maximal tubing x,
+    with J as a vertex mask.
 
     Let K be the smallest tube of x strictly containing I, a = top(I) and
     b = top(K); then J is the component of b in G restricted to K - {a}, and
@@ -637,7 +645,7 @@ def oriented_flips(x: Tubing) -> Iterator[tuple[frozenset, frozenset, int, int]]
     for i, j in enumerate(up):
         if j >= 0:
             a, b = tops[i], tops[j]
-            yield x.tubes[i], mask_vertices(component(adj, masks[j] ^ 1 << a, b)), a, b
+            yield x.tubes[i], component(adj, masks[j] ^ 1 << a, b), a, b
 
 
 def vertex_coordinates(x: Tubing) -> tuple[int, ...]:

@@ -61,6 +61,7 @@ from .tubings import (
     Tubing,
     ascents,
     chi,
+    code_index,
     descents,
     enumerate_maximal_tubings,
     flip,
@@ -75,7 +76,6 @@ from .tubings import (
     sigma_min,
     tau,
     top,
-    tube_bits,
     vertex_coordinates,
 )
 from .weakorder import (
@@ -776,10 +776,9 @@ def ex_lg_structure_sweep(max_n=None) -> str:
                 f"cover/descent/ascent counts differ for {g}",
             )
             lam = lambda v: sum((n - idx) * v[idx] for idx in range(n))
-            bit = tube_bits(g)
-            coords = {sum(bit[t] for t in x.tubes): vertex_coordinates(x) for x in lg.elements}
-            for x in lg.elements:
-                code = sum(bit[t] for t in x.tubes)
+            bit, by_code = code_index(g, lg.elements)
+            coords = {code: vertex_coordinates(x) for code, x in by_code.items()}
+            for code, x in by_code.items():
                 vx = coords[code]
                 for I, J, i_t, j_t in oriented_flips(x):
                     vy = coords[code ^ bit[I] ^ bit[J]]

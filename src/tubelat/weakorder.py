@@ -45,7 +45,7 @@ from .graphs import (
     minimal_non_edges,
 )
 from .posets import Poset
-from .tubings import Tubing, enumerate_maximal_tubings, psi_tubing, sigma_min, tau, tube_bits
+from .tubings import Tubing, code_index, enumerate_maximal_tubings, psi_tubing, sigma_min, tau
 
 Perm = tuple[int, ...]
 
@@ -520,7 +520,7 @@ def psi(g: Graph, w: Sequence[int]) -> Tubing:
 def psi_map(g: Graph) -> dict:
     """w -> psi(w) for every w in S_n, in ``permutations`` order (cached per
     graph).  One depth-first walk over word prefixes keeps the components of
-    the prefix as bitmasks and its tubes as a code (``tubings.tube_bits``);
+    the prefix as bitmasks and its tubes as a code (``tubings.code_index``);
     placing v merges v with those it touches into a new tube, whose bit joins
     the code, and each leaf's code picks its value among
     ``enumerate_maximal_tubings(g)``.
@@ -529,8 +529,7 @@ def psi_map(g: Graph) -> dict:
     prefix serve every word that extends it, so the n! leaves share them."""
     perms = permutations(g.n)
     adj = adjacency(g)
-    bit = tube_bits(g)
-    by_code = {sum(bit[t] for t in x.tubes): x for x in enumerate_maximal_tubings(g)}
+    bit, by_code = code_index(g, enumerate_maximal_tubings(g))
     images: list = []
 
     def walk(rest: int, comps: list, code: int) -> None:
