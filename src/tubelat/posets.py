@@ -21,11 +21,10 @@ flips oriented by comparing tops, the transitive closure is computed rather
 than assumed, and acyclicity plus irredundancy of covers are verified on
 construction (the orientation is induced by a linear functional, so a cycle
 or a redundant edge would indicate a flip bug).  Each cover is found once,
-from its lower end, among the ``oriented_flips`` that go up, which give J
-as a mask.  Tubings are looked up by their codes (``tubings.code_index``):
-the upper end's code is the lower end's with the bits of I and J toggled,
-so no tubing or tube set is built per flip.  ``all_tubings`` lists the
-faces as the cliques of the per-graph ``compatibility_masks`` table.
+from its lower end, among the ``oriented_flips`` that go up; its upper
+end's code (``tubings.code_index``) is the lower end's with the bits of I and
+J toggled, so no tubing or tube set is built per flip.  ``all_tubings``
+lists the faces as the cliques of the per-graph ``compatibility_masks`` table.
 """
 
 from __future__ import annotations
@@ -429,8 +428,7 @@ def _isomorphic(p: Poset, q: Poset) -> bool:
 
 def build_lg(g: Graph) -> Poset:
     """The poset of maximal tubings; its covers are the ``oriented_flips``
-    that go up, each found from its lower end x.  The upper end is the
-    tubing whose code is x's with the bits of I and J toggled."""
+    that go up, each found from its lower end by code."""
     elements = enumerate_maximal_tubings(g)
     bit, by_code = code_index(g, elements)
     covers = [

@@ -24,17 +24,15 @@ is an edge between the ideals of c and c'.
 
 ``enumerate_maximal_tubings`` builds every maximal tubing from one fact: a
 maximal tubing of a connected set picks a root and recurses on the
-components of what is left.  It works on *codes*: bit k of a tubing's code
-is set iff ``tubes(g)[k]`` is one of its tubes, so adding a tube, or joining
-the tubings of disjoint components, is an OR.  Sorting the codes by their
-set-bit positions sorts the tubings by ``Tubing.key``: as ``tubes(g)`` is in
-``tube_key`` order, k -> tube_key(tubes(g)[k]) is strictly increasing, and
-it maps the positions of a code (n of them, as a maximal tubing has n tubes)
-entry by entry onto the key, which keeps the lexicographic order.
-``build_lg`` and ``psi_map`` look tubings up by code too.  ``psi_tubing``,
-the surjection from words, and ``maximal_tubings_oracle``, a clique search
-over the per-graph table ``compatibility_masks``, are independent routes to
-the same set.
+components of what is left.  It works on *codes* (bit k is set iff
+``tubes(g)[k]`` is a tube), so adding a tube, or joining the tubings of
+disjoint components, is an OR.  Sorting the codes by their set-bit positions
+sorts the tubings by ``Tubing.key``: ``tubes(g)`` is in ``tube_key`` order,
+so k -> tube_key(tubes(g)[k]) is strictly increasing, and it maps a code's
+sorted positions, n of them, entry by entry onto the key.
+``psi_tubing``, the surjection from words, and ``maximal_tubings_oracle``, a
+clique search over the per-graph table ``compatibility_masks``, are
+independent routes to the same set.
 
 The words of a forest (``linear_extensions``, and its lexicographic
 extremes ``sigma_min`` and ``sigma_max``) come from one walk over the
@@ -47,7 +45,10 @@ belongs to its smallest strict supertube K, and I takes them all.  Each tube
 ends up owning exactly its vertices outside every smaller tube: its top, in
 a maximal tubing.  A flip exchanges I for J, the component of top(K) in
 K - top(I); oriented by comparing tops, the flips are the covers of the
-partial order on maximal tubings built in the poset module.
+partial order on maximal tubings built in the poset module.  K - top(I) is
+top(K), the other children of K, each touching top(K) but not I, and the
+children of I, components of I - top(I); so J is K - top(I) less the
+children of I that miss top(K), which the tree gives with no search.
 """
 
 from __future__ import annotations
@@ -381,8 +382,7 @@ def psi_tubing(g: Graph, word: Sequence[int]) -> Tubing:
 
 
 def tube_bits(g: Graph) -> dict:
-    """Each tube of g, as a frozenset and as a vertex mask -> its bit in a
-    tubing's code, bit k for ``tubes(g)[k]`` (see the module docstring)."""
+    """Each tube of g, as a frozenset and as a mask -> its bit in a code."""
     bit: dict = {}
     for k, t in enumerate(tubes(g)):
         bit[t] = bit[sum(1 << v for v in t)] = 1 << k
@@ -638,14 +638,19 @@ def oriented_flips(x: Tubing) -> Iterator[tuple[frozenset, int, int, int]]:
     Let K be the smallest tube of x strictly containing I, a = top(I) and
     b = top(K); then J is the component of b in G restricted to K - {a}, and
     b is the top of J after the flip.  The flip goes up in L_G iff a < b.
-    Component tubes have no such K and are skipped.
+    Component tubes have no such K and are skipped.  J is read off the tube
+    tree (see the module docstring).
     """
     adj = adjacency(x.graph)
     tops, up, masks = tube_tree(x)
+    cut = [0] * len(up)  # the children of each tube I that miss top(K)
+    for c, i in enumerate(up):
+        if i >= 0 and up[i] >= 0 and not masks[c] & adj[tops[up[i]]]:
+            cut[i] |= masks[c]
     for i, j in enumerate(up):
         if j >= 0:
             a, b = tops[i], tops[j]
-            yield x.tubes[i], component(adj, masks[j] ^ 1 << a, b), a, b
+            yield x.tubes[i], masks[j] ^ 1 << a ^ cut[i], a, b
 
 
 def vertex_coordinates(x: Tubing) -> tuple[int, ...]:

@@ -520,10 +520,8 @@ def psi(g: Graph, w: Sequence[int]) -> Tubing:
 def psi_map(g: Graph) -> dict:
     """w -> psi(w) for every w in S_n, in ``permutations`` order (cached per
     graph).  One depth-first walk over word prefixes keeps the components of
-    the prefix as bitmasks and its tubes as a code (``tubings.code_index``);
-    placing v merges v with those it touches into a new tube, whose bit joins
-    the code, and each leaf's code picks its value among
-    ``enumerate_maximal_tubings(g)``.
+    the prefix as bitmasks, placing v merges v with those it touches, and each
+    leaf's code (``tubings.code_index``) picks its value among the tubings.
 
     The merge stays inline, not in ``graphs.component``: the components of a
     prefix serve every word that extends it, so the n! leaves share them."""
