@@ -11,6 +11,8 @@ the family is *admissible* (the product well-defined and associative) exactly
 when it is a distance-set family.  A *restriction-compatible* family also
 carries a coproduct: summing over ideals, each side is pushed into the family
 graph of matching size via the fiber-sum section of the coarsening map.
+Restriction and coarsening follow one rule, proved in the ``tubings``
+module: each tube keeps the component of its top, read off ``tube_tree``.
 
 All coefficients are exact integers.  Products here are multiplicity-free;
 coproducts are not (distinct ideals may standardize to the same pair), so no
@@ -24,6 +26,7 @@ from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
+    InvalidTubing,
     NotAdmissibleAtDegree,
     NotASubgraph,
     NotRestrictionCompatible,
@@ -32,21 +35,23 @@ from .errors import (
 from .graphs import (
     Graph,
     GraphFamily,
-    components_within,
+    adjacency,
+    component,
     contract,
     induced_subgraph,
+    mask_vertices,
     standardize,
 )
 from .tubings import (
     Tubing,
+    code_index,
     enumerate_maximal_tubings,
     ideals,
     linear_extensions,
-    psi_tubing,
     quotient_std,
     restrict_std,
-    sigma_min,
     tau,
+    tube_tree,
 )
 from .weakorder import Perm, check_perm
 
@@ -249,27 +254,26 @@ def _split_index(family: GraphFamily, n: int, m: int) -> dict:
     """(X, Y) -> tuple of Z in MTub(G_{n+m}) restricting to the pair.
 
     Admissibility makes G_{n+m} equal to G_n on [1..n] and to G_m shifted by
-    n above it, so the restrictions of Z are the components of its tubes cut
-    to either side, looked up by tube set among the enumerated tubings of G_n
-    and those of G_m shifted up by n.
+    n above it.  By the restriction rule of ``tubings``, each tube of Z adds
+    the component of its top v in the tube cut to v's side to the code of X
+    among the tubings of G_n (v <= n) or, shifted down by n, to that of Y.
     """
     _require_admissible_at(family, n, m)
     big = family(n + m)
-    low = {frozenset(x.tubes): x for x in enumerate_maximal_tubings(family(n))}
-    high = {
-        frozenset(frozenset(v + n for v in t) for t in y.tubes): y
-        for y in enumerate_maximal_tubings(family(m))
-    }
-    below = frozenset(range(1, n + 1))
+    adj = adjacency(big)
+    low_bit, low = code_index(family(n), enumerate_maximal_tubings(family(n)))
+    high_bit, high = code_index(family(m), enumerate_maximal_tubings(family(m)))
+    below = (2 << n) - 2
     index: dict = {}
     for z in enumerate_maximal_tubings(big):
-        left: set = set()
-        right: set = set()
-        for cut in {t & below for t in z.tubes}:
-            left.update(components_within(big, cut))
-        for cut in {t - below for t in z.tubes}:
-            right.update(components_within(big, cut))
-        index.setdefault((low[frozenset(left)], high[frozenset(right)]), []).append(z)
+        tops, _, masks = tube_tree(z)
+        left = right = 0
+        for v, t in zip(tops, masks):
+            if v <= n:
+                left |= low_bit[component(adj, t & below, v)]
+            else:
+                right |= high_bit[component(adj, t & ~below, v) >> n]
+        index.setdefault((low[left], high[right]), []).append(z)
     return {k: tuple(v) for k, v in index.items()}
 
 
@@ -376,13 +380,17 @@ def is_restriction_compatible(family: GraphFamily, max_degree: int) -> bool:
 
 
 def coarsen(h: Graph, w: Tubing) -> Tubing:
-    """Push a maximal tubing of G down to the subgraph h (same vertices) by
-    applying h's surjection to any linear extension of the forest."""
+    """Push a maximal tubing of G down to the subgraph h (same vertices):
+    each tube keeps the h-component of its top (see ``tubings``), as h's
+    surjection does on any linear extension of the forest of w."""
     g = w.graph
     if h.n != g.n or not set(h.edges) <= set(g.edges):
         raise NotASubgraph(f"{h} is not a subgraph of {g}")
-    word = sigma_min(tau(w))
-    return psi_tubing(h, word)
+    if not w.is_maximal():
+        raise InvalidTubing("coarsen requires a maximal tubing")
+    adj = adjacency(h)
+    tops, _, masks = tube_tree(w)
+    return Tubing(h, tuple(mask_vertices(component(adj, t, v)) for v, t in zip(tops, masks)))
 
 
 @lru_cache(maxsize=None)

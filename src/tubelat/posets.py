@@ -35,7 +35,10 @@ from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .errors import ElementNotFound, NotALattice, NotComparable, TubelatError
 from .graphs import Graph, bits, tubes
-from .tubings import Tubing, code_index, compatibility_masks, enumerate_maximal_tubings, oriented_flips
+from .tubings import (
+    Tubing, code_index, compatibility_masks, enumerate_maximal_tubings, make_tubing, oriented_flips
+)
+
 
 class Poset:
     """Immutable finite poset over hashable element keys."""
@@ -123,9 +126,6 @@ class Poset:
 
     def lt(self, x: Hashable, y: Hashable) -> bool:
         return x != y and self.le(x, y)
-
-    def comparable(self, x: Hashable, y: Hashable) -> bool:
-        return self.le(x, y) or self.le(y, x)
 
     def upper_covers(self, x: Hashable) -> list:
         return [self.elements[b] for b in self._upper[self.index(x)]]
@@ -451,8 +451,6 @@ class FaceIntervalResult:
 def tubing_face_interval(g: Graph, y: Tubing, lg: Optional[Poset] = None) -> FaceIntervalResult:
     """Check that the maximal tubings containing ``y`` form an order-convex
     interval of L_G, returning its endpoints or a violating chain."""
-    from .tubings import make_tubing
-
     make_tubing(g, y.tubes)  # validates tubes and pairwise compatibility
     lg = lg if lg is not None else build_lg(g)
     members = [x for x in lg.elements if set(y.tubes) <= set(x.tubes)]

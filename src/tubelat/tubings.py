@@ -49,6 +49,18 @@ partial order on maximal tubings built in the poset module.  K - top(I) is
 top(K), the other children of K, each touching top(K) but not I, and the
 children of I, components of I - top(I); so J is K - top(I) less the
 children of I that miss top(K), which the tree gives with no search.
+
+Restriction and coarsening follow one rule: each tube T of a maximal
+tubing x keeps the component of its top v.  Restricted to a vertex set I,
+x|_I = {comp_G(v, T & I) : v in I}, exactly |I| tubes; coarsened to a
+subgraph h of G on the same vertices, x becomes {comp_h(v, T)}.  Proof: let
+w be a linear extension of tau(x) and P_j its prefix ending at w_j; then
+psi_G(w) = x, and the tube with top w_j is T_j = comp_G(w_j, P_j).
+Restricting psi_G(w) to I gives psi_{G|I}(w|_I); each of its tubes,
+comp(w_j, P_j & I), is connected, lies in P_j and contains w_j, so it lies
+in T_j and equals comp(w_j, T_j & I).  Coarsening gives psi_h(w), and
+comp_h(w_j, P_j) lies in T_j because h is inside G, so it equals
+comp_h(w_j, T_j).  ``hopf`` reads both maps off ``tube_tree`` this way.
 """
 
 from __future__ import annotations

@@ -34,6 +34,7 @@ from .graphs import (
     filled_status,
     induced_subgraph,
     is_connected,
+    is_tube,
     minimal_non_edges,
     component_tubes,
     standardize,
@@ -44,6 +45,7 @@ from .hopf import (
     associativity_witness,
     c_delta_holds,
     c_delta_witness,
+    coarsen,
     fiber_sum,
     is_admissible,
     is_restriction_compatible,
@@ -51,6 +53,7 @@ from .hopf import (
     mr_product,
     recover_A,
     restriction_compatibility_witness,
+    standardize_word,
     tubing_coproduct,
     tubing_product,
     tubing_product_sums,
@@ -71,6 +74,8 @@ from .tubings import (
     linear_extensions,
     maximal_tubings_oracle,
     oriented_flips,
+    psi_tubing,
+    quotient_std,
     restrict_std,
     sigma_max,
     sigma_min,
@@ -94,6 +99,7 @@ from .weakorder import (
     is_g_permutation,
     is_insertional,
     is_lattice_congruence,
+    is_subarc,
     is_translational,
     lattice_map_report,
     metasylvester_congruence,
@@ -592,8 +598,6 @@ def ex_arc_combinatorics(max_n=None) -> str:
     _require(a == Arc(2, 5, (-1, 1), 5), f"worked arc example gives {a.format()}")
     _require(perm_of_arc(Arc(2, 4, (1,), 4)) == (1, 4, 2, 3), "j_(2,4,+) wrong")
     _require(perm_of_arc(Arc(1, 2, (), 3)) == (2, 1, 3), "j_(1,2) wrong")
-    from .weakorder import is_subarc
-
     a24 = Arc(2, 4, (1,), 4)
     _require(is_subarc(a24, Arc(1, 4, (1, 1), 4)), "subarc example 1")
     _require(is_subarc(a24, Arc(1, 4, (-1, 1), 4)), "subarc example 2")
@@ -637,8 +641,6 @@ def ex_arc_combinatorics(max_n=None) -> str:
 
 def _arc_antichains(n: int):
     arcs = all_arcs(n)
-    from .weakorder import is_subarc
-
     rel = {(a, b) for a in arcs for b in arcs if a != b and is_subarc(a, b)}
     for r in range(len(arcs) + 1):
         for sub in itertools.combinations(arcs, r):
@@ -654,6 +656,7 @@ def ex_congruence_classes_are_intervals(max_n=None) -> str:
     checked = 0
     for n in range(1, bound + 1):
         arcs = all_arcs(n)
+        sn = weak_order_poset(n)
         if n <= 4:
             # every congruence of the weak order, via generator antichains
             gen_sets = list(_arc_antichains(n))
@@ -665,20 +668,11 @@ def ex_congruence_classes_are_intervals(max_n=None) -> str:
             classes = congruence_classes(theta)
             for cls in classes:
                 lo, hi = class_minimum(cls), class_maximum(cls)
-                members = set(cls)
                 _require(
-                    all(
-                        inversions(lo) <= inversions(w) <= inversions(hi)
-                        for w in cls
-                    ),
+                    all(inversions(lo) <= inversions(w) <= inversions(hi) for w in cls),
                     "class not between its extrema",
                 )
-                sn = weak_order_poset(n)
-                interval = {
-                    u
-                    for u in sn.interval(lo, hi)
-                }
-                _require(interval == members, f"class is not an interval at n={n}")
+                _require(set(sn.interval(lo, hi)) == set(cls), f"class is not an interval at n={n}")
             _require(
                 is_lattice_congruence(classes, n),
                 f"generated relation is not a congruence at n={n}",
@@ -747,8 +741,6 @@ def ex_cover_relations_formula(max_n=None) -> str:
 
 def _descent_flip_formula(t: GForest, i: int, k: int) -> Tubing:
     g = t.graph
-    from .graphs import is_tube
-
     children_ideals = [t.ideal(c) for c in t.children(k)]
     removed = set()
     for y in children_ideals:
@@ -846,8 +838,6 @@ def ex_restriction_quotient_maximality(max_n=None) -> str:
                         if not rx.is_maximal():
                             raise VerifyFailure(f"restriction not maximal for {g}")
                 for I in ideals(x):
-                    from .tubings import quotient_std
-
                     qx = quotient_std(x, I)
                     if not qx.is_maximal():
                         raise VerifyFailure(f"quotient not maximal for {g}")
@@ -921,8 +911,6 @@ def ex_coarsen_restriction_commutes(max_n=None) -> str:
         (family_empty(), family_path()),
         (family_from_A({2}), family_from_A({1, 2})),
     ]
-    from .hopf import coarsen
-
     for fam_a, fam_b in pairs:
         for total in range(2, bound + 1):
             for n in range(1, total):
@@ -937,8 +925,6 @@ def ex_coarsen_restriction_commutes(max_n=None) -> str:
 
 def ex_coarsen_well_defined(max_n=None) -> str:
     bound = _cap(4, max_n)
-    from .tubings import psi_tubing
-
     for n in range(bound + 1):
         for g in all_graphs(n):
             if not is_connected(g):
@@ -999,8 +985,6 @@ def ex_oddbip_product_example(max_n=None) -> str:
 
 def ex_mr_coassociativity(max_n=None) -> str:
     bound = _cap(4, max_n)
-    from .hopf import standardize_word
-
     for n in range(bound + 1):
         for u in permutations(n):
             left: dict = {}

@@ -44,7 +44,7 @@ from .graphs import (
     filled_status,
     minimal_non_edges,
 )
-from .posets import Poset
+from .posets import Poset, build_lg
 from .tubings import Tubing, code_index, enumerate_maximal_tubings, psi_tubing, sigma_min, tau
 
 Perm = tuple[int, ...]
@@ -652,8 +652,6 @@ def lattice_map_report(g: Graph, lg: Optional[Poset] = None) -> LatticeMapReport
     first when both fail there.  S_8 (whose closure this would build) and
     beyond are refused before L_G, S_n or psi is built.
     """
-    from .posets import build_lg
-
     if g.n >= 8:
         raise TubelatError(
             f"the lattice-map report takes n <= 7; S_{g.n} has {math.factorial(g.n):,} elements"

@@ -308,6 +308,24 @@ def test_import_loads_no_numpy():
     assert proc.stdout == "False\n"
 
 
+def test_no_relative_import_inside_functions():
+    # the one lazy relative import loads the battery only for `verify`
+    import ast
+    from pathlib import Path
+
+    import tubelat
+
+    found = set()
+    for path in sorted(Path(tubelat.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.ImportFrom) and node.level:
+                        found.add((path.name, fn.name, "." * node.level + (node.module or "")))
+    assert found == {("cli.py", "cmd_verify", ".verify")}
+
+
 def test_python_dash_m_runs_the_cli():
     import os
     import subprocess

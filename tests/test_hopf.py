@@ -3,6 +3,7 @@ import math
 import pytest
 
 from tubelat.errors import (
+    InvalidTubing,
     NotAdmissibleAtDegree,
     NotASubgraph,
     NotRestrictionCompatible,
@@ -10,6 +11,7 @@ from tubelat.errors import (
 )
 from tubelat.graphs import (
     Graph,
+    all_graphs,
     family_complete,
     family_cycle,
     family_empty,
@@ -39,7 +41,14 @@ from tubelat.hopf import (
     tubing_product,
 )
 from tubelat.hopf import _require_admissible_at, _split_index
-from tubelat.tubings import enumerate_maximal_tubings, restrict_std, sigma_min, tau
+from tubelat.tubings import (
+    Tubing,
+    enumerate_maximal_tubings,
+    psi_tubing,
+    restrict_std,
+    sigma_min,
+    tau,
+)
 from tubelat.weakorder import permutations, psi
 
 
@@ -154,7 +163,7 @@ def test_split_index_matches_restriction():
     splits = [
         (fam, n, total - n)
         for fam in (path, complete, h2, a13, oddbip)
-        for total in range(6)
+        for total in range(7)
         for n in range(total + 1)
     ]
     # the splits of the benchmark's hopf workload
@@ -219,6 +228,36 @@ def test_coarsen_and_fibers():
         assert len(fiber_sum(p3, k3, x)) == len(fibers[x])
     with pytest.raises(NotASubgraph):
         coarsen(k3, enumerate_maximal_tubings(p3)[0])
+
+
+def _coarsen_by_walk(h, w):
+    # the prefix walk coarsen replaced, kept as the oracle: h's surjection
+    # applied to one linear extension of the forest of w
+    return psi_tubing(h, sigma_min(tau(w)))
+
+
+def test_coarsen_matches_prefix_walk():
+    pairs = []
+    for n in range(5):
+        for g in all_graphs(n):
+            pairs += [(Graph(n, tuple(e for e in g.edges if e != drop)), g) for drop in g.edges]
+            pairs.append((Graph(n), g))
+    pairs += [
+        (parse_graph(h), parse_graph(g))
+        for h, g in [("path:7", "complete:7"), ("cycle:7", "complete:7"), ("path:6", "cycle:6")]
+    ]
+    for h, g in pairs:
+        for w in enumerate_maximal_tubings(g):
+            assert coarsen(h, w) == _coarsen_by_walk(h, w), (h, g, w.label())
+
+
+def test_coarsen_rejects_non_maximal_tubings():
+    g = Graph(2)
+    for w in (Tubing(g, (frozenset({1}),)), Tubing(g, ())):
+        with pytest.raises(InvalidTubing):
+            _coarsen_by_walk(g, w)
+        with pytest.raises(InvalidTubing):
+            coarsen(g, w)
 
 
 def test_embed_c_examples():
