@@ -6,14 +6,12 @@ the complement, and contraction (the "reconnected complement") additionally
 joins two surviving vertices whenever both have a neighbor inside a common
 tube of the removed set.
 
-Two kinds of graph values exist:
-
-- ``Graph``: vertex set exactly [n].  This is the canonical type everything
-  downstream (tubings, posets, Hopf structures) consumes.
-- ``LabeledGraph``: arbitrary distinct positive integer labels, produced by
-  restriction/deletion/contraction.  ``standardize`` is the only bridge back
-  to ``Graph``; keeping the two apart avoids off-by-one relabeling bugs in
-  chained minor operations.
+There is one kind of graph value, ``Graph``, whose vertex set is exactly
+[n]; everything downstream (tubings, posets, Hopf structures) consumes it.
+The minor operations ``induced_subgraph``, ``delete`` and ``contract`` keep
+k of the vertices and return the graph relabeled onto [k] in label order,
+together with the label map old -> new, so no value ever carries other
+labels.
 
 Connectivity is computed on int bitmasks (bit v stands for vertex v), from
 the neighbor masks of ``adjacency`` by ``component``, the one flood fill;
@@ -29,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
@@ -114,28 +113,6 @@ class Graph:
         return f"Graph(n={self.n}, edges={{{', '.join(f'{a}{b}' if self.n < 10 else f'{a}-{b}' for a, b in self.edges)}}})"
 
 
-@dataclass(frozen=True, order=True)
-class LabeledGraph:
-    """Graph on an arbitrary set of distinct positive integer labels."""
-
-    vertices: tuple[int, ...]
-    edges: tuple[Edge, ...] = ()
-
-    def __post_init__(self):
-        verts = tuple(sorted(set(self.vertices)))
-        if len(verts) != len(self.vertices):
-            raise TubelatError("duplicate vertex labels")
-        if any(v < 1 for v in verts):
-            raise InvalidVertex("labels must be positive")
-        object.__setattr__(self, "vertices", verts)
-        edges = _normalize_edges(self.edges)
-        object.__setattr__(self, "edges", edges)
-        vset = set(verts)
-        for a, b in edges:
-            if a not in vset or b not in vset:
-                raise InvalidVertex(f"edge ({a},{b}) not within labels")
-
-
 @lru_cache(maxsize=None)
 def tube_key(t: frozenset) -> tuple:
     """The canonical tube order: by size, then by sorted vertex list.
@@ -216,31 +193,29 @@ def _check_vertex_subset(g: Graph, I: Iterable[int]) -> frozenset:
     return I
 
 
-def induced_subgraph(g: Graph, I: Iterable[int]) -> LabeledGraph:
-    """The induced subgraph on I, keeping the original labels."""
+def _relabeled(kept: Sequence[int], edges: Iterable[Edge]) -> tuple[Graph, dict]:
+    """The graph on [k] of ``edges`` between the sorted labels ``kept``,
+    relabeled in label order, and the label map old -> new."""
+    phi = {v: i for i, v in enumerate(kept, 1)}
+    return Graph(len(kept), tuple((phi[a], phi[b]) for a, b in edges)), phi
+
+
+def induced_subgraph(g: Graph, I: Iterable[int]) -> tuple[Graph, dict]:
+    """The induced subgraph on I, relabeled onto [|I|] in label order, and
+    the label map old -> new."""
     I = _check_vertex_subset(g, I)
-    edges = tuple(e for e in g.edges if e[0] in I and e[1] in I)
-    return LabeledGraph(tuple(sorted(I)), edges)
+    return _relabeled(sorted(I), (e for e in g.edges if e[0] in I and e[1] in I))
 
 
-def standardize(h: LabeledGraph) -> tuple[Graph, dict]:
-    """Relabel onto [n] preserving the relative order of labels.
-
-    Returns the standardized graph and the label map old -> new.
-    """
-    mapping = {v: i + 1 for i, v in enumerate(h.vertices)}
-    edges = tuple((mapping[a], mapping[b]) for a, b in h.edges)
-    return Graph(len(h.vertices), edges), mapping
-
-
-def delete(g: Graph, I: Iterable[int]) -> LabeledGraph:
+def delete(g: Graph, I: Iterable[int]) -> tuple[Graph, dict]:
     """Vertex deletion: the induced subgraph on the complement of I."""
     I = _check_vertex_subset(g, I)
     return induced_subgraph(g, set(g.vertices) - I)
 
 
-def contract(g: Graph, I: Iterable[int]) -> LabeledGraph:
-    """The reconnected complement G/I.
+def contract(g: Graph, I: Iterable[int]) -> tuple[Graph, dict]:
+    """The reconnected complement G/I, relabeled onto [n - |I|] in label
+    order, and the label map old -> new.
 
     Surviving vertices i, j are adjacent when {i,j} was an edge of G or when
     both have a neighbor inside one tube of G|_I.  It suffices to test the
@@ -252,8 +227,9 @@ def contract(g: Graph, I: Iterable[int]) -> LabeledGraph:
     inside = sum(1 << v for v in I)
     rest = tuple(v for v in g.vertices if v not in I)
     reach = {i: component(adj, inside, i) for i in rest}
-    edges = tuple((i, j) for i, j in itertools.combinations(rest, 2) if adj[j] & reach[i])
-    return LabeledGraph(rest, edges)
+    return _relabeled(
+        rest, ((i, j) for i, j in itertools.combinations(rest, 2) if adj[j] & reach[i])
+    )
 
 
 def is_tube(g: Graph, I: Iterable[int]) -> bool:
@@ -326,16 +302,15 @@ def dual_graph(g: Graph) -> Graph:
 
 
 def minors(g: Graph) -> list[Graph]:
-    """All standardized graphs reachable by single-vertex deletions and
-    contractions, deduplicated, in BFS order (the graph itself first)."""
+    """All graphs reachable by single-vertex deletions and contractions,
+    deduplicated, in BFS order (the graph itself first)."""
     seen = {g}
     order = [g]
     queue = [g]
     while queue:
         h = queue.pop(0)
         for v in h.vertices:
-            for child_lab in (delete(h, {v}), contract(h, {v})):
-                child, _ = standardize(child_lab)
+            for child, _ in (delete(h, {v}), contract(h, {v})):
                 if child not in seen:
                     seen.add(child)
                     order.append(child)
@@ -463,6 +438,9 @@ def parse_graph(descriptor: str) -> Graph:
         n = int(tail)
     except ValueError:
         raise TubelatError(f"bad vertex count in {descriptor!r}")
+    if n >= sys.maxsize:
+        # tables indexed by vertex have n + 1 entries, which must fit an index
+        raise TubelatError(f"vertex count in {descriptor!r} is not below {sys.maxsize}")
     return parse_family(head)(n)
 
 

@@ -40,7 +40,6 @@ from .graphs import (
     contract,
     induced_subgraph,
     mask_vertices,
-    standardize,
 )
 from .tubings import (
     Tubing,
@@ -235,13 +234,13 @@ def mr_coproduct_sum(a: FormalSum) -> FormalSum:
 def _require_admissible_at(family: GraphFamily, n: int, m: int) -> None:
     """G_{n+m} must restrict to G_n on [n] and to a shift of G_m above it."""
     big = family(n + m)
-    low, _ = standardize(induced_subgraph(big, range(1, n + 1)))
+    low, _ = induced_subgraph(big, range(1, n + 1))
     if low != family(n):
         raise NotAdmissibleAtDegree(
             f"family {family.name!r}: restriction of degree {n+m} to [1..{n}] "
             f"is {low} but the family provides {family(n)}"
         )
-    high, _ = standardize(induced_subgraph(big, range(n + 1, n + m + 1)))
+    high, _ = induced_subgraph(big, range(n + 1, n + m + 1))
     if high != family(m):
         raise NotAdmissibleAtDegree(
             f"family {family.name!r}: restriction of degree {n+m} to "
@@ -357,12 +356,12 @@ def restriction_compatibility_witness(family: GraphFamily, max_degree: int):
         g = family(n)
         for r in range(0, n + 1):
             for I in itertools.combinations(g.vertices, r):
-                sub, _ = standardize(induced_subgraph(g, I))
+                sub, _ = induced_subgraph(g, I)
                 target = family(len(I))
                 extra = set(sub.edges) - set(target.edges)
                 if extra:
                     return (n, I, "restriction", sorted(extra)[0])
-                quo, _ = standardize(contract(g, I))
+                quo, _ = contract(g, I)
                 target = family(n - len(I))
                 extra = set(quo.edges) - set(target.edges)
                 if extra:
@@ -406,6 +405,11 @@ def fiber_sum(h: Graph, g: Graph, x: Tubing) -> FormalSum:
     if h.n != g.n or not set(h.edges) <= set(g.edges):
         raise NotASubgraph(f"{h} is not a subgraph of {g}")
     out = FormalSum("P")
+    if h == g:
+        # coarsening to g itself is the identity on MTub(g): enumerate nothing
+        if x.graph == g and x.is_maximal():
+            out.add_term(x)
+        return out
     for w in _coarsen_fibers(h, g).get(x, ()):
         out.add_term(w)
     return out
@@ -434,18 +438,17 @@ def tubing_coproduct(family: GraphFamily, x: Tubing) -> FormalSum:
         raise SizeMismatch("tubing does not belong to the family at its degree")
     out = FormalSum("P*P")
     for I in ideals(x):
-        sub, _ = standardize(induced_subgraph(g, I))
-        quo, _ = standardize(contract(g, I))
+        low, high = restrict_std(x, I), quotient_std(x, I)
         g_low, g_high = family(len(I)), family(n - len(I))
-        if not set(sub.edges) <= set(g_low.edges) or not set(quo.edges) <= set(
-            g_high.edges
-        ):
+        if not set(low.graph.edges) <= set(g_low.edges) or not set(
+            high.graph.edges
+        ) <= set(g_high.edges):
             raise NotRestrictionCompatible(
                 f"family {family.name!r} is not restriction-compatible at the "
                 f"ideal {sorted(I)} of degree {n}"
             )
-        left = fiber_sum(sub, g_low, restrict_std(x, I))
-        right = fiber_sum(quo, g_high, quotient_std(x, I))
+        left = fiber_sum(low.graph, g_low, low)
+        right = fiber_sum(high.graph, g_high, high)
         for lx, lc in left.terms.items():
             for rx, rc in right.terms.items():
                 out.add_term((lx, rx), lc * rc)

@@ -61,6 +61,10 @@ comp(w_j, P_j & I), is connected, lies in P_j and contains w_j, so it lies
 in T_j and equals comp(w_j, T_j & I).  Coarsening gives psi_h(w), and
 comp_h(w_j, P_j) lies in T_j because h is inside G, so it equals
 comp_h(w_j, T_j).  ``hopf`` reads both maps off ``tube_tree`` this way.
+
+``restrict_std`` and ``quotient_std`` return ``Tubing`` values on the graph
+that ``graphs.induced_subgraph`` or ``graphs.contract`` returns, relabeled
+onto [k] in label order with it: x|_I on G|_I and x/I on G/I.
 """
 
 from __future__ import annotations
@@ -73,7 +77,6 @@ from typing import Iterable, Iterator, Sequence
 from .errors import (
     InvalidForest,
     InvalidTubing,
-    InvalidVertex,
     MaximalTubeNotFlippable,
     NotAnIdeal,
     NotATube,
@@ -81,7 +84,6 @@ from .errors import (
 )
 from .graphs import (
     Graph,
-    LabeledGraph,
     adjacency,
     bits,
     component,
@@ -91,7 +93,6 @@ from .graphs import (
     induced_subgraph,
     is_tube,
     mask_vertices,
-    standardize,
     tube_key,
     tubes,
 )
@@ -148,22 +149,6 @@ class Tubing:
     def from_json_obj(obj: dict) -> "Tubing":
         g = Graph.from_json_obj(obj["graph"])
         return make_tubing(g, [frozenset(t) for t in obj["tubes"]])
-
-
-@dataclass(frozen=True)
-class LabeledTubing:
-    """Tubing of a LabeledGraph, as produced by restriction and quotient."""
-
-    graph: LabeledGraph
-    tubes: tuple[frozenset, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "tubes", canonical_tubes(self.tubes))
-
-
-def standardize_tubing(lt: LabeledTubing) -> Tubing:
-    g, phi = standardize(lt.graph)
-    return Tubing(g, tuple(frozenset(phi[v] for v in t) for t in lt.tubes))
 
 
 def compatible(g: Graph, I: Iterable[int], J: Iterable[int]) -> bool:
@@ -480,21 +465,16 @@ def maximal_tubings_oracle(g: Graph) -> tuple[Tubing, ...]:
     return tuple(sorted(out, key=Tubing.key))
 
 
-def restrict_tubing(x: Tubing, I: Iterable[int]) -> LabeledTubing:
-    """X|_I: components of every I-intersected tube, a tubing of G|_I."""
+def restrict_std(x: Tubing, I: Iterable[int]) -> Tubing:
+    """X|_I: components of every I-intersected tube, a tubing of G|_I,
+    relabeled with it onto [|I|] in label order."""
     g = x.graph
     I = frozenset(I)
-    for v in I:
-        if not (1 <= v <= g.n):
-            raise InvalidVertex(f"vertex {v} out of range")
+    sub, phi = induced_subgraph(g, I)
     out: set = set()
     for t in x.tubes:
         out.update(components_within(g, t & I))
-    return LabeledTubing(induced_subgraph(g, I), tuple(out))
-
-
-def restrict_std(x: Tubing, I: Iterable[int]) -> Tubing:
-    return standardize_tubing(restrict_tubing(x, I))
+    return Tubing(sub, tuple(frozenset(phi[v] for v in c) for c in out))
 
 
 def is_ideal(x: Tubing, I: Iterable[int]) -> bool:
@@ -509,18 +489,14 @@ def is_ideal(x: Tubing, I: Iterable[int]) -> bool:
     return all(c in tset for c in components_within(x.graph, I))
 
 
-def quotient_tubing(x: Tubing, I: Iterable[int]) -> LabeledTubing:
-    """X/I = {J - I : J in X, J not inside I}, a tubing of G/I."""
+def quotient_std(x: Tubing, I: Iterable[int]) -> Tubing:
+    """X/I = {J - I : J in X, J not inside I}, a tubing of G/I, relabeled
+    with it onto [n - |I|] in label order."""
     I = frozenset(I)
     if not is_ideal(x, I):
         raise NotAnIdeal(f"{sorted(I)} is not an ideal of the tubing")
-    q = contract(x.graph, I)
-    ts = {t - I for t in x.tubes if not t <= I}
-    return LabeledTubing(q, tuple(ts))
-
-
-def quotient_std(x: Tubing, I: Iterable[int]) -> Tubing:
-    return standardize_tubing(quotient_tubing(x, I))
+    quo, phi = contract(x.graph, I)
+    return Tubing(quo, tuple(frozenset(phi[v] for v in t - I) for t in x.tubes if not t <= I))
 
 
 def ideals(x: Tubing) -> list[frozenset]:

@@ -37,7 +37,6 @@ from .graphs import (
     is_tube,
     minimal_non_edges,
     component_tubes,
-    standardize,
 )
 from .hopf import (
     FormalSum,
@@ -707,7 +706,7 @@ def ex_prefix_interval_square(max_n=None) -> str:
             for r in range(1, n + 1):
                 for V in itertools.combinations(range(1, n + 1), r):
                     rest = [b for b in range(1, n + 1) if b not in V]
-                    gprime, phi = standardize(induced_subgraph(g, V))
+                    gprime, phi = induced_subgraph(g, V)
                     for head in itertools.permutations(V):
                         w = tuple(head) + tuple(rest)
                         lhs = restrict_std(psi(g, w), V)
@@ -816,8 +815,8 @@ def ex_duality_and_decomposition(max_n=None) -> str:
                 continue
             I = sorted(comps[0])
             rest = sorted(set(g.vertices) - set(I))
-            a, _ = standardize(induced_subgraph(g, I))
-            b, _ = standardize(induced_subgraph(g, rest))
+            a, _ = induced_subgraph(g, I)
+            b, _ = induced_subgraph(g, rest)
             prod = build_lg(a).product(build_lg(b))
             _require(
                 build_lg(g).is_isomorphic_to(prod),
@@ -958,8 +957,8 @@ def ex_cycle_coproduct_example(max_n=None) -> str:
     cop = tubing_coproduct(fam, x)
     by_ideal_multiterm = 0
     for I in idl:
-        sub, _ = standardize(induced_subgraph(c4, I))
-        left = fiber_sum(sub, fam(len(I)), restrict_std(x, I))
+        rx = restrict_std(x, I)
+        left = fiber_sum(rx.graph, fam(len(I)), rx)
         if len(left) > 1:
             by_ideal_multiterm += 1
     _require(

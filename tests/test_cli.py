@@ -205,6 +205,7 @@ def test_annotated_nonlattice_dot(capsys):
 
 BAD_INPUTS = [
     ("tubings", "--graph", "nonsense"),
+    ("tubings", "--graph", "path:99999999999999999999"),  # refused before building
     ("psi", "--graph", "path:3", "--perm", "211"),
     ("tubings",),
     ("arc", "delete", "--arc", "9-2:", "--n", "4", "--k", "1"),
@@ -324,6 +325,36 @@ def test_no_relative_import_inside_functions():
                     if isinstance(node, ast.ImportFrom) and node.level:
                         found.add((path.name, fn.name, "." * node.level + (node.module or "")))
     assert found == {("cli.py", "cmd_verify", ".verify")}
+
+
+def test_no_dead_top_level_definitions():
+    # every top-level function or class of the package is named somewhere
+    # outside its own definition, in src/, tests/ or bench/
+    import ast
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    package = root / "src" / "tubelat"
+    defined, used = set(), set()
+    for path in sorted(p for d in ("src", "tests", "bench") for p in (root / d).rglob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            own = getattr(stmt, "name", None)
+            if path.parent == package and isinstance(
+                stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                defined.add((path.name, own))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                if name != own:
+                    used.add(name)
+    assert sorted((f, n) for f, n in defined if n not in used) == []
 
 
 def test_python_dash_m_runs_the_cli():

@@ -19,6 +19,7 @@ from tubelat.graphs import (
     family_h,
     family_odd_bipartite,
     family_path,
+    parse_family,
     parse_graph,
 )
 from tubelat.hopf import (
@@ -40,7 +41,7 @@ from tubelat.hopf import (
     tubing_coproduct,
     tubing_product,
 )
-from tubelat.hopf import _require_admissible_at, _split_index
+from tubelat.hopf import _coarsen_fibers, _require_admissible_at, _split_index
 from tubelat.tubings import (
     Tubing,
     enumerate_maximal_tubings,
@@ -228,6 +229,34 @@ def test_coarsen_and_fibers():
         assert len(fiber_sum(p3, k3, x)) == len(fibers[x])
     with pytest.raises(NotASubgraph):
         coarsen(k3, enumerate_maximal_tubings(p3)[0])
+
+
+def test_fiber_sum_onto_the_same_graph_matches_the_fibers():
+    # fiber_sum(g, g, x) skips _coarsen_fibers; it must agree with that route
+    for fam in ("path", "complete", "cycle", "empty", "h:2"):
+        for n in range(7):
+            g = parse_family(fam)(n)
+            fibers = _coarsen_fibers(g, g)
+            for x in enumerate_maximal_tubings(g):
+                assert fiber_sum(g, g, x) == FormalSum("P", dict.fromkeys(fibers.get(x, ()), 1))
+    p2 = parse_graph("path:2")
+    not_maximal = Tubing(p2, (frozenset({1, 2}),))
+    of_another_graph = enumerate_maximal_tubings(Graph(2))[0]
+    for x in (not_maximal, of_another_graph):
+        assert fiber_sum(p2, p2, x) == FormalSum("P")
+
+
+def test_tubing_coproduct_at_degree_10_enumerates_nothing():
+    fam = family_complete()
+    w = tuple(range(1, 11))
+    x = psi_tubing(fam(10), w)
+    _coarsen_fibers.cache_clear()
+    cop = tubing_coproduct(fam, x)
+    assert _coarsen_fibers.cache_info().currsize == 0
+    translated = FormalSum("F*F")
+    for (l, r), c in cop.terms.items():
+        translated.add_term((sigma_min(tau(l)), sigma_min(tau(r))), c)
+    assert translated == mr_coproduct(w)
 
 
 def _coarsen_by_walk(h, w):

@@ -33,9 +33,7 @@ from tubelat.tubings import (
     maximal_tubings_oracle,
     psi_tubing,
     quotient_std,
-    quotient_tubing,
     restrict_std,
-    restrict_tubing,
     sigma_max,
     sigma_min,
     tau,
@@ -207,19 +205,18 @@ def test_restrict_examples():
     for x in enumerate_maximal_tubings(K3):
         assert restrict_std(x, {1, 2, 3}) == x
     x = Tubing(P3, (fs(1), fs(1, 2), fs(1, 2, 3)))
-    r = restrict_tubing(x, {1, 3})
-    assert set(r.tubes) == {fs(1), fs(3)}
-    assert restrict_tubing(x, set()).tubes == ()
+    assert restrict_std(x, {1, 3}) == Tubing(Graph(2), (fs(1), fs(2)))
+    assert restrict_std(x, set()) == Tubing(Graph(0), ())
 
 
 def test_quotient_examples():
     x = Tubing(K2, (fs(1), fs(1, 2)))
-    assert quotient_tubing(x, set()).tubes == x.tubes
+    assert quotient_std(x, set()) == x
     q = quotient_std(x, {1})
     assert q.graph == Graph(1)
     assert q.tubes == (fs(1),)
     with pytest.raises(NotAnIdeal):
-        quotient_tubing(x, {2})
+        quotient_std(x, {2})
 
 
 def test_ideals_examples():
