@@ -16,7 +16,7 @@ labels.
 Connectivity is computed on int bitmasks (bit v stands for vertex v), from
 the neighbor masks of ``adjacency`` by ``component``, the one flood fill;
 frozensets are built only at the boundary, for tubes, return values and
-labels.  Only the prefix walk of ``weakorder.psi_map`` merges components.
+labels.  Only the prefix walk of ``tubings.psi_images`` merges components.
 
 Graph families (one graph per degree) live here too: path, complete,
 edge-free, cycle, odd-bipartite, the distance bands H_{k,n}, and the general
@@ -57,6 +57,9 @@ class Graph:
     def __post_init__(self):
         if self.n < 0:
             raise TubelatError("vertex count must be nonnegative")
+        if self.n >= sys.maxsize:
+            # tables indexed by vertex have n + 1 entries, which must fit an index
+            raise TubelatError(f"vertex count {self.n} is not below {sys.maxsize}")
         edges = _normalize_edges(self.edges)
         object.__setattr__(self, "edges", edges)
         for a, b in edges:
@@ -158,9 +161,7 @@ def component(adj: Sequence[int], allowed: int, v: int) -> int:
     """The mask of the vertices joined to v by paths inside the mask
     ``allowed`` (v included), by flood fill over an ``adjacency`` table.
 
-    The one connected-component routine: callers keep vertex sets as masks
-    and build frozensets only at the boundary; only ``weakorder.psi_map``
-    merges components itself."""
+    The one connected-component routine (see the module docstring)."""
     comp = frontier = 1 << v
     while frontier:
         near = 0

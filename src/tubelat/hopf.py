@@ -12,7 +12,8 @@ when it is a distance-set family.  A *restriction-compatible* family also
 carries a coproduct: summing over ideals, each side is pushed into the family
 graph of matching size via the fiber-sum section of the coarsening map.
 Restriction and coarsening follow one rule, proved in the ``tubings``
-module: each tube keeps the component of its top, read off ``tube_tree``.
+module: each tube keeps the component of its top, read off ``tube_tree``;
+``tubings.split_restrictions`` applies it to the product's cut.
 
 All coefficients are exact integers.  Products here are multiplicity-free;
 coproducts are not (distinct ideals may standardize to the same pair), so no
@@ -43,12 +44,12 @@ from .graphs import (
 )
 from .tubings import (
     Tubing,
-    code_index,
     enumerate_maximal_tubings,
     ideals,
     linear_extensions,
     quotient_std,
     restrict_std,
+    split_restrictions,
     tau,
     tube_tree,
 )
@@ -194,10 +195,7 @@ def shuffles(u: Sequence[int], v: Sequence[int]) -> Iterable[tuple[int, ...]]:
 def mr_product(u: Perm, v: Perm) -> FormalSum:
     """F_u . F_v = sum of F_w over shuffles of u with v shifted by |u|."""
     u, v = check_perm(u), check_perm(v)
-    out = FormalSum("F")
-    for w in shuffles(u, shift_word(v, len(u))):
-        out.add_term(w)
-    return out
+    return mr_product_sums(FormalSum("F", {u: 1}), FormalSum("F", {v: 1}))
 
 
 def mr_product_sums(a: FormalSum, b: FormalSum) -> FormalSum:
@@ -211,11 +209,7 @@ def mr_product_sums(a: FormalSum, b: FormalSum) -> FormalSum:
 
 def mr_coproduct(u: Perm) -> FormalSum:
     """Split u into standardized prefix/suffix pairs (n+1 terms)."""
-    u = check_perm(u)
-    out = FormalSum("F*F")
-    for i in range(len(u) + 1):
-        out.add_term((standardize_word(u[:i]), standardize_word(u[i:])))
-    return out
+    return mr_coproduct_sum(FormalSum("F", {check_perm(u): 1}))
 
 
 def mr_coproduct_sum(a: FormalSum) -> FormalSum:
@@ -253,26 +247,12 @@ def _split_index(family: GraphFamily, n: int, m: int) -> dict:
     """(X, Y) -> tuple of Z in MTub(G_{n+m}) restricting to the pair.
 
     Admissibility makes G_{n+m} equal to G_n on [1..n] and to G_m shifted by
-    n above it.  By the restriction rule of ``tubings``, each tube of Z adds
-    the component of its top v in the tube cut to v's side to the code of X
-    among the tubings of G_n (v <= n) or, shifted down by n, to that of Y.
+    n above it, so ``tubings.split_restrictions`` gives each Z's pair.
     """
     _require_admissible_at(family, n, m)
-    big = family(n + m)
-    adj = adjacency(big)
-    low_bit, low = code_index(family(n), enumerate_maximal_tubings(family(n)))
-    high_bit, high = code_index(family(m), enumerate_maximal_tubings(family(m)))
-    below = (2 << n) - 2
     index: dict = {}
-    for z in enumerate_maximal_tubings(big):
-        tops, _, masks = tube_tree(z)
-        left = right = 0
-        for v, t in zip(tops, masks):
-            if v <= n:
-                left |= low_bit[component(adj, t & below, v)]
-            else:
-                right |= high_bit[component(adj, t & ~below, v) >> n]
-        index.setdefault((low[left], high[right]), []).append(z)
+    for z, x, y in split_restrictions(family(n + m), n):
+        index.setdefault((x, y), []).append(z)
     return {k: tuple(v) for k, v in index.items()}
 
 

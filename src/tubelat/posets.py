@@ -16,15 +16,12 @@ kappa map exists on every join-irreducible and its dual on every
 meet-irreducible, one bitmask probe each; a lattice that fails is searched
 for its first violating triple with one probe per element and z.
 
-``build_lg`` assembles the poset L_G of maximal tubings: covers are the
-flips oriented by comparing tops, the transitive closure is computed rather
-than assumed, and acyclicity plus irredundancy of covers are verified on
-construction (the orientation is induced by a linear functional, so a cycle
-or a redundant edge would indicate a flip bug).  Each cover is found once,
-from its lower end, among the ``oriented_flips`` that go up; its upper
-end's code (``tubings.code_index``) is the lower end's with the bits of I and
-J toggled, so no tubing or tube set is built per flip.  ``all_tubings``
-lists the faces as the cliques of the per-graph ``compatibility_masks`` table.
+``build_lg`` assembles the poset L_G of maximal tubings: its covers are the
+``tubings.flips`` that go up, each found once from its lower end, and
+acyclicity plus irredundancy of covers are verified on construction (the
+orientation is induced by a linear functional, so a cycle or a redundant
+edge would indicate a flip bug).  ``all_tubings`` lists the faces as the
+cliques of the per-graph ``compatibility_masks`` table.
 """
 
 from __future__ import annotations
@@ -35,9 +32,7 @@ from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .errors import ElementNotFound, NotALattice, NotComparable, TubelatError
 from .graphs import Graph, bits, tubes
-from .tubings import (
-    Tubing, code_index, compatibility_masks, enumerate_maximal_tubings, make_tubing, oriented_flips
-)
+from .tubings import Tubing, compatibility_masks, enumerate_maximal_tubings, flips, make_tubing
 
 
 class Poset:
@@ -427,17 +422,8 @@ def _isomorphic(p: Poset, q: Poset) -> bool:
 
 
 def build_lg(g: Graph) -> Poset:
-    """The poset of maximal tubings; its covers are the ``oriented_flips``
-    that go up, each found from its lower end by code."""
-    elements = enumerate_maximal_tubings(g)
-    bit, by_code = code_index(g, elements)
-    covers = [
-        (x, by_code[code ^ bit[I] ^ bit[J]])
-        for code, x in by_code.items()
-        for I, J, a, b in oriented_flips(x)
-        if a < b
-    ]
-    return Poset(elements, covers)
+    """The poset of maximal tubings; its covers are the ``flips`` that go up."""
+    return Poset(enumerate_maximal_tubings(g), [(x, y) for x, y, a, b in flips(g) if a < b])
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,10 @@ components of what is left.  It works on *codes* (bit k is set iff
 disjoint components, is an OR.  Sorting the codes by their set-bit positions
 sorts the tubings by ``Tubing.key``: ``tubes(g)`` is in ``tube_key`` order,
 so k -> tube_key(tubes(g)[k]) is strictly increasing, and it maps a code's
-sorted positions, n of them, entry by entry onto the key.
+sorted positions, n of them, entry by entry onto the key.  The format is
+known only here: the enumerator keeps one table per graph (tube mask -> bit,
+code -> tubing), and ``flips``, ``psi_images`` and ``split_restrictions``
+answer in tubings, finding each by its code there.
 ``psi_tubing``, the surjection from words, and ``maximal_tubings_oracle``, a
 clique search over the per-graph table ``compatibility_masks``, are
 independent routes to the same set.
@@ -60,7 +63,8 @@ Restricting psi_G(w) to I gives psi_{G|I}(w|_I); each of its tubes,
 comp(w_j, P_j & I), is connected, lies in P_j and contains w_j, so it lies
 in T_j and equals comp(w_j, T_j & I).  Coarsening gives psi_h(w), and
 comp_h(w_j, P_j) lies in T_j because h is inside G, so it equals
-comp_h(w_j, T_j).  ``hopf`` reads both maps off ``tube_tree`` this way.
+comp_h(w_j, T_j).  ``split_restrictions`` and ``hopf.coarsen`` read the two
+maps off ``tube_tree`` this way.
 
 ``restrict_std`` and ``quotient_std`` return ``Tubing`` values on the graph
 that ``graphs.induced_subgraph`` or ``graphs.contract`` returns, relabeled
@@ -81,6 +85,7 @@ from .errors import (
     NotAnIdeal,
     NotATube,
     TubeNotInTubing,
+    TubelatError,
 )
 from .graphs import (
     Graph,
@@ -104,7 +109,10 @@ def canonical_tubes(ts: Iterable[frozenset]) -> tuple[frozenset, ...]:
 
 @dataclass(frozen=True)
 class Tubing:
-    """A set of pairwise compatible tubes, canonically ordered."""
+    """A set of pairwise compatible tubes, canonically ordered.  The
+    constructor validates nothing: ``make_tubing`` and JSON input do, and
+    ``tube_tree``, ``hopf.coarsen``, ``hopf.fiber_sum`` and the code table
+    trust it."""
 
     graph: Graph
     tubes: tuple[frozenset, ...]
@@ -378,31 +386,52 @@ def psi_tubing(g: Graph, word: Sequence[int]) -> Tubing:
     return Tubing(g, tuple(ts))
 
 
-def tube_bits(g: Graph) -> dict:
-    """Each tube of g, as a frozenset and as a mask -> its bit in a code."""
-    bit: dict = {}
-    for k, t in enumerate(tubes(g)):
-        bit[t] = bit[sum(1 << v for v in t)] = 1 << k
-    return bit
+def psi_images(g: Graph) -> list[Tubing]:
+    """``psi_tubing(g, w)`` for every word w of [n], in lexicographic order,
+    as the objects of ``enumerate_maximal_tubings``: one walk over word
+    prefixes keeps each prefix's components as masks, shared by every word
+    that extends it (so the merge stays inline, not in ``graphs.component``),
+    and each leaf's code picks its tubing."""
+    adj = adjacency(g)
+    bit, by_code = _code_table(g)
+    images: list = []
 
+    def walk(rest: int, comps: list, code: int) -> None:
+        if not rest:
+            x = by_code.get(code)
+            if x is None:
+                w = next(itertools.islice(itertools.permutations(g.vertices), len(images), None))
+                w = ("," if g.n > 9 else "").join(map(str, w))
+                raise TubelatError(f"psi({w}) is not an enumerated maximal tubing of {g}")
+            images.append(x)
+            return
+        todo = rest
+        while todo:
+            vbit = todo & -todo
+            todo ^= vbit
+            near = adj[vbit.bit_length() - 1]
+            after = [vbit]  # the new tube, then the components it does not touch
+            for c in comps:
+                if c & near:
+                    after[0] |= c
+                else:
+                    after.append(c)
+            walk(rest ^ vbit, after, code | bit[after[0]])
 
-def code_index(g: Graph, xs: Iterable[Tubing]) -> tuple[dict, dict]:
-    """``tube_bits(g)``, and code -> tubing for the tubings xs of g."""
-    bit = tube_bits(g)
-    return bit, {sum(bit[t] for t in x.tubes): x for x in xs}
+    walk((2 << g.n) - 2, [], 0)
+    return images
 
 
 @lru_cache(maxsize=None)
-def enumerate_maximal_tubings(g: Graph) -> tuple[Tubing, ...]:
-    """All maximal tubings, sorted by ``Tubing.key``.
-
-    A maximal tubing of a connected vertex set C picks a root r, the top of
-    the tube C, and recurses on the components of C - {r}; a disconnected
-    set combines one maximal tubing of each component.  Subsets are
-    memoized as lists of codes, so each is decomposed once.
-    """
+def _code_table(g: Graph) -> tuple[dict, dict]:
+    """The code table of g: tube mask -> its bit, and code -> maximal tubing
+    in ``Tubing.key`` order.  A maximal tubing of a connected set C picks a
+    root r, the top of the tube C, and recurses on the components of C - {r};
+    a disconnected set combines one maximal tubing of each component.  Each
+    subset is decomposed once, its codes memoized."""
     adj = adjacency(g)
-    bit = tube_bits(g)
+    ts = tubes(g)
+    bit = {sum(1 << v for v in t): 1 << k for k, t in enumerate(ts)}
     memo: dict = {}
 
     def rec(S: int) -> list[int]:
@@ -419,9 +448,46 @@ def enumerate_maximal_tubings(g: Graph) -> tuple[Tubing, ...]:
             memo[S] = combos
         return memo[S]
 
-    ts = tubes(g)
-    positions = sorted(tuple(bits(code)) for code in rec((2 << g.n) - 2))
-    return tuple(Tubing(g, tuple(ts[k] for k in ks)) for ks in positions)
+    ranked = sorted((tuple(bits(code)), code) for code in rec((2 << g.n) - 2))
+    return bit, {code: Tubing(g, tuple(ts[k] for k in ks)) for ks, code in ranked}
+
+
+@lru_cache(maxsize=None)
+def enumerate_maximal_tubings(g: Graph) -> tuple[Tubing, ...]:
+    """All maximal tubings, sorted by ``Tubing.key``: the tubings of the
+    code table, as the same objects."""
+    return tuple(_code_table(g)[1].values())
+
+
+def flips(g: Graph) -> Iterator[tuple[Tubing, Tubing, int, int]]:
+    """(x, y, a, b) for every flip of every maximal tubing x of g, in
+    enumeration order: y is x with I exchanged for J, a = top(I) and
+    b = top(J) as ``oriented_flips`` yields them; x < y in L_G iff a < b.
+    y is found by code, so no tubing or tube set is built per flip."""
+    bit, by_code = _code_table(g)
+    for code, x in by_code.items():
+        for I, J, a, b in oriented_flips(x):
+            yield x, by_code[code ^ bit[I] ^ bit[J]], a, b
+
+
+def split_restrictions(g: Graph, n: int) -> Iterator[tuple[Tubing, Tubing, Tubing]]:
+    """(z, restrict_std(z, [1..n]), restrict_std(z, [n+1..N])) for every
+    maximal tubing z of g on [N].  By the restriction rule, each tube t of z
+    with top v adds the component of v in t cut to v's side to the code of
+    the left restriction (v <= n) or, shifted down by n, of the right one."""
+    adj = adjacency(g)
+    low_bit, low_by_code = _code_table(induced_subgraph(g, range(1, n + 1))[0])
+    high_bit, high_by_code = _code_table(induced_subgraph(g, range(n + 1, g.n + 1))[0])
+    below = (2 << n) - 2
+    for z in enumerate_maximal_tubings(g):
+        tops, _, masks = tube_tree(z)
+        left = right = 0
+        for v, t in zip(tops, masks):
+            if v <= n:
+                left |= low_bit[component(adj, t & below, v)]
+            else:
+                right |= high_bit[component(adj, t & ~below, v) >> n]
+        yield z, low_by_code[left], high_by_code[right]
 
 
 def maximal_tubings_oracle(g: Graph) -> tuple[Tubing, ...]:
@@ -590,8 +656,9 @@ def flip(x: Tubing, I: Iterable[int]) -> tuple[Tubing, frozenset]:
         raise InvalidTubing("flip requires a maximal tubing")
     if I not in x:
         raise TubeNotInTubing(f"{sorted(I)} not in tubing")
+    mask = sum(1 << v for v in I)
     for old, J, _, _ in oriented_flips(x):
-        if old == I:
+        if old == mask:
             J = mask_vertices(J)
             return Tubing(x.graph, tuple(t for t in x.tubes if t != I) + (J,)), J
     raise MaximalTubeNotFlippable(
@@ -619,9 +686,9 @@ def flip_by_search(x: Tubing, I: Iterable[int]) -> tuple[Tubing, frozenset]:
     return Tubing(x.graph, tuple(rest) + (J,)), J
 
 
-def oriented_flips(x: Tubing) -> Iterator[tuple[frozenset, int, int, int]]:
+def oriented_flips(x: Tubing) -> Iterator[tuple[int, int, int, int]]:
     """Yield (I, J, a, b) for every flippable tube I of the maximal tubing x,
-    with J as a vertex mask.
+    with I and J as vertex masks.
 
     Let K be the smallest tube of x strictly containing I, a = top(I) and
     b = top(K); then J is the component of b in G restricted to K - {a}, and
@@ -638,7 +705,7 @@ def oriented_flips(x: Tubing) -> Iterator[tuple[frozenset, int, int, int]]:
     for i, j in enumerate(up):
         if j >= 0:
             a, b = tops[i], tops[j]
-            yield x.tubes[i], masks[j] ^ 1 << a ^ cut[i], a, b
+            yield masks[i], masks[j] ^ 1 << a ^ cut[i], a, b
 
 
 def vertex_coordinates(x: Tubing) -> tuple[int, ...]:

@@ -19,6 +19,7 @@ import traceback
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from .errors import TubelatError
 from .graphs import (
     Graph,
     GraphFamily,
@@ -63,16 +64,15 @@ from .tubings import (
     Tubing,
     ascents,
     chi,
-    code_index,
     descents,
     enumerate_maximal_tubings,
     flip,
     flip_by_search,
+    flips,
     forest_inversions,
     ideals,
     linear_extensions,
     maximal_tubings_oracle,
-    oriented_flips,
     psi_tubing,
     quotient_std,
     restrict_std,
@@ -767,22 +767,18 @@ def ex_lg_structure_sweep(max_n=None) -> str:
                 f"cover/descent/ascent counts differ for {g}",
             )
             lam = lambda v: sum((n - idx) * v[idx] for idx in range(n))
-            bit, by_code = code_index(g, lg.elements)
-            coords = {code: vertex_coordinates(x) for code, x in by_code.items()}
-            for code, x in by_code.items():
-                vx = coords[code]
-                for I, J, i_t, j_t in oriented_flips(x):
-                    vy = coords[code ^ bit[I] ^ bit[J]]
-                    diff = [a - b for a, b in zip(vy, vx)]
-                    scale = diff[i_t - 1]
-                    expected = [0] * n
-                    expected[i_t - 1] = scale
-                    expected[j_t - 1] = -scale
-                    if diff != expected:
-                        raise VerifyFailure(f"flip difference not c(e_i - e_j) at {g}")
-                    _require(scale > 0, "flip difference must gain on the leaving top")
-                    if i_t < j_t and not lam(vy) > lam(vx):
-                        raise VerifyFailure(f"lambda orientation fails at {g}")
+            coords = {x: vertex_coordinates(x) for x in lg.elements}
+            for x, y, i_t, j_t in flips(g):
+                diff = [a - b for a, b in zip(coords[y], coords[x])]
+                scale = diff[i_t - 1]
+                expected = [0] * n
+                expected[i_t - 1] = scale
+                expected[j_t - 1] = -scale
+                if diff != expected:
+                    raise VerifyFailure(f"flip difference not c(e_i - e_j) at {g}")
+                _require(scale > 0, "flip difference must gain on the leaving top")
+                if i_t < j_t and not lam(coords[y]) > lam(coords[x]):
+                    raise VerifyFailure(f"lambda orientation fails at {g}")
             graphs += 1
     return f"{graphs} graphs: unique extrema, covers=descents=ascents, lambda-monotone flips"
 
@@ -1065,6 +1061,8 @@ def run_suite(
         checks = list(ACCEPTANCE_CHECKS) + list(EXAMPLE_CHECKS)
     else:
         raise ValueError(f"unknown suite {suite!r}")
+    if max_n is not None and max_n < 0:
+        raise TubelatError(f"--max-n must be nonnegative, not {max_n}")
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 

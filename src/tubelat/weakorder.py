@@ -16,8 +16,6 @@ The canonical surjection ``psi`` onto maximal tubings lives here as well,
 together with the derived notions: G-permutations, the projection pi_down for
 right-filled graphs, the congruence of a filled graph generated by positive
 arcs over minimal non-edges, and the translational/insertional family checks.
-``psi_map`` takes S_n in one bitmask walk over word prefixes onto the
-tubings ``enumerate_maximal_tubings`` holds, by code, building none per word.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ from .graphs import (
     minimal_non_edges,
 )
 from .posets import Poset, build_lg
-from .tubings import Tubing, code_index, enumerate_maximal_tubings, psi_tubing, sigma_min, tau
+from .tubings import Tubing, psi_images, psi_tubing, sigma_min, tau
 
 Perm = tuple[int, ...]
 
@@ -519,40 +517,9 @@ def psi(g: Graph, w: Sequence[int]) -> Tubing:
 @lru_cache(maxsize=None)
 def psi_map(g: Graph) -> dict:
     """w -> psi(w) for every w in S_n, in ``permutations`` order (cached per
-    graph).  One depth-first walk over word prefixes keeps the components of
-    the prefix as bitmasks, placing v merges v with those it touches, and each
-    leaf's code (``tubings.code_index``) picks its value among the tubings.
-
-    The merge stays inline, not in ``graphs.component``: the components of a
-    prefix serve every word that extends it, so the n! leaves share them."""
-    perms = permutations(g.n)
-    adj = adjacency(g)
-    bit, by_code = code_index(g, enumerate_maximal_tubings(g))
-    images: list = []
-
-    def walk(rest: int, comps: list, code: int) -> None:
-        if not rest:
-            x = by_code.get(code)
-            if x is None:
-                w = format_perm(perms[len(images)])
-                raise TubelatError(f"psi({w}) is not an enumerated maximal tubing of {g}")
-            images.append(x)
-            return
-        todo = rest
-        while todo:
-            vbit = todo & -todo
-            todo ^= vbit
-            near = adj[vbit.bit_length() - 1]
-            after = [vbit]  # the new tube, then the components it does not touch
-            for c in comps:
-                if c & near:
-                    after[0] |= c
-                else:
-                    after.append(c)
-            walk(rest ^ vbit, after, code | bit[after[0]])
-
-    walk(sum(1 << v for v in g.vertices), [], 0)
-    return dict(zip(perms, images))
+    graph), by ``tubings.psi_images``, one object per tubing; S_n is refused
+    for n >= 10 before that walk."""
+    return dict(zip(permutations(g.n), psi_images(g)))
 
 
 @lru_cache(maxsize=None)

@@ -224,6 +224,8 @@ BAD_INPUTS = [
     ("tubings", "--graph-file", {"n": 3}),
     ("tubings", "--graph-file", {"n": 3, "edges": 5}),
     ("tubings", "--graph-file", {"n": 3, "edges": [[1, 2.5]]}),
+    ("tubings", "--graph-file", {"n": 10**20, "edges": []}),  # no vertex table fits
+    ("verify", "--suite", "acceptance", "--max-n", "-1"),
 ]
 
 
@@ -355,6 +357,68 @@ def test_no_dead_top_level_definitions():
                 if name != own:
                     used.add(name)
     assert sorted((f, n) for f, n in defined if n not in used) == []
+
+
+def test_code_table_is_named_only_in_tubings():
+    # the maximal-tubing code format is a decision of the tubings module
+    import ast
+    from pathlib import Path
+
+    import tubelat
+
+    named = set()
+    for path in sorted(Path(tubelat.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, ast.alias):
+                name = node.name
+            if name in ("_code_table", "code_index", "tube_bits"):
+                named.add((path.name, name))
+    assert named == {("tubings.py", "_code_table")}
+
+
+def test_benchmark_clear_caches_empties_every_cache(monkeypatch):
+    # every benchmark pass starts cold only if clear_caches reaches every
+    # lru_cache of the package
+    import importlib
+    import importlib.util
+    import pkgutil
+    import sys
+    from pathlib import Path
+
+    import tubelat
+    from tubelat.graphs import parse_family, parse_graph
+    from tubelat.hopf import tubing_coproduct, tubing_product
+    from tubelat.tubings import enumerate_maximal_tubings
+    from tubelat.verify import run_suite
+    from tubelat.weakorder import lattice_map_report
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    modules = [
+        importlib.import_module(f"tubelat.{m.name}")
+        for m in pkgutil.iter_modules(tubelat.__path__)
+        if m.name != "__main__"
+    ]
+    caches = {
+        (mod.__name__, name): obj
+        for mod in modules
+        for name, obj in vars(mod).items()
+        if callable(getattr(obj, "cache_info", None))
+    }
+    fam = parse_family("path")
+    x = enumerate_maximal_tubings(fam(2))[0]
+    tubing_product(fam, x, x)
+    tubing_coproduct(fam, enumerate_maximal_tubings(fam(3))[-1])
+    lattice_map_report(parse_graph("cycle:4"))
+    run_suite("acceptance", max_n=3)
+    assert any(c.cache_info().currsize for c in caches.values())
+    workloads.clear_caches()
+    assert sorted(k for k, c in caches.items() if c.cache_info().currsize) == []
+    assert all(callable(getattr(f, "cache_info", None)) for f in workloads.CACHES.values())
 
 
 def test_python_dash_m_runs_the_cli():

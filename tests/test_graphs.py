@@ -252,6 +252,14 @@ def test_graph_text_and_json_round_trip():
         assert Graph.from_json_obj(g.to_json_obj()) == g
 
 
+def test_graph_refuses_a_vertex_count_past_an_index():
+    # tables indexed by vertex have n + 1 entries
+    with pytest.raises(TubelatError, match="not below"):
+        Graph.from_text("100000000000000000000\n")
+    with pytest.raises(TubelatError, match="not below"):
+        Graph.from_json_obj({"n": 10**20, "edges": []})
+
+
 def test_odd_bipartite_is_complete_bipartite():
     g = family_odd_bipartite()(6)
     odds = {1, 3, 5}

@@ -13,7 +13,15 @@ from tubelat.errors import (
     NotATube,
     TubeNotInTubing,
 )
-from tubelat.graphs import Graph, all_graphs, component_tubes, is_tube, parse_graph, tubes
+from tubelat.graphs import (
+    Graph,
+    all_graphs,
+    component_tubes,
+    induced_subgraph,
+    is_tube,
+    parse_graph,
+    tubes,
+)
 from tubelat.tubings import (
     GForest,
     Tubing,
@@ -25,6 +33,7 @@ from tubelat.tubings import (
     enumerate_maximal_tubings,
     flip,
     flip_by_search,
+    flips,
     forest_inversions,
     ideals,
     is_ideal,
@@ -36,6 +45,7 @@ from tubelat.tubings import (
     restrict_std,
     sigma_max,
     sigma_min,
+    split_restrictions,
     tau,
     top,
     tube_tree,
@@ -209,6 +219,24 @@ def test_restrict_examples():
     assert restrict_std(x, set()) == Tubing(Graph(0), ())
 
 
+def test_split_restrictions_match_restrict_std():
+    # the restriction rule by code, against the frozenset route, returning
+    # the enumerated objects of both sides of the cut
+    for g in [*(g for n in range(5) for g in all_graphs(n)), parse_graph("cycle:6")]:
+        for n in range(g.n + 1):
+            sides = [range(1, n + 1), range(n + 1, g.n + 1)]
+            known = [
+                {id(w) for w in enumerate_maximal_tubings(induced_subgraph(g, s)[0])}
+                for s in sides
+            ]
+            seen = []
+            for z, *parts in split_restrictions(g, n):
+                seen.append(z)
+                for part, s, ids in zip(parts, sides, known):
+                    assert part == restrict_std(z, s) and id(part) in ids, (g, n)
+            assert seen == list(enumerate_maximal_tubings(g)), (g, n)
+
+
 def test_quotient_examples():
     x = Tubing(K2, (fs(1), fs(1, 2)))
     assert quotient_std(x, set()) == x
@@ -369,6 +397,27 @@ def test_flip_matches_search_everywhere_small():
                 if t in comps:
                     continue
                 assert flip(x, t) == flip_by_search(x, t)
+
+
+def test_flips_match_flip_by_search():
+    # every flip of every maximal tubing exactly once, to the searched tubing
+    graphs = [g for n in range(5) for g in all_graphs(n)]
+    for g in graphs + [parse_graph("cycle:5"), parse_graph("complete:5")]:
+        xs = enumerate_maximal_tubings(g)
+        expected = {
+            (x, I): flip_by_search(x, I)
+            for x in xs
+            for I in x.tubes
+            if I not in component_tubes(g)
+        }
+        seen = []
+        for x, y, a, b in flips(g):
+            (I,) = set(x.tubes) - set(y.tubes)
+            searched, J = expected[(x, I)]
+            assert y == searched and y is xs[xs.index(y)], g
+            assert (a, b) == (top(x, I), top(y, J)), g
+            seen.append((x, I))
+        assert len(seen) == len(expected) and set(seen) == set(expected), g
 
 
 def test_vertex_coordinates_examples():

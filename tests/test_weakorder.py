@@ -213,6 +213,13 @@ def test_psi_map_matches_psi_tubing_random(g):
     _assert_psi_map_is_psi_tubing(g)
 
 
+def test_psi_map_values_are_enumerated_objects():
+    # contracted_arcs_of_graph compares fibers with ``is``
+    for g in [*(g for n in range(5) for g in all_graphs(n)), parse_graph("cycle:6")]:
+        enumerated = {id(x) for x in enumerate_maximal_tubings(g)}
+        assert all(id(x) in enumerated for x in psi_map(g).values()), g
+
+
 def test_psi_fibers_are_sorted_tuples():
     for g in all_graphs(5):
         fibers = psi_fibers(g)
@@ -235,12 +242,14 @@ def test_permutations_refuse_n_from_10_before_building():
 
 
 def test_psi_map_names_a_word_missing_from_the_enumeration(monkeypatch):
-    from tubelat import weakorder
+    from tubelat import tubings
 
     g = parse_graph("cycle:4")
     full = enumerate_maximal_tubings(g)
     first = next(w for w in permutations(4) if psi_tubing(g, w) == full[0])
-    monkeypatch.setattr(weakorder, "enumerate_maximal_tubings", lambda h: full[1:])
+    bit, by_code = tubings._code_table(g)
+    rest = {code: x for code, x in by_code.items() if x is not full[0]}
+    monkeypatch.setattr(tubings, "_code_table", lambda h: (bit, rest))
     psi_map.cache_clear()
     try:
         with pytest.raises(TubelatError, match=f"psi\\({format_perm(first)}\\)"):
