@@ -24,15 +24,15 @@ is an edge between the ideals of c and c'.
 
 ``enumerate_maximal_tubings`` builds every maximal tubing from one fact: a
 maximal tubing of a connected set picks a root and recurses on the
-components of what is left.  It works on *codes* (bit k is set iff
-``tubes(g)[k]`` is a tube), so adding a tube, or joining the tubings of
-disjoint components, is an OR.  Sorting the codes by their set-bit positions
-sorts the tubings by ``Tubing.key``: ``tubes(g)`` is in ``tube_key`` order,
-so k -> tube_key(tubes(g)[k]) is strictly increasing, and it maps a code's
-sorted positions, n of them, entry by entry onto the key.  The format is
-known only here: the enumerator keeps one table per graph (tube mask -> bit,
-code -> tubing), and ``flips``, ``psi_images`` and ``split_restrictions``
-answer in tubings, finding each by its code there.
+components of what is left.  It works on *codes* (of the m tubes of g,
+``tubes(g)[k]`` holds bit m - 1 - k), so adding a tube, or joining the
+tubings of disjoint components, is an OR.  Descending codes are ascending
+``Tubing.key``: ``tubes(g)`` is in ``tube_key`` order, so two maximal
+tubings (n tubes each) compare as their sorted tube indices, and the lower
+one holds the least index where they differ, the highest differing bit.
+Only this module knows the format: the enumerator keeps one table per graph
+(tube mask -> bit, code -> tubing), and ``flips``, ``psi_images`` and
+``split_restrictions`` answer in tubings, finding each by code there.
 ``psi_tubing``, the surjection from words, and ``maximal_tubings_oracle``, a
 clique search over the per-graph table ``compatibility_masks``, are
 independent routes to the same set.
@@ -430,8 +430,8 @@ def _code_table(g: Graph) -> tuple[dict, dict]:
     a disconnected set combines one maximal tubing of each component.  Each
     subset is decomposed once, its codes memoized."""
     adj = adjacency(g)
-    ts = tubes(g)
-    bit = {sum(1 << v for v in t): 1 << k for k, t in enumerate(ts)}
+    rev = tubes(g)[::-1]  # bit j stands for rev[j] (see the module docstring)
+    bit = {sum(1 << v for v in t): 1 << j for j, t in enumerate(rev)}
     memo: dict = {}
 
     def rec(S: int) -> list[int]:
@@ -448,8 +448,8 @@ def _code_table(g: Graph) -> tuple[dict, dict]:
             memo[S] = combos
         return memo[S]
 
-    ranked = sorted((tuple(bits(code)), code) for code in rec((2 << g.n) - 2))
-    return bit, {code: Tubing(g, tuple(ts[k] for k in ks)) for ks, code in ranked}
+    codes = sorted(rec((2 << g.n) - 2), reverse=True)
+    return bit, {code: Tubing(g, tuple(rev[j] for j in bits(code))) for code in codes}
 
 
 @lru_cache(maxsize=None)
