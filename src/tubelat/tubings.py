@@ -28,8 +28,8 @@ components of what is left.  It works on *codes* (of the m tubes of g,
 ``tubes(g)[k]`` holds bit m - 1 - k), so adding a tube, or joining the
 tubings of disjoint components, is an OR.  Descending codes are ascending
 ``Tubing.key``: ``tubes(g)`` is in ``tube_key`` order, so two maximal
-tubings (n tubes each) compare as their sorted tube indices, and the lower
-one holds the least index where they differ, the highest differing bit.
+tubings (n tubes each) compare as their sorted tube indices; the lower one
+holds the least index where they differ, so its code is the larger.
 Only this module knows the format: the enumerator keeps one table per graph
 (tube mask -> bit, code -> tubing), and ``flips``, ``psi_images`` and
 ``split_restrictions`` answer in tubings, finding each by code there.
