@@ -28,8 +28,10 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import (
     InvalidTubing,
+    InvalidVertex,
     NotAdmissibleAtDegree,
     NotASubgraph,
+    NotATube,
     NotRestrictionCompatible,
     SizeMismatch,
 )
@@ -47,6 +49,7 @@ from .tubings import (
     enumerate_maximal_tubings,
     ideals,
     linear_extensions,
+    make_tubing,
     quotient_std,
     restrict_std,
     split_restrictions,
@@ -284,8 +287,6 @@ def associativity_witness(family: GraphFamily, max_degree: int):
         for a in range(1, total - 1):
             for b in range(1, total - a):
                 c = total - a - b
-                if c < 1:
-                    continue
                 xs = enumerate_maximal_tubings(family(a))
                 ys = enumerate_maximal_tubings(family(b))
                 zs = enumerate_maximal_tubings(family(c))
@@ -384,15 +385,22 @@ def fiber_sum(h: Graph, g: Graph, x: Tubing) -> FormalSum:
     """c_h^g(P_x): the sum of P_w over maximal tubings of g coarsening to x."""
     if h.n != g.n or not set(h.edges) <= set(g.edges):
         raise NotASubgraph(f"{h} is not a subgraph of {g}")
-    out = FormalSum("P")
     if h == g:
-        # coarsening to g itself is the identity on MTub(g): enumerate nothing
-        if x.graph == g and x.is_maximal():
-            out.add_term(x)
-        return out
-    for w in _coarsen_fibers(h, g).get(x, ()):
-        out.add_term(w)
-    return out
+        # _fiber trusts x's tubes: check them as make_tubing does
+        try:
+            make_tubing(g, x.tubes)
+        except (InvalidVertex, NotATube, InvalidTubing):
+            return FormalSum("P")
+    return FormalSum("P", dict.fromkeys(_fiber(h, g, x), 1))
+
+
+def _fiber(h: Graph, g: Graph, x: Tubing) -> tuple[Tubing, ...]:
+    """The maximal tubings of g coarsening to x, trusting x's tubes (h is a
+    subgraph of g on [n]).  ``tubing_coproduct`` reads its fibers here, as
+    restrictions and quotients of a maximal tubing are maximal tubings."""
+    if h == g:  # the identity on MTub(g): enumerate nothing
+        return (x,) if x.graph == g and x.is_maximal() else ()
+    return _coarsen_fibers(h, g).get(x, ())
 
 
 def embed_c(x: Tubing) -> FormalSum:
@@ -427,11 +435,9 @@ def tubing_coproduct(family: GraphFamily, x: Tubing) -> FormalSum:
                 f"family {family.name!r} is not restriction-compatible at the "
                 f"ideal {sorted(I)} of degree {n}"
             )
-        left = fiber_sum(low.graph, g_low, low)
-        right = fiber_sum(high.graph, g_high, high)
-        for lx, lc in left.terms.items():
-            for rx, rc in right.terms.items():
-                out.add_term((lx, rx), lc * rc)
+        for lx in _fiber(low.graph, g_low, low):
+            for rx in _fiber(high.graph, g_high, high):
+                out.add_term((lx, rx))
     return out
 
 

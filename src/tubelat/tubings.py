@@ -29,7 +29,8 @@ components of what is left.  It works on *codes* (of the m tubes of g,
 tubings of disjoint components, is an OR.  Descending codes are ascending
 ``Tubing.key``: ``tubes(g)`` is in ``tube_key`` order, so two maximal
 tubings (n tubes each) compare as their sorted tube indices; the lower one
-holds the least index where they differ, so its code is the larger.
+holds the least index where they differ, so its code is the larger.  Read
+highest bit first, a code's tubes come in ``tube_key`` order, with no sort.
 Only this module knows the format: the enumerator keeps one table per graph
 (tube mask -> bit, code -> tubing), and ``flips``, ``psi_images`` and
 ``split_restrictions`` answer in tubings, finding each by code there.
@@ -109,10 +110,11 @@ def canonical_tubes(ts: Iterable[frozenset]) -> tuple[frozenset, ...]:
 
 @dataclass(frozen=True)
 class Tubing:
-    """A set of pairwise compatible tubes, canonically ordered.  The
-    constructor validates nothing: ``make_tubing`` and JSON input do, and
-    ``tube_tree``, ``hopf.coarsen``, ``hopf.fiber_sum`` and the code table
-    trust it."""
+    """A set of pairwise compatible tubes, canonically ordered: ``Tubing(...)``
+    sorts and dedupes them; only the code table, whose tubes come distinct and
+    in order, skips that through ``_sorted_tubing``.  Neither validates:
+    ``make_tubing``, JSON input and ``hopf.fiber_sum`` do, and ``tube_tree``
+    and ``hopf.coarsen`` trust the tubes."""
 
     graph: Graph
     tubes: tuple[frozenset, ...]
@@ -157,6 +159,15 @@ class Tubing:
     def from_json_obj(obj: dict) -> "Tubing":
         g = Graph.from_json_obj(obj["graph"])
         return make_tubing(g, [frozenset(t) for t in obj["tubes"]])
+
+
+def _sorted_tubing(g: Graph, ts: tuple[frozenset, ...]) -> Tubing:
+    """``Tubing(g, ts)`` with no sort, for ts distinct and in ``tube_key`` order."""
+    x = object.__new__(Tubing)
+    object.__setattr__(x, "graph", g)
+    object.__setattr__(x, "tubes", ts)
+    object.__setattr__(x, "_hash", hash((g, ts)))
+    return x
 
 
 def compatible(g: Graph, I: Iterable[int], J: Iterable[int]) -> bool:
@@ -425,10 +436,10 @@ def psi_images(g: Graph) -> list[Tubing]:
 @lru_cache(maxsize=None)
 def _code_table(g: Graph) -> tuple[dict, dict]:
     """The code table of g: tube mask -> its bit, and code -> maximal tubing
-    in ``Tubing.key`` order.  A maximal tubing of a connected set C picks a
-    root r, the top of the tube C, and recurses on the components of C - {r};
-    a disconnected set combines one maximal tubing of each component.  Each
-    subset is decomposed once, its codes memoized."""
+    in ``Tubing.key`` order, decoded highest bit first into ``_sorted_tubing``.
+    A maximal tubing of a connected set C picks a root r, the top of C, and
+    recurses on the components of C - {r}; a disconnected set combines one of
+    each component.  Each subset is decomposed once, its codes memoized."""
     adj = adjacency(g)
     rev = tubes(g)[::-1]  # bit j stands for rev[j] (see the module docstring)
     bit = {sum(1 << v for v in t): 1 << j for j, t in enumerate(rev)}
@@ -448,8 +459,15 @@ def _code_table(g: Graph) -> tuple[dict, dict]:
             memo[S] = combos
         return memo[S]
 
-    codes = sorted(rec((2 << g.n) - 2), reverse=True)
-    return bit, {code: Tubing(g, tuple(rev[j] for j in bits(code))) for code in codes}
+    by_code = {}
+    for code in sorted(rec((2 << g.n) - 2), reverse=True):
+        ts, rest = [], code
+        while rest:
+            j = rest.bit_length() - 1
+            ts.append(rev[j])
+            rest ^= 1 << j
+        by_code[code] = _sorted_tubing(g, tuple(ts))
+    return bit, by_code
 
 
 @lru_cache(maxsize=None)

@@ -360,7 +360,8 @@ def test_no_dead_top_level_definitions():
 
 
 def test_code_table_is_named_only_in_tubings():
-    # the maximal-tubing code format is a decision of the tubings module
+    # the maximal-tubing code format is a decision of the tubings module, and
+    # only its code table may build a tubing without sorting the tubes
     import ast
     from pathlib import Path
 
@@ -372,9 +373,18 @@ def test_code_table_is_named_only_in_tubings():
             name = getattr(node, "id", None) or getattr(node, "attr", None)
             if isinstance(node, ast.alias):
                 name = node.name
-            if name in ("_code_table", "code_index", "tube_bits"):
+            if name in ("_code_table", "code_index", "tube_bits", "_sorted_tubing"):
                 named.add((path.name, name))
-    assert named == {("tubings.py", "_code_table")}
+    assert named == {("tubings.py", "_code_table"), ("tubings.py", "_sorted_tubing")}
+    tree = ast.parse(Path(tubelat.__file__).with_name("tubings.py").read_text())
+    callers = [
+        f.name
+        for f in ast.walk(tree)
+        if isinstance(f, ast.FunctionDef)
+        for node in ast.walk(f)
+        if getattr(node, "id", None) == "_sorted_tubing"
+    ]
+    assert callers == ["_code_table"]
 
 
 def test_benchmark_clear_caches_empties_every_cache(monkeypatch):

@@ -244,6 +244,15 @@ def test_fiber_sum_onto_the_same_graph_matches_the_fibers():
     of_another_graph = enumerate_maximal_tubings(Graph(2))[0]
     for x in (not_maximal, of_another_graph):
         assert fiber_sum(p2, p2, x) == FormalSum("P")
+    # n tubes with the component tube, but {1,2} and {2,3} are not compatible,
+    # {1,3} is not a tube of path:3 and 0 is not a vertex: none is in MTub,
+    # so both routes give the empty sum
+    p3, k3 = parse_graph("path:3"), parse_graph("complete:3")
+    for a, b in (({1, 2}, {2, 3}), ({1, 3}, {2}), ({0}, {2})):
+        x = Tubing(p3, (frozenset(a), frozenset(b), frozenset({1, 2, 3})))
+        assert x.is_maximal()
+        assert fiber_sum(p3, p3, x) == FormalSum("P")
+        assert fiber_sum(p3, k3, x) == FormalSum("P")
 
 
 def test_tubing_coproduct_at_degree_10_enumerates_nothing():

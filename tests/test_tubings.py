@@ -110,12 +110,30 @@ def test_decomposition_enumerator_matches_sweep():
 
 
 def test_enumerator_sorts_by_tubing_key():
-    # the enumerator sorts codes by set-bit positions; this must be Tubing.key order
+    # the enumerator sorts codes descending; this must be strictly ascending
+    # Tubing.key order
     graphs = [g for n in range(6) for g in all_graphs(n)]
     assert len(graphs) == 1100
     for g in graphs + [parse_graph("complete:7"), parse_graph("path:9")]:
         out = enumerate_maximal_tubings(g)
-        assert out == tuple(sorted(out, key=Tubing.key))
+        assert all(x.key() < y.key() for x, y in zip(out, out[1:]))
+
+
+def test_code_table_tubings_match_the_public_constructor():
+    # the code table builds its tubings without sorting; the public
+    # constructor, given the tubes in reverse order, must build equal ones,
+    # field for field
+    graphs = [g for n in range(6) for g in all_graphs(n)]
+    seen = 0
+    for g in graphs + [parse_graph("complete:7"), parse_graph("path:9")]:
+        for x in enumerate_maximal_tubings(g):
+            y = Tubing(g, x.tubes[::-1])
+            assert x.tubes == y.tubes
+            assert hash(x) == hash(y)
+            assert x == y
+            assert vars(x) == vars(y)
+            seen += g.n <= 5
+    assert seen == 58302
 
 
 def test_enumeration_beyond_sweep_threshold():
