@@ -26,6 +26,7 @@ from .hopf import (
     mr_coproduct,
     mr_product,
     restriction_compatibility_witness,
+    sorted_terms,
     tubing_coproduct,
     tubing_product,
 )
@@ -256,7 +257,7 @@ def cmd_product(args) -> int:
         if args.json:
             _emit_json(formal_sum_to_json_obj(s))
         else:
-            for key in sorted(s.terms, key=lambda t: t.key()):
+            for key in sorted_terms(s):
                 print(f"{s.terms[key]} * {key.label()}")
     else:
         u, v = parse_perm(args.left_perm), parse_perm(args.right_perm)
@@ -264,7 +265,7 @@ def cmd_product(args) -> int:
         if args.json:
             _emit_json(formal_sum_to_json_obj(s))
         else:
-            for key in sorted(s.terms):
+            for key in sorted_terms(s):
                 print(f"{s.terms[key]} * {format_perm(key)}")
     return 0
 
@@ -278,7 +279,7 @@ def cmd_coproduct(args) -> int:
         if args.json:
             _emit_json(formal_sum_to_json_obj(s))
         else:
-            for (l, r) in sorted(s.terms, key=lambda t: (t[0].graph.n, t[0].key(), t[1].key())):
+            for (l, r) in sorted_terms(s):
                 print(f"{s.terms[(l, r)]} * {l.label() or 'iota'} (x) {r.label() or 'iota'}")
     else:
         w = parse_perm(args.perm)
@@ -286,7 +287,7 @@ def cmd_coproduct(args) -> int:
         if args.json:
             _emit_json(formal_sum_to_json_obj(s))
         else:
-            for (l, r) in sorted(s.terms, key=lambda t: len(t[0])):
+            for (l, r) in sorted_terms(s):
                 print(f"{s.terms[(l, r)]} * {format_perm(l)} (x) {format_perm(r)}")
     return 0
 

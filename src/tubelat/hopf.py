@@ -11,9 +11,10 @@ the family is *admissible* (the product well-defined and associative) exactly
 when it is a distance-set family.  A *restriction-compatible* family also
 carries a coproduct: summing over ideals, each side is pushed into the family
 graph of matching size via the fiber-sum section of the coarsening map.
-Restriction and coarsening follow one rule, proved in the ``tubings``
-module: each tube keeps the component of its top, read off ``tube_tree``;
-``tubings.split_restrictions`` applies it to the product's cut.
+Restriction and coarsening follow one rule, proved and applied in the
+``tubings`` module: ``tubings.split_restrictions`` cuts the product's
+tubings, and ``tubings.coarsen`` sends each maximal tubing to the fiber it
+lies in.  This module reads only those pairs and fibers, never a tube tree.
 
 All coefficients are exact integers.  Products here are multiplicity-free;
 coproducts are not (distinct ideals may standardize to the same pair), so no
@@ -27,34 +28,22 @@ from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
-    InvalidTubing,
-    InvalidVertex,
     NotAdmissibleAtDegree,
     NotASubgraph,
-    NotATube,
     NotRestrictionCompatible,
     SizeMismatch,
 )
-from .graphs import (
-    Graph,
-    GraphFamily,
-    adjacency,
-    component,
-    contract,
-    induced_subgraph,
-    mask_vertices,
-)
+from .graphs import Graph, GraphFamily, contract, induced_subgraph
 from .tubings import (
     Tubing,
+    coarsen,
     enumerate_maximal_tubings,
     ideals,
     linear_extensions,
-    make_tubing,
     quotient_std,
     restrict_std,
     split_restrictions,
     tau,
-    tube_tree,
 )
 from .weakorder import Perm, check_perm
 
@@ -112,24 +101,18 @@ class FormalSum:
         return f"FormalSum({self.basis!r}, {len(self.terms)} terms)"
 
 
-def _perm_key_sort(key) -> tuple:
-    return (len(key), key)
+def _degree_key(key) -> tuple:
+    return (key.graph.n, key.key()) if isinstance(key, Tubing) else (len(key), key)
 
 
-def _tubing_key_sort(key: Tubing) -> tuple:
-    return (key.graph.n, key.key())
-
-
-def _key_sort(basis: str, key):
-    if basis == "F":
-        return _perm_key_sort(key)
-    if basis == "P":
-        return _tubing_key_sort(key)
-    if basis == "F*F":
-        return (_perm_key_sort(key[0]), _perm_key_sort(key[1]))
-    if basis == "P*P":
-        return (_tubing_key_sort(key[0]), _tubing_key_sort(key[1]))
-    raise SizeMismatch(f"unknown basis {basis!r}")
+def sorted_terms(s: FormalSum) -> list:
+    """The keys of s in the canonical term order of text and JSON output: by
+    degree, then word or ``Tubing.key``; a tensor key by its left side first."""
+    if s.basis not in ("F", "P", "F*F", "P*P"):
+        raise SizeMismatch(f"unknown basis {s.basis!r}")
+    if "*" in s.basis:
+        return sorted(s.terms, key=lambda k: (_degree_key(k[0]), _degree_key(k[1])))
+    return sorted(s.terms, key=_degree_key)
 
 
 def _key_json(key):
@@ -142,24 +125,13 @@ def formal_sum_to_json_obj(s: FormalSum) -> dict:
     """Canonical JSON: tensor sums keep the plain basis name and encode the
     key as a [left, right] pair."""
     terms = []
-    for key in sorted(s.terms, key=lambda k: _key_sort(s.basis, k)):
-        if s.basis in ("F", "P"):
-            degree = len(key) if s.basis == "F" else key.graph.n
-            terms.append(
-                {"degree": degree, "key": _key_json(key), "coeff": s.terms[key]}
-            )
+    for key in sorted_terms(s):
+        if "*" in s.basis:
+            degree = _degree_key(key[0])[0] + _degree_key(key[1])[0]
+            obj = [_key_json(key[0]), _key_json(key[1])]
         else:
-            left, right = key
-            degree = (len(left) if s.basis == "F*F" else left.graph.n) + (
-                len(right) if s.basis == "F*F" else right.graph.n
-            )
-            terms.append(
-                {
-                    "degree": degree,
-                    "key": [_key_json(left), _key_json(right)],
-                    "coeff": s.terms[key],
-                }
-            )
+            degree, obj = _degree_key(key)[0], _key_json(key)
+        terms.append({"degree": degree, "key": obj, "coeff": s.terms[key]})
     return {"basis": s.basis[0], "terms": terms}
 
 
@@ -355,22 +327,8 @@ def is_restriction_compatible(family: GraphFamily, max_degree: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Coarsening between graphs on the same vertex set
+# Fibers of coarsening between graphs on the same vertex set
 # ---------------------------------------------------------------------------
-
-
-def coarsen(h: Graph, w: Tubing) -> Tubing:
-    """Push a maximal tubing of G down to the subgraph h (same vertices):
-    each tube keeps the h-component of its top (see ``tubings``), as h's
-    surjection does on any linear extension of the forest of w."""
-    g = w.graph
-    if h.n != g.n or not set(h.edges) <= set(g.edges):
-        raise NotASubgraph(f"{h} is not a subgraph of {g}")
-    if not w.is_maximal():
-        raise InvalidTubing("coarsen requires a maximal tubing")
-    adj = adjacency(h)
-    tops, _, masks = tube_tree(w)
-    return Tubing(h, tuple(mask_vertices(component(adj, t, v)) for v, t in zip(tops, masks)))
 
 
 @lru_cache(maxsize=None)
@@ -382,22 +340,17 @@ def _coarsen_fibers(h: Graph, g: Graph) -> dict:
 
 
 def fiber_sum(h: Graph, g: Graph, x: Tubing) -> FormalSum:
-    """c_h^g(P_x): the sum of P_w over maximal tubings of g coarsening to x."""
+    """c_h^g(P_x): the sum of P_w over maximal tubings of g coarsening to x,
+    empty unless x is a maximal tubing of h."""
     if h.n != g.n or not set(h.edges) <= set(g.edges):
         raise NotASubgraph(f"{h} is not a subgraph of {g}")
-    if h == g:
-        # _fiber trusts x's tubes: check them as make_tubing does
-        try:
-            make_tubing(g, x.tubes)
-        except (InvalidVertex, NotATube, InvalidTubing):
-            return FormalSum("P")
     return FormalSum("P", dict.fromkeys(_fiber(h, g, x), 1))
 
 
 def _fiber(h: Graph, g: Graph, x: Tubing) -> tuple[Tubing, ...]:
-    """The maximal tubings of g coarsening to x, trusting x's tubes (h is a
-    subgraph of g on [n]).  ``tubing_coproduct`` reads its fibers here, as
-    restrictions and quotients of a maximal tubing are maximal tubings."""
+    """The maximal tubings of g coarsening to x (h is a subgraph of g on
+    [n]).  ``tubing_coproduct`` reads its fibers here, as restrictions and
+    quotients of a maximal tubing are maximal tubings."""
     if h == g:  # the identity on MTub(g): enumerate nothing
         return (x,) if x.graph == g and x.is_maximal() else ()
     return _coarsen_fibers(h, g).get(x, ())

@@ -21,7 +21,8 @@ for its first violating triple with one probe per element and z.
 acyclicity plus irredundancy of covers are verified on construction (the
 orientation is induced by a linear functional, so a cycle or a redundant
 edge would indicate a flip bug).  ``all_tubings`` lists the faces as the
-cliques of the per-graph ``compatibility_masks`` table.
+cliques of the per-graph ``compatibility_masks`` table, each checked once by
+the ``Tubing`` constructor.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .errors import ElementNotFound, NotALattice, NotComparable, TubelatError
 from .graphs import Graph, bits, tubes
-from .tubings import Tubing, compatibility_masks, enumerate_maximal_tubings, flips, make_tubing
+from .tubings import Tubing, compatibility_masks, enumerate_maximal_tubings, flips
 
 
 class Poset:
@@ -437,7 +438,8 @@ class FaceIntervalResult:
 def tubing_face_interval(g: Graph, y: Tubing, lg: Optional[Poset] = None) -> FaceIntervalResult:
     """Check that the maximal tubings containing ``y`` form an order-convex
     interval of L_G, returning its endpoints or a violating chain."""
-    make_tubing(g, y.tubes)  # validates tubes and pairwise compatibility
+    if y.graph != g:
+        raise TubelatError(f"the tubing is on {y.graph}, not on {g}")
     lg = lg if lg is not None else build_lg(g)
     members = [x for x in lg.elements if set(y.tubes) <= set(x.tubes)]
     if not members:

@@ -5,6 +5,21 @@ Two tubes are *compatible* when they are nested or their union is not a tube
 is a pairwise-compatible set of tubes; the maximal ones all have exactly n
 tubes and are the vertices of the graph associahedron.
 
+A ``Tubing`` is always a tubing: its constructor checks each tube, and each
+pair by the rule below (nested, or disjoint with no edge between).  Only
+this module's producers skip the check, through ``_tubing``, each by a rule.
+``psi_tubing``'s tube comp(w_j, P_j) is connected in the prefix P_k, k > j,
+so it lies in comp(w_k, P_k) or apart from it; ``coarsen`` and ``flip`` give
+psi of a word (see below), and ``chi`` the ideals ``validate_gforest``
+checked.  In ``restrict_std`` a component of T & I lies in one component of
+T' & I when T lies in T', and pieces of tubes apart stay apart.  In
+``quotient_std`` a component C of G|_I, I an ideal, is a tube of x, so it
+lies in each tube J not inside I that it meets or touches: J - I is a tube
+of G/I, and tubes apart in G stay apart, as an edge of G/I through C would
+need C inside both.  ``flip_by_search`` checks its new tube with
+``compatible``, and ``maximal_tubings_oracle`` takes cliques of
+``compatibility_masks``.
+
 Maximal tubings are encoded interchangeably as forests: ``chi`` sends a
 forest to the tubing of its principal ideals, and ``tau`` inverts it.  The
 ``top`` of a tube in a maximal tubing is its unique vertex outside every
@@ -52,7 +67,9 @@ K - top(I); oriented by comparing tops, the flips are the covers of the
 partial order on maximal tubings built in the poset module.  K - top(I) is
 top(K), the other children of K, each touching top(K) but not I, and the
 children of I, components of I - top(I); so J is K - top(I) less the
-children of I that miss top(K), which the tree gives with no search.
+children of I that miss top(K), which the tree gives with no search.  The
+flip is psi of a linear extension of tau(x) with top(I) and top(K) swapped
+where they stand next to each other, so it is a tubing.
 
 Restriction and coarsening follow one rule: each tube T of a maximal
 tubing x keeps the component of its top v.  Restricted to a vertex set I,
@@ -64,8 +81,8 @@ Restricting psi_G(w) to I gives psi_{G|I}(w|_I); each of its tubes,
 comp(w_j, P_j & I), is connected, lies in P_j and contains w_j, so it lies
 in T_j and equals comp(w_j, T_j & I).  Coarsening gives psi_h(w), and
 comp_h(w_j, P_j) lies in T_j because h is inside G, so it equals
-comp_h(w_j, T_j).  ``split_restrictions`` and ``hopf.coarsen`` read the two
-maps off ``tube_tree`` this way.
+comp_h(w_j, T_j).  ``split_restrictions`` and ``coarsen`` read the two maps
+off ``tube_tree`` this way, and the tubings they build are psi of w.
 
 ``restrict_std`` and ``quotient_std`` return ``Tubing`` values on the graph
 that ``graphs.induced_subgraph`` or ``graphs.contract`` returns, relabeled
@@ -84,6 +101,7 @@ from .errors import (
     InvalidTubing,
     MaximalTubeNotFlippable,
     NotAnIdeal,
+    NotASubgraph,
     NotATube,
     TubeNotInTubing,
     TubelatError,
@@ -110,19 +128,37 @@ def canonical_tubes(ts: Iterable[frozenset]) -> tuple[frozenset, ...]:
 
 @dataclass(frozen=True)
 class Tubing:
-    """A set of pairwise compatible tubes, canonically ordered: ``Tubing(...)``
-    sorts and dedupes them; only the code table, whose tubes come distinct and
-    in order, skips that through ``_sorted_tubing``.  Neither validates:
-    ``make_tubing``, JSON input and ``hopf.fiber_sum`` do, and ``tube_tree``
-    and ``hopf.coarsen`` trust the tubes."""
+    """A tubing of ``graph``, its tubes distinct and in ``tube_key`` order.
+
+    ``Tubing(...)`` sorts and dedupes the tubes, then raises ``InvalidVertex``
+    or ``NotATube`` unless each is a tube, and ``InvalidTubing`` unless each
+    pair is nested or disjoint with no edge between.  Only this module's
+    producers skip the check, through ``_tubing`` (see the module docstring),
+    and the code table skips the sort too, through ``_sorted_tubing``."""
 
     graph: Graph
     tubes: tuple[frozenset, ...]
 
     def __post_init__(self):
-        ts = canonical_tubes(self.tubes)
+        g, ts = self.graph, canonical_tubes(self.tubes)
+        for t in ts:
+            if not is_tube(g, t):
+                raise NotATube(f"{sorted(t)} is not a tube of the graph")
+        # tubes come smallest first, so an earlier tube a clashes with t iff
+        # a is not inside t and a or a neighbour of a lies in t
+        adj = adjacency(g)
+        seen = []
+        for t in ts:
+            mask = near = 0
+            for v in t:
+                mask |= 1 << v
+                near |= adj[v]
+            for a, a_mask, a_reach in seen:
+                if a_mask & ~mask and a_reach & mask:
+                    raise InvalidTubing(f"incompatible tubes {sorted(a)}, {sorted(t)}")
+            seen.append((t, mask, mask | near))
         object.__setattr__(self, "tubes", ts)
-        object.__setattr__(self, "_hash", hash((self.graph, ts)))
+        object.__setattr__(self, "_hash", hash((g, ts)))
 
     def __hash__(self) -> int:
         # the dataclass formula, computed once: tubings key the poset and
@@ -158,16 +194,23 @@ class Tubing:
     @staticmethod
     def from_json_obj(obj: dict) -> "Tubing":
         g = Graph.from_json_obj(obj["graph"])
-        return make_tubing(g, [frozenset(t) for t in obj["tubes"]])
+        return Tubing(g, tuple(frozenset(t) for t in obj["tubes"]))
 
 
 def _sorted_tubing(g: Graph, ts: tuple[frozenset, ...]) -> Tubing:
-    """``Tubing(g, ts)`` with no sort, for ts distinct and in ``tube_key`` order."""
+    """``Tubing(g, ts)`` with no sort and no check, for ts a tubing of g,
+    distinct and in ``tube_key`` order."""
     x = object.__new__(Tubing)
     object.__setattr__(x, "graph", g)
     object.__setattr__(x, "tubes", ts)
     object.__setattr__(x, "_hash", hash((g, ts)))
     return x
+
+
+def _tubing(g: Graph, ts: Iterable[frozenset]) -> Tubing:
+    """``Tubing(g, ts)`` with no check, for ts a tubing of g by a rule of the
+    module docstring."""
+    return _sorted_tubing(g, canonical_tubes(ts))
 
 
 def compatible(g: Graph, I: Iterable[int], J: Iterable[int]) -> bool:
@@ -195,17 +238,6 @@ def compatibility_masks(g: Graph) -> tuple[int, ...]:
             out[i] |= 1 << j
             out[j] |= 1 << i
     return tuple(out)
-
-
-def make_tubing(g: Graph, ts: Iterable[frozenset]) -> Tubing:
-    ts = [frozenset(t) for t in ts]
-    for t in ts:
-        if not is_tube(g, t):
-            raise NotATube(f"{sorted(t)} is not a tube of the graph")
-    for a, b in itertools.combinations(set(ts), 2):
-        if not compatible(g, a, b):
-            raise InvalidTubing(f"incompatible tubes {sorted(a)}, {sorted(b)}")
-    return Tubing(g, tuple(ts))
 
 
 @dataclass(frozen=True)
@@ -331,7 +363,7 @@ def _gforest_scan(t: GForest, below_roots: list[int]) -> tuple[frozenset, ...]:
 
 def chi(t: GForest) -> Tubing:
     """Forest -> maximal tubing of principal ideals."""
-    return Tubing(t.graph, validate_gforest(t))
+    return _tubing(t.graph, validate_gforest(t))
 
 
 def tube_tree(x: Tubing) -> tuple[list[int], list[int], list[int]]:
@@ -394,7 +426,7 @@ def psi_tubing(g: Graph, word: Sequence[int]) -> Tubing:
     for v in word:
         placed |= 1 << v
         ts.append(mask_vertices(component(adj, placed, v)))
-    return Tubing(g, tuple(ts))
+    return _tubing(g, tuple(ts))
 
 
 def psi_images(g: Graph) -> list[Tubing]:
@@ -508,6 +540,20 @@ def split_restrictions(g: Graph, n: int) -> Iterator[tuple[Tubing, Tubing, Tubin
         yield z, low_by_code[left], high_by_code[right]
 
 
+def coarsen(h: Graph, w: Tubing) -> Tubing:
+    """Push a maximal tubing of G down to the subgraph h (same vertices):
+    each tube keeps the h-component of its top, by the restriction rule, as
+    h's surjection does on any linear extension of the forest of w."""
+    g = w.graph
+    if h.n != g.n or not set(h.edges) <= set(g.edges):
+        raise NotASubgraph(f"{h} is not a subgraph of {g}")
+    if not w.is_maximal():
+        raise InvalidTubing("coarsen requires a maximal tubing")
+    adj = adjacency(h)
+    tops, _, masks = tube_tree(w)
+    return _tubing(h, tuple(mask_vertices(component(adj, t, v)) for v, t in zip(tops, masks)))
+
+
 def maximal_tubings_oracle(g: Graph) -> tuple[Tubing, ...]:
     """Test oracle: maximal compatible subsets of the tube list, by pivoted
     Bron-Kerbosch over the compatibility graph; it does not use the
@@ -544,7 +590,7 @@ def maximal_tubings_oracle(g: Graph) -> tuple[Tubing, ...]:
 
     bron_kerbosch(0, (1 << m) - 1, 0)
     out = [
-        Tubing(g, tuple(ts[i] for i in range(m) if bits >> i & 1)) for bits in results
+        _tubing(g, tuple(ts[i] for i in range(m) if bits >> i & 1)) for bits in results
     ]
     return tuple(sorted(out, key=Tubing.key))
 
@@ -558,7 +604,7 @@ def restrict_std(x: Tubing, I: Iterable[int]) -> Tubing:
     out: set = set()
     for t in x.tubes:
         out.update(components_within(g, t & I))
-    return Tubing(sub, tuple(frozenset(phi[v] for v in c) for c in out))
+    return _tubing(sub, tuple(frozenset(phi[v] for v in c) for c in out))
 
 
 def is_ideal(x: Tubing, I: Iterable[int]) -> bool:
@@ -580,7 +626,7 @@ def quotient_std(x: Tubing, I: Iterable[int]) -> Tubing:
     if not is_ideal(x, I):
         raise NotAnIdeal(f"{sorted(I)} is not an ideal of the tubing")
     quo, phi = contract(x.graph, I)
-    return Tubing(quo, tuple(frozenset(phi[v] for v in t - I) for t in x.tubes if not t <= I))
+    return _tubing(quo, tuple(frozenset(phi[v] for v in t - I) for t in x.tubes if not t <= I))
 
 
 def ideals(x: Tubing) -> list[frozenset]:
@@ -678,7 +724,7 @@ def flip(x: Tubing, I: Iterable[int]) -> tuple[Tubing, frozenset]:
     for old, J, _, _ in oriented_flips(x):
         if old == mask:
             J = mask_vertices(J)
-            return Tubing(x.graph, tuple(t for t in x.tubes if t != I) + (J,)), J
+            return _tubing(x.graph, tuple(t for t in x.tubes if t != I) + (J,)), J
     raise MaximalTubeNotFlippable(
         f"{sorted(I)} is the tube of a whole component; it cannot be flipped"
     )
@@ -701,7 +747,7 @@ def flip_by_search(x: Tubing, I: Iterable[int]) -> tuple[Tubing, frozenset]:
             f"{sorted(I)} has {len(found)} exchange candidates"
         )
     J = found[0]
-    return Tubing(x.graph, tuple(rest) + (J,)), J
+    return _tubing(x.graph, tuple(rest) + (J,)), J
 
 
 def oriented_flips(x: Tubing) -> Iterator[tuple[int, int, int, int]]:

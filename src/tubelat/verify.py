@@ -45,7 +45,6 @@ from .hopf import (
     associativity_witness,
     c_delta_holds,
     c_delta_witness,
-    coarsen,
     fiber_sum,
     is_admissible,
     is_restriction_compatible,
@@ -64,6 +63,7 @@ from .tubings import (
     Tubing,
     ascents,
     chi,
+    coarsen,
     descents,
     enumerate_maximal_tubings,
     flip,

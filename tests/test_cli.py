@@ -360,23 +360,30 @@ def test_no_dead_top_level_definitions():
 
 
 def test_code_table_is_named_only_in_tubings():
-    # the maximal-tubing code format is a decision of the tubings module, and
-    # only its code table may build a tubing without sorting the tubes
+    # the maximal-tubing code format and the tube tree are decisions of the
+    # tubings module; only its producers may skip the Tubing constructor's
+    # check, and only its code table and _tubing, which sorts first, may
+    # skip the sort
     import ast
     from pathlib import Path
 
     import tubelat
 
-    named = set()
-    for path in sorted(Path(tubelat.__file__).parent.glob("*.py")):
+    def names(path):
         for node in ast.walk(ast.parse(path.read_text())):
             name = getattr(node, "id", None) or getattr(node, "attr", None)
-            if isinstance(node, ast.alias):
-                name = node.name
-            if name in ("_code_table", "code_index", "tube_bits", "_sorted_tubing"):
-                named.add((path.name, name))
-    assert named == {("tubings.py", "_code_table"), ("tubings.py", "_sorted_tubing")}
-    tree = ast.parse(Path(tubelat.__file__).with_name("tubings.py").read_text())
+            yield node.name if isinstance(node, ast.alias) else name
+
+    src = Path(tubelat.__file__).parent
+    private = ("_code_table", "code_index", "tube_bits", "_sorted_tubing", "_tubing", "tube_tree")
+    named = {(path.name, name) for path in sorted(src.glob("*.py")) for name in names(path)}
+    assert {(f, n) for f, n in named if n in private} == {
+        ("tubings.py", n) for n in ("_code_table", "_sorted_tubing", "_tubing", "tube_tree")
+    }
+    root = src.parent.parent
+    files = [*src.glob("*.py"), *root.glob("tests/*.py"), *root.glob("bench/*.py")]
+    assert not [path.name for path in files if "make_tubing" in names(path)]
+    tree = ast.parse(src.joinpath("tubings.py").read_text())
     callers = [
         f.name
         for f in ast.walk(tree)
@@ -384,7 +391,7 @@ def test_code_table_is_named_only_in_tubings():
         for node in ast.walk(f)
         if getattr(node, "id", None) == "_sorted_tubing"
     ]
-    assert callers == ["_code_table"]
+    assert sorted(callers) == ["_code_table", "_tubing"]
 
 
 def test_benchmark_clear_caches_empties_every_cache(monkeypatch):

@@ -4,6 +4,8 @@ import pytest
 
 from tubelat.errors import (
     InvalidTubing,
+    InvalidVertex,
+    NotATube,
     NotAdmissibleAtDegree,
     NotASubgraph,
     NotRestrictionCompatible,
@@ -25,7 +27,6 @@ from tubelat.graphs import (
 from tubelat.hopf import (
     FormalSum,
     admissibility_witness,
-    coarsen,
     embed_c,
     fiber_sum,
     formal_sum_to_json_obj,
@@ -44,6 +45,7 @@ from tubelat.hopf import (
 from tubelat.hopf import _coarsen_fibers, _require_admissible_at, _split_index
 from tubelat.tubings import (
     Tubing,
+    coarsen,
     enumerate_maximal_tubings,
     psi_tubing,
     restrict_std,
@@ -245,14 +247,16 @@ def test_fiber_sum_onto_the_same_graph_matches_the_fibers():
     for x in (not_maximal, of_another_graph):
         assert fiber_sum(p2, p2, x) == FormalSum("P")
     # n tubes with the component tube, but {1,2} and {2,3} are not compatible,
-    # {1,3} is not a tube of path:3 and 0 is not a vertex: none is in MTub,
-    # so both routes give the empty sum
-    p3, k3 = parse_graph("path:3"), parse_graph("complete:3")
-    for a, b in (({1, 2}, {2, 3}), ({1, 3}, {2}), ({0}, {2})):
-        x = Tubing(p3, (frozenset(a), frozenset(b), frozenset({1, 2, 3})))
-        assert x.is_maximal()
-        assert fiber_sum(p3, p3, x) == FormalSum("P")
-        assert fiber_sum(p3, k3, x) == FormalSum("P")
+    # {1,3} is not a tube of path:3 and 0 is not a vertex: no such Tubing
+    # exists, so none reaches either route
+    p3 = parse_graph("path:3")
+    for a, b, error in (
+        ({1, 2}, {2, 3}, InvalidTubing),
+        ({1, 3}, {2}, NotATube),
+        ({0}, {2}, InvalidVertex),
+    ):
+        with pytest.raises(error):
+            Tubing(p3, (frozenset(a), frozenset(b), frozenset({1, 2, 3})))
 
 
 def test_tubing_coproduct_at_degree_10_enumerates_nothing():

@@ -397,6 +397,15 @@ def test_face_interval_trivial_cases():
         assert res.ok and res.lower == res.upper == x
 
 
+def test_face_interval_refuses_a_tubing_of_another_graph():
+    # y's tubes are checked against y.graph on construction, so a y on
+    # another graph is refused, not read as a face of g
+    g = parse_graph("path:3")
+    for y in (Tubing(Graph(3), (frozenset({1}), frozenset({3}))), Tubing(Graph(2), ())):
+        with pytest.raises(TubelatError):
+            tubing_face_interval(g, y)
+
+
 @st.composite
 def _random_faces(draw):
     """A graph on 5 or 6 vertices and a random subset of the tubes of one

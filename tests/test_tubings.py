@@ -30,6 +30,7 @@ from tubelat.tubings import (
     compatible,
     descents,
     ascents,
+    coarsen,
     enumerate_maximal_tubings,
     flip,
     flip_by_search,
@@ -38,7 +39,6 @@ from tubelat.tubings import (
     ideals,
     is_ideal,
     linear_extensions,
-    make_tubing,
     maximal_tubings_oracle,
     psi_tubing,
     quotient_std,
@@ -70,12 +70,60 @@ def test_compatible_examples():
         compatible(P3, {1, 3}, {2})
 
 
-def test_make_tubing_validates():
-    make_tubing(P3, [fs(1), fs(1, 2)])
+def test_tubing_constructor_validates():
+    Tubing(P3, [fs(1), fs(1, 2)])
     with pytest.raises(InvalidTubing):
-        make_tubing(P3, [fs(1), fs(2)])
+        Tubing(P3, [fs(1), fs(2)])
     with pytest.raises(NotATube):
-        make_tubing(P3, [fs(1, 3)])
+        Tubing(P3, [fs(1, 3)])
+
+
+def test_constructor_pair_rule_matches_compatible():
+    # the constructor tests pairs on masks (nested, or disjoint with no edge
+    # between); compatible() is the definition (nested, or the union is not
+    # a tube)
+    pairs = 0
+    for n in range(6):
+        for g in all_graphs(n):
+            for a, b in itertools.combinations(tubes(g), 2):
+                try:
+                    Tubing(g, (a, b))
+                    built = True
+                except InvalidTubing:
+                    built = False
+                assert built == compatible(g, a, b), (g, a, b)
+                pairs += 1
+    assert pairs > 100_000
+
+
+def _assert_checked(y):
+    # the producers skip the constructor's check; it must pass them
+    assert Tubing(y.graph, y.tubes) == y
+
+
+def test_trusted_producers_build_tubings():
+    # every graph on [4]: faces of every tubing for restrict_std and
+    # quotient_std, maximal tubings for the rest
+    from tubelat.posets import all_tubings
+
+    for g in all_graphs(4):
+        for y in all_tubings(g):
+            for r in range(g.n + 1):
+                for I in itertools.combinations(g.vertices, r):
+                    _assert_checked(restrict_std(y, I))
+            for I in ideals(y):
+                _assert_checked(quotient_std(y, I))
+        for w in itertools.permutations(g.vertices):
+            _assert_checked(psi_tubing(g, w))
+        for x in maximal_tubings_oracle(g):
+            _assert_checked(x)
+            _assert_checked(chi(tau(x)))
+            for I in x.tubes:
+                if I not in component_tubes(g):
+                    _assert_checked(flip(x, I)[0])
+                    _assert_checked(flip_by_search(x, I)[0])
+            for drop in g.edges:
+                _assert_checked(coarsen(Graph(g.n, tuple(e for e in g.edges if e != drop)), x))
 
 
 def test_enumeration_counts():
