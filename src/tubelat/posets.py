@@ -285,18 +285,25 @@ class Poset:
         return True
 
     def mobius(self, x: Hashable, y: Hashable) -> int:
-        """Mobius function on the interval [x, y]."""
+        """Mobius function on the interval [x, y].
+
+        Index order extends the order, so each z of the interval comes after
+        the elements below it.  ``having[v]`` masks the elements seen so far
+        whose value is v, for each v != 0, so mu(z) = -sum(mu(w) : x <= w < z)
+        is -sum(v * popcount(below(z) & having[v])): exact integers, one
+        popcount per distinct value."""
         i, j = self.index(x), self.index(y)
         if not self._up[i] >> j & 1:
             raise NotComparable(f"{x!r} and {y!r} are not comparable in order")
         interval = self._up[i] & self._down[j]
-        mu = {i: 1}
-        for z in bits(interval):
-            if z == i:
-                continue
-            below = interval & self._down[z] & ~(1 << z)
-            mu[z] = -sum(mu[w] for w in bits(below))
-        return mu[j]
+        having = {1: 1 << i}
+        mu = 1
+        for z in bits(interval & ~(1 << i)):
+            below = self._down[z] & ~(1 << z)
+            mu = -sum(v * (below & m).bit_count() for v, m in having.items())
+            if mu:
+                having[mu] = having.get(mu, 0) | 1 << z
+        return mu
 
     def interval(self, x: Hashable, y: Hashable) -> list:
         i, j = self.index(x), self.index(y)

@@ -57,19 +57,22 @@ The words of a forest (``linear_extensions``, and its lexicographic
 extremes ``sigma_min`` and ``sigma_max``) come from one walk over the
 bitmask of unplaced vertices, in ascending or descending vertex order.
 
-``tube_tree`` reads the tube tree, for ``tau``, ``top``, flips and
-coordinates, in one pass over the tubes, largest first.  Tubes of a tubing
-are nested or disjoint, so when tube I is reached each of its vertices still
-belongs to its smallest strict supertube K, and I takes them all.  Each tube
-ends up owning exactly its vertices outside every smaller tube: its top, in
-a maximal tubing.  A flip exchanges I for J, the component of top(K) in
-K - top(I); oriented by comparing tops, the flips are the covers of the
-partial order on maximal tubings built in the poset module.  K - top(I) is
-top(K), the other children of K, each touching top(K) but not I, and the
-children of I, components of I - top(I); so J is K - top(I) less the
-children of I that miss top(K), which the tree gives with no search.  The
-flip is psi of a linear extension of tau(x) with top(I) and top(K) swapped
-where they stand next to each other, so it is a tubing.
+The tube tree is read in one pass over the tube masks, smallest first.
+Tubes of a tubing are nested or disjoint, so a tube's top is its one vertex
+that no smaller tube has claimed, and its children are the roots so far
+(tubes not yet inside a larger one) that lie inside it.  ``tube_tree`` reads
+it this way for ``tau``, ``top``, ``coarsen``, ``split_restrictions`` and
+coordinates, and ``_mask_flips`` reads it in the same pass as the flips.  A
+flip exchanges I for J, the component of top(K) in K - top(I), K the
+smallest tube strictly containing I; oriented by comparing tops, the flips
+are the covers of the partial order on maximal tubings built in the poset
+module.  K - top(I) is top(K), the other children of K, each touching
+top(K) but not I, and the children of I, components of I - top(I); so J is
+K - top(I) less the children of I that miss top(K), which the tree gives
+with no search.  ``flips`` reads each code's tube masks off its bits, so
+``build_lg`` builds no tube tree and reads no tube set.  The flip is psi of
+a linear extension of tau(x) with top(I) and top(K) swapped where they
+stand next to each other, so it is a tubing.
 
 Restriction and coarsening follow one rule: each tube T of a maximal
 tubing x keeps the component of its top v.  Restricted to a vertex set I,
@@ -99,6 +102,7 @@ from typing import Iterable, Iterator, Sequence
 from .errors import (
     InvalidForest,
     InvalidTubing,
+    InvalidVertex,
     MaximalTubeNotFlippable,
     NotAnIdeal,
     NotASubgraph,
@@ -141,22 +145,26 @@ class Tubing:
 
     def __post_init__(self):
         g, ts = self.graph, canonical_tubes(self.tubes)
-        for t in ts:
-            if not is_tube(g, t):
-                raise NotATube(f"{sorted(t)} is not a tube of the graph")
-        # tubes come smallest first, so an earlier tube a clashes with t iff
-        # a is not inside t and a or a neighbour of a lies in t
         adj = adjacency(g)
-        seen = []
+        seen = []  # each tube's mask, and that of it and its neighbours
         for t in ts:
+            for v in t:
+                if not 1 <= v <= g.n:
+                    raise InvalidVertex(f"vertex {v} not in [1..{g.n}]")
             mask = near = 0
             for v in t:
                 mask |= 1 << v
                 near |= adj[v]
-            for a, a_mask, a_reach in seen:
+            if not mask or component(adj, mask, v) != mask:
+                raise NotATube(f"{sorted(t)} is not a tube of the graph")
+            seen.append((mask, mask | near))
+        # tubes come smallest first, so an earlier tube a clashes with t iff
+        # a is not inside t and a or a neighbour of a lies in t
+        for k, (mask, _) in enumerate(seen):
+            for i in range(k):
+                a_mask, a_reach = seen[i]
                 if a_mask & ~mask and a_reach & mask:
-                    raise InvalidTubing(f"incompatible tubes {sorted(a)}, {sorted(t)}")
-            seen.append((t, mask, mask | near))
+                    raise InvalidTubing(f"incompatible tubes {sorted(ts[i])}, {sorted(ts[k])}")
         object.__setattr__(self, "tubes", ts)
         object.__setattr__(self, "_hash", hash((g, ts)))
 
@@ -370,27 +378,25 @@ def tube_tree(x: Tubing) -> tuple[list[int], list[int], list[int]]:
     """Indexed like ``x.tubes``: the top of each tube, the index of its
     smallest strict supertube (-1 for none), and its vertex mask.
 
-    One pass, largest tube first (see the module docstring); raises
-    ``InvalidTubing`` unless every tube ends up owning exactly one vertex.
+    One pass, smallest tube first (see the module docstring); raises
+    ``InvalidTubing`` unless each tube has exactly one unclaimed vertex.
     """
-    ts = x.tubes
-    owner = [-1] * (x.graph.n + 1)  # the last tube to take each vertex
-    up = [-1] * len(ts)
-    masks = [0] * len(ts)
-    for i in reversed(range(len(ts))):
-        up[i] = owner[next(iter(ts[i]), 0)]
+    tops, up, masks, claimed = [], [-1] * (len(x.tubes) + 1), [], 0
+    # the root holding each vertex so far; -1 (none) writes to up's spare last slot
+    root = [-1] * (x.graph.n + 1)
+    for i, t in enumerate(x.tubes):
         mask = 0
-        for v in ts[i]:
-            owner[v] = i
+        for v in t:
             mask |= 1 << v
-        masks[i] = mask
-    tops = [0] * len(ts)  # -1 marks a tube left with two vertices
-    for v, i in enumerate(owner):
-        if i >= 0:
-            tops[i] = -1 if tops[i] else v
-    for t, v in zip(ts, tops):
-        if v <= 0:
+            up[root[v]] = i
+            root[v] = i
+        own = mask & ~claimed
+        if not own or own & own - 1:
             raise InvalidTubing(f"tube {sorted(t)} has no unique top; tubing not maximal?")
+        tops.append(own.bit_length() - 1)
+        masks.append(mask)
+        claimed |= mask
+    up.pop()
     return tops, up, masks
 
 
@@ -513,10 +519,19 @@ def flips(g: Graph) -> Iterator[tuple[Tubing, Tubing, int, int]]:
     """(x, y, a, b) for every flip of every maximal tubing x of g, in
     enumeration order: y is x with I exchanged for J, a = top(I) and
     b = top(J) as ``oriented_flips`` yields them; x < y in L_G iff a < b.
-    y is found by code, so no tubing or tube set is built per flip."""
+    Each code's tube masks are read off its bits, highest first (smallest
+    tube first), for ``_mask_flips``, and y is the tubing of code ^ bit(I) ^
+    bit(J), so no tube tree, tube set or tubing is built per flip."""
+    adj = adjacency(g)
     bit, by_code = _code_table(g)
+    tube = list(bit)  # the mask of bit j, at index j
     for code, x in by_code.items():
-        for I, J, a, b in oriented_flips(x):
+        masks, rest = [], code
+        while rest:
+            j = rest.bit_length() - 1
+            masks.append(tube[j])
+            rest ^= 1 << j
+        for I, J, a, b in _mask_flips(adj, masks):
             yield x, by_code[code ^ bit[I] ^ bit[J]], a, b
 
 
@@ -757,19 +772,37 @@ def oriented_flips(x: Tubing) -> Iterator[tuple[int, int, int, int]]:
     Let K be the smallest tube of x strictly containing I, a = top(I) and
     b = top(K); then J is the component of b in G restricted to K - {a}, and
     b is the top of J after the flip.  The flip goes up in L_G iff a < b.
-    Component tubes have no such K and are skipped.  J is read off the tube
-    tree (see the module docstring).
+    Component tubes have no such K and are skipped.  ``_mask_flips`` reads
+    J off the tube tree of x's tube masks in the same pass as the tree (see
+    the module docstring), so the flips come grouped by K, smallest first.
     """
-    adj = adjacency(x.graph)
-    tops, up, masks = tube_tree(x)
-    cut = [0] * len(up)  # the children of each tube I that miss top(K)
-    for c, i in enumerate(up):
-        if i >= 0 and up[i] >= 0 and not masks[c] & adj[tops[up[i]]]:
-            cut[i] |= masks[c]
-    for i, j in enumerate(up):
-        if j >= 0:
-            a, b = tops[i], tops[j]
-            yield masks[i], masks[j] ^ 1 << a ^ cut[i], a, b
+    return _mask_flips(adjacency(x.graph), [sum(1 << v for v in t) for t in x.tubes])
+
+
+def _mask_flips(adj: Sequence[int], masks: Iterable[int]) -> Iterator[tuple[int, int, int, int]]:
+    """``oriented_flips`` of the maximal tubing whose tube masks come
+    smallest first, grouped by K, reading the tube tree in the same pass:
+    K's top is its one vertex no smaller tube claimed, and its children are
+    the roots so far that lie inside it."""
+    roots, claimed = [], 0  # (mask, top, children's masks) of each root
+    for K in masks:
+        b = (K & ~claimed).bit_length() - 1
+        claimed |= K
+        near = adj[b]
+        kids, rest = [], []
+        for root in roots:
+            I, a, below = root
+            if I & K:
+                kids.append(I)
+                cut = 0  # the children of I that miss top(K)
+                for c in below:
+                    if not c & near:
+                        cut |= c
+                yield I, K ^ 1 << a ^ cut, a, b
+            else:
+                rest.append(root)
+        rest.append((K, b, kids))
+        roots = rest
 
 
 def vertex_coordinates(x: Tubing) -> tuple[int, ...]:

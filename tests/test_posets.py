@@ -9,6 +9,7 @@ from tubelat.errors import ElementNotFound, NotALattice, NotComparable, TubelatE
 from tubelat.graphs import (
     Graph,
     all_graphs,
+    bits,
     component_tubes,
     is_tube,
     parse_graph,
@@ -162,6 +163,43 @@ def test_mobius_against_zeta_inversion():
             for j in range(n):
                 if zeta[i, j]:
                     assert p.mobius(p.elements[i], p.elements[j]) == mu[i, j]
+
+
+def _mobius_by_sum(p, x, y):
+    # the summation loop that the popcount recurrence replaced, kept as the
+    # oracle: mu(z) = -sum(mu(w) : x <= w < z), over the interval in index
+    # order
+    i, j = p.index(x), p.index(y)
+    interval = p._up[i] & p._down[j]
+    mu = {i: 1}
+    for z in bits(interval):
+        if z != i:
+            mu[z] = -sum(mu[w] for w in bits(interval & p._down[z] & ~(1 << z)))
+    return mu[j]
+
+
+def test_mobius_beyond_plus_minus_one():
+    m4 = Poset(
+        ["0", "a", "b", "c", "d", "1"],
+        [("0", a) for a in "abcd"] + [(a, "1") for a in "abcd"],
+    )
+    m3_squared = M3.product(M3)
+    for p, value in ((M3, 2), (m4, 3), (m3_squared, 4)):
+        assert p.mobius(p.minimum(), p.maximum()) == value
+    cases = [M3, m4, m3_squared, boolean_lattice(4)]
+    cases += [build_lg(g) for n in range(5) for g in all_graphs(n)]
+    for p in cases:
+        for x in p.elements:
+            for y in p.elements:
+                if p.le(x, y):
+                    assert p.mobius(x, y) == _mobius_by_sum(p, x, y)
+    values = set()
+    for g in all_graphs(5):
+        lg = build_lg(g)
+        lo, hi = lg.elements[0], lg.elements[-1]
+        values.add(lg.mobius(lo, hi))
+        assert lg.mobius(lo, hi) == _mobius_by_sum(lg, lo, hi), g
+    assert values == {-1, 1}
 
 
 def _naive_semidistributive(p):

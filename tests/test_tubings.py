@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tubelat import tubings
 from tubelat.errors import (
     InvalidForest,
     InvalidTubing,
@@ -15,13 +16,16 @@ from tubelat.errors import (
 )
 from tubelat.graphs import (
     Graph,
+    adjacency,
     all_graphs,
     component_tubes,
     induced_subgraph,
     is_tube,
+    mask_vertices,
     parse_graph,
     tubes,
 )
+from tubelat.posets import build_lg
 from tubelat.tubings import (
     GForest,
     Tubing,
@@ -484,6 +488,51 @@ def test_flips_match_flip_by_search():
             assert (a, b) == (top(x, I), top(y, J)), g
             seen.append((x, I))
         assert len(seen) == len(expected) and set(seen) == set(expected), g
+
+
+def _oriented_flips_by_tube_tree(x):
+    # the tube-tree route that the one-pass mask generator replaced, kept as
+    # the oracle: the tree first, then the children that miss top(K)
+    adj = adjacency(x.graph)
+    tops, up, masks = tube_tree(x)
+    cut = [0] * len(up)
+    for c, i in enumerate(up):
+        if i >= 0 and up[i] >= 0 and not masks[c] & adj[tops[up[i]]]:
+            cut[i] |= masks[c]
+    for i, j in enumerate(up):
+        if j >= 0:
+            a, b = tops[i], tops[j]
+            yield masks[i], masks[j] ^ 1 << a ^ cut[i], a, b
+
+
+def _flip_order(f):
+    x, y, a, b = f
+    return x.key(), y.key(), a, b
+
+
+def test_flips_match_tube_tree_oracle():
+    # every field of every flip, and each flip's reverse among the flips
+    graphs = [g for n in range(6) for g in all_graphs(n)]
+    for g in graphs + [parse_graph(d) for d in ("complete:6", "cycle:7", "h:2:6")]:
+        expected = []
+        for x in enumerate_maximal_tubings(g):
+            for I, J, a, b in _oriented_flips_by_tube_tree(x):
+                I, J = mask_vertices(I), mask_vertices(J)
+                y = Tubing(g, tuple(t for t in x.tubes if t != I) + (J,))
+                expected.append((x, y, a, b))
+        got = sorted(flips(g), key=_flip_order)
+        assert got == sorted(expected, key=_flip_order), g
+        assert sorted(((y, x, b, a) for x, y, a, b in got), key=_flip_order) == got, g
+
+
+def test_build_lg_builds_no_tube_tree(monkeypatch):
+    calls = []
+    real = tubings.tube_tree
+    monkeypatch.setattr(tubings, "tube_tree", lambda x: calls.append(x) or real(x))
+    lg = build_lg(parse_graph("cycle:6"))
+    assert calls == []
+    tau(lg.elements[0])  # the count sees the calls that do happen
+    assert calls == [lg.elements[0]]
 
 
 def test_vertex_coordinates_examples():
