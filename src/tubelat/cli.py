@@ -105,20 +105,9 @@ def cmd_check(args) -> int:
             "right_filled": st.right_filled,
             "left_filled": st.left_filled,
         }
-        witness = None
         if not st.filled:
-            eset = set(g.edges)
-            for (i, k) in g.edges:
-                for j in range(i + 1, k):
-                    if (j, k) not in eset:
-                        witness = {"edge": [i, k], "missing": [j, k]}
-                        break
-                    if (i, j) not in eset:
-                        witness = {"edge": [i, k], "missing": [i, j]}
-                        break
-                if witness:
-                    break
-            payload["witness"] = witness
+            edge, missing = st.witness
+            payload["witness"] = {"edge": list(edge), "missing": list(missing)}
         _emit_json(payload) if args.json else print(payload)
         return 0 if st.filled else 1
     if args.property == "lattice":

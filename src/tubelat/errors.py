@@ -57,10 +57,6 @@ class SizeMismatch(TubelatError):
     pass
 
 
-class NotRightFilled(TubelatError):
-    pass
-
-
 class NotFilled(TubelatError):
     pass
 

@@ -30,7 +30,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import InvalidVertex, TubelatError
 
@@ -270,18 +270,26 @@ class FilledStatus:
     filled: bool
     right_filled: bool
     left_filled: bool
+    witness: Optional[tuple[Edge, Edge]]  # (edge, missing chord), None iff filled
 
 
 def filled_status(g: Graph) -> FilledStatus:
-    """Whether each edge {i,k} forces the chords {j,k} (RF) / {i,j} (LF)."""
+    """Whether each edge {i,k} forces the chords {j,k} (RF) / {i,j} (LF).
+
+    The witness is the first missing chord, in edge order, then j ascending,
+    {j,k} before {i,j}."""
     eset = set(g.edges)
-    right = all(
-        (j, k) in eset for (i, k) in g.edges for j in range(i + 1, k)
-    )
-    left = all(
-        (i, j) in eset for (i, k) in g.edges for j in range(i + 1, k)
-    )
-    return FilledStatus(filled=right and left, right_filled=right, left_filled=left)
+    right = left = True
+    witness = None
+    for i, k in g.edges:
+        for j in range(i + 1, k):
+            if (j, k) not in eset:
+                right = False
+                witness = witness or ((i, k), (j, k))
+            if (i, j) not in eset:
+                left = False
+                witness = witness or ((i, k), (i, j))
+    return FilledStatus(right and left, right, left, witness)
 
 
 def minimal_non_edges(g: Graph) -> list[Edge]:

@@ -85,12 +85,6 @@ class FormalSum:
             out.add_term(k, c)
         return out
 
-    def scale(self, c: int) -> "FormalSum":
-        return FormalSum(self.basis, {k: c * v for k, v in self.terms.items()})
-
-    def support(self) -> list:
-        return list(self.terms)
-
     def __len__(self) -> int:
         return len(self.terms)
 

@@ -51,7 +51,10 @@ class Poset:
         idx = {e: i for i, e in enumerate(elements)}
         if len(idx) != len(elements):
             raise TubelatError("duplicate poset elements")
-        cov = sorted({(idx[a], idx[b]) for a, b in covers})
+        try:
+            cov = sorted({(idx[a], idx[b]) for a, b in covers})
+        except KeyError as exc:
+            raise ElementNotFound(f"{exc.args[0]!r} not in poset") from None
         n = len(elements)
         succs = [[] for _ in range(n)]
         indeg = [0] * n
@@ -119,15 +122,6 @@ class Poset:
     def up_mask(self, x: Hashable) -> int:
         """The elements y >= x, as a bitmask: bit i stands for ``elements[i]``."""
         return self._up[self.index(x)]
-
-    def lt(self, x: Hashable, y: Hashable) -> bool:
-        return x != y and self.le(x, y)
-
-    def upper_covers(self, x: Hashable) -> list:
-        return [self.elements[b] for b in self._upper[self.index(x)]]
-
-    def lower_covers(self, x: Hashable) -> list:
-        return [self.elements[a] for a in self._lower[self.index(x)]]
 
     def minimum(self) -> Optional[Hashable]:
         mins = [i for i in range(len(self)) if self._down[i] == 1 << i]
@@ -304,10 +298,6 @@ class Poset:
             if mu:
                 having[mu] = having.get(mu, 0) | 1 << z
         return mu
-
-    def interval(self, x: Hashable, y: Hashable) -> list:
-        i, j = self.index(x), self.index(y)
-        return [self.elements[z] for z in bits(self._up[i] & self._down[j])]
 
     # -- constructions ---------------------------------------------------------
 

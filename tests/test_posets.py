@@ -65,11 +65,15 @@ def test_covers_must_be_acyclic_and_irredundant():
         Poset([1, 2, 3], [(1, 2), (2, 3), (1, 3)])
 
 
+def test_cover_naming_a_non_element_raises_element_not_found():
+    with pytest.raises(ElementNotFound, match="'c' not in poset"):
+        Poset(["a", "b"], [("a", "c")])
+
+
 def test_le_and_covers():
     p = chain(4)
     assert p.le(0, 3) and not p.le(3, 0)
-    assert p.upper_covers(1) == [2]
-    assert p.lower_covers(1) == [0]
+    assert p.covers == ((0, 1), (1, 2), (2, 3))
     with pytest.raises(ElementNotFound):
         p.le(0, 99)
 
@@ -125,7 +129,7 @@ def test_dual_and_product():
 
 def _brute_meet(p, x, y):
     lower = [z for z in p.elements if p.le(z, x) and p.le(z, y)]
-    maxima = [z for z in lower if not any(p.lt(z, w) for w in lower)]
+    maxima = [z for z in lower if not any(z != w and p.le(z, w) for w in lower)]
     return maxima[0] if len(maxima) == 1 else None
 
 
@@ -410,9 +414,9 @@ def test_cover_lists_match_cover_scan(small_lgs):
     s4 = weak_order_poset(4)
     cases = small_lgs + [s4, s4.dual(), PENTAGON, PENTAGON.product(chain(3)), antichain(3)]
     for p in cases:
-        for i, x in enumerate(p.elements):
-            assert p.upper_covers(x) == [p.elements[b] for a, b in p.covers if a == i]
-            assert p.lower_covers(x) == [p.elements[a] for a, b in p.covers if b == i]
+        for i in range(len(p)):
+            assert p._upper[i] == tuple(b for a, b in p.covers if a == i)
+            assert p._lower[i] == tuple(a for a, b in p.covers if b == i)
 
 
 def test_lg_min_is_identity_image():

@@ -223,7 +223,7 @@ def test_gforest_children_and_ideals_match_parent_scan():
     for g in itertools.chain.from_iterable(all_graphs(n) for n in range(5)):
         for x in enumerate_maximal_tubings(g):
             t = tau(x)
-            assert t.roots() == tuple(u for u in g.vertices if t.parent_of(u) == 0)
+            assert t.children(0) == tuple(u for u in g.vertices if t.parent_of(u) == 0)
             for v in g.vertices:
                 assert t.children(v) == tuple(u for u in g.vertices if t.parent_of(u) == v)
                 below = {u for u in g.vertices if t.less(u, v)}
