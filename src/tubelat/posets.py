@@ -7,7 +7,9 @@ Elements are arbitrary hashable keys stored in a deterministic topological
 order; the reachability relation is kept as one up-set and one down-set
 bitmask per element.  Because the storage order extends the partial order, a
 single meet or join is a bitmask probe: the meet of x and y exists iff the
-highest-indexed common lower bound dominates all the others.
+highest-indexed common lower bound dominates all the others.  Partitions and
+maps come in by index, and each class is one bitmask whose lowest-indexed
+member is its only possible minimum and its highest its only possible maximum.
 
 Whole-lattice queries work from the covers and probes alone.  A poset with
 a least element is a lattice iff every two upper covers of a common element
@@ -28,6 +30,7 @@ the ``Tubing`` constructor.
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
@@ -299,6 +302,71 @@ class Poset:
                 having[mu] = having.get(mu, 0) | 1 << z
         return mu
 
+    # -- partitions and maps, given by index ----------------------------------
+
+    def is_congruence(self, label: Sequence[Hashable]) -> bool:
+        """Whether the classes of this lattice, ``label[a]`` the class of
+        ``elements[a]``, form a lattice congruence.
+
+        An equivalence relation on a finite lattice is a lattice congruence iff
+        every class is an interval and the maps pi_down and pi_up, taking each
+        element to the minimum and to the maximum of its class, are
+        order-preserving (Reading, *Lattice congruences of the weak order*,
+        Order 2004), and a map is order-preserving iff it is monotone on every
+        cover.  A class is an interval iff its mask is up[lo] & down[hi], for
+        its lowest- and highest-indexed members lo and hi, which then are its
+        minimum and maximum.
+        """
+        up, down, lo, hi = self._up, self._down, {}, {}
+        for c, m in _class_masks(label).items():
+            lo[c], hi[c] = (m & -m).bit_length() - 1, m.bit_length() - 1
+            if m != up[lo[c]] & down[hi[c]]:
+                return False
+        return all(
+            up[lo[label[a]]] >> lo[label[b]] & 1 and up[hi[label[a]]] >> hi[label[b]] & 1
+            for a, b in self.covers
+        )
+
+    def map_kinds(self, target: "Poset", img: Sequence[int]) -> tuple:
+        """(meet_ok, join_ok, witness) for the map ``elements[a] ->
+        target.elements[img[a]]`` from this lattice onto ``target``.
+
+        A meet- or join-preserving map f is order-preserving (u <= w gives f(u)
+        = f(u ^ w) = f(u) ^ f(w)), and then f of the bottom and top bound the
+        target, whose elements are all images, so the target is a lattice.  Both
+        kinds fail if f is not monotone on a cover or the target is not a
+        lattice.  Otherwise the fibers are convex (u <= v <= w in one fiber pins
+        f(v)), and f preserves meets iff every fiber has a minimum and the fiber
+        minima rise along every cover of the target.  (<=) Take w in the fiber
+        of z = f(x) ^ f(y): its fiber minimum lies below the minima of the
+        fibers of x and y, hence below x ^ y, so z <= f(x ^ y), and
+        monotonicity gives the reverse.  (=>) The fibers are meet-closed, so
+        each has a least element, and if f(p) <= f(q), the meet of the two
+        fiber minima lies in p's fiber.  Joins are the dual.  A fiber mask m
+        has a minimum iff m lies in up[lo] for its lowest-indexed member lo.
+        Only a kind that fails is searched for its witness (kind, x, y): the
+        first pair a < b in index order where it fails, the meet first when
+        both fail there.
+        """
+        up, ok = self._up, {"meet": False, "join": False}
+        if target.is_lattice() and all(target._up[img[a]] >> img[b] & 1 for a, b in self.covers):
+            fibers = _class_masks(img)
+            lo = {p: (m & -m).bit_length() - 1 for p, m in fibers.items()}
+            hi = {p: m.bit_length() - 1 for p, m in fibers.items()}
+            for kind, ends, within in (("meet", lo, up), ("join", hi, self._down)):
+                ok[kind] = all(not m & ~within[ends[p]] for p, m in fibers.items()) and all(
+                    up[ends[p]] >> ends[q] & 1 for p, q in target.covers
+                )
+        probes = {"meet": (target._meet_idx, self._meet_idx), "join": (target._join_idx, self._join_idx)}
+        failed = [(kind, probes[kind]) for kind in ok if not ok[kind]]
+        bad = (
+            (kind, self.elements[a], self.elements[b])
+            for a, b in itertools.combinations(range(len(img)), 2)
+            for kind, (probe, own) in failed
+            if probe(img[a], img[b]) != img[own(a, b)]
+        )
+        return ok["meet"], ok["join"], next(bad) if failed else None
+
     # -- constructions ---------------------------------------------------------
 
     def dual(self) -> "Poset":
@@ -344,6 +412,14 @@ class Poset:
             lines.append(f"  n{a} -> n{b};")
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def _class_masks(label: Sequence[Hashable]) -> dict:
+    """Class -> its members, as a bitmask: bit a stands for element a."""
+    masks = dict.fromkeys(label, 0)
+    for a, c in enumerate(label):
+        masks[c] |= 1 << a
+    return masks
 
 
 def _refine_labels(p: Poset) -> list:
@@ -420,8 +496,12 @@ def _isomorphic(p: Poset, q: Poset) -> bool:
 
 
 def build_lg(g: Graph) -> Poset:
-    """The poset of maximal tubings; its covers are the ``flips`` that go up."""
-    return Poset(enumerate_maximal_tubings(g), [(x, y) for x, y, a, b in flips(g) if a < b])
+    """The poset of maximal tubings; its covers are the ``flips`` that go up.
+    Its closure takes |MTub|^2 bits, so past 65,536 tubings it is refused."""
+    mtub = enumerate_maximal_tubings(g)
+    if len(mtub) > 1 << 16:
+        raise TubelatError(f"{g} has {len(mtub):,} maximal tubings; L_G takes at most 65,536")
+    return Poset(mtub, [(x, y) for x, y, a, b in flips(g) if a < b])
 
 
 @dataclass(frozen=True)

@@ -406,62 +406,30 @@ def quotient_poset(theta: Congruence) -> Poset:
     return Poset(sorted(set(rep.values())), covers)
 
 
-def _class_ends(label: Sequence[int], nexts: Sequence[Sequence[int]]) -> dict:
-    """Class -> its members whose covers in ``nexts`` all lie in other
-    classes, where ``label[a]`` is the class of element a.  In a convex
-    class these are its minimal (lower covers) or maximal (upper covers)
-    members."""
-    ends: dict = {}
-    for a, x in enumerate(label):
-        if all(label[c] != x for c in nexts[a]):
-            ends.setdefault(x, []).append(a)
-    return ends
-
-
 def is_lattice_congruence(partition: Iterable[Sequence[Perm]], n: int) -> bool:
-    """Whether a partition of S_n is a lattice congruence, from the covers.
-
-    An equivalence relation on a finite lattice is a lattice congruence iff
-    every class is an interval and the maps pi_down and pi_up, taking each
-    element to the minimum and to the maximum of its class, are
-    order-preserving (Reading, *Lattice congruences of the weak order*,
-    Order 2004), and a map is order-preserving iff it is monotone on every
-    cover.  A class is an interval iff it is all of the interval between
-    some minimal member and some maximal member, and then these are its
-    minimum and maximum.  Raises unless the classes cover S_n exactly once.
-    """
+    """Whether a partition of S_n is a lattice congruence, by
+    ``Poset.is_congruence``; raises unless it covers S_n exactly once."""
     sn = weak_order_poset(n)
     label = [-1] * len(sn)
-    masks: dict = {}  # class -> its members, as a bitmask
     for c, cls in enumerate(partition):
         for w in cls:
             a = sn.index(w)
             if label[a] >= 0:
                 raise TubelatError(f"{format_perm(w)} lies in two classes")
             label[a] = c
-            masks[c] = masks.get(c, 0) | 1 << a
     if -1 in label:
         raise TubelatError(f"{format_perm(sn.elements[label.index(-1)])} lies in no class")
-    ends = [_class_ends(label, nexts) for nexts in (sn._lower, sn._upper)]
-    lo, hi = ({c: e[0] for c, e in side.items()} for side in ends)
-    if any(m != sn._up[lo[c]] & sn._down[hi[c]] for c, m in masks.items()):
-        return False
-    return all(
-        sn._up[lo[label[a]]] >> lo[label[b]] & 1 and sn._up[hi[label[a]]] >> hi[label[b]] & 1
-        for a, b in sn.covers
-    )
+    return sn.is_congruence(label)
 
 
 def finest_lattice_congruence(n: int, pairs: Iterable[tuple[Perm, Perm]]):
     """The most refined equivalence on S_n identifying the given pairs that
     is stable under meet and join with arbitrary elements (congruence
     closure by a merge worklist of meet and join probes)."""
-    poset = weak_order_poset(n)
-    meet, join = poset._meet_idx, poset._join_idx
-    m = len(poset.elements)
-    parent = list(range(m))
+    sn = weak_order_poset(n)
+    parent = {w: w for w in sn.elements}
 
-    def find(x: int) -> int:
+    def find(x: Perm) -> Perm:
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
@@ -469,22 +437,22 @@ def finest_lattice_congruence(n: int, pairs: Iterable[tuple[Perm, Perm]]):
 
     work: list = []
 
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-            work.append((ra, rb))
+    def union(u: Perm, w: Perm) -> None:
+        ru, rw = find(u), find(w)
+        if ru != rw:
+            parent[ru] = rw
+            work.append((ru, rw))
 
     for u, w in pairs:
-        union(poset.index(u), poset.index(w))
+        union(*(sn.elements[sn.index(x)] for x in (u, w)))  # a word outside S_n raises
     while work:
-        a, b = work.pop()
-        for z in range(m):
-            union(meet(a, z), meet(b, z))
-            union(join(a, z), join(b, z))
+        u, w = work.pop()
+        for z in sn.elements:
+            union(sn.meet(u, z), sn.meet(w, z))
+            union(sn.join(u, z), sn.join(w, z))
     groups: dict = {}
     for w in permutations(n):  # in lexicographic order: each class comes out sorted
-        groups.setdefault(find(poset.index(w)), []).append(w)
+        groups.setdefault(find(w), []).append(w)
     return tuple(map(tuple, groups.values()))
 
 
@@ -576,54 +544,19 @@ class LatticeMapReport:
 
 
 def lattice_map_report(g: Graph, lg: Optional[Poset] = None) -> LatticeMapReport:
-    """Whether psi: S_n -> L_G preserves meets and joins, decided from covers.
-
-    psi is onto (a tubing with an empty fiber raises).  A meet- or
-    join-preserving map is order-preserving (u <= w gives psi(u) =
-    psi(u ^ w) = psi(u) ^ psi(w)), and then psi of the bottom and top of S_n
-    bound L_G, whose elements are all images, so L_G is a lattice.  Both
-    kinds fail if psi is not monotone on a cover of S_n or L_G is not a
-    lattice.  Otherwise the fibers are convex (u <= v <= w in one fiber pins
-    psi(v)), so a member with no lower cover in its fiber is minimal in it,
-    and psi preserves meets iff every fiber has exactly one such member and
-    the fiber minima rise along every cover of L_G.  (<=) Take w in the
-    fiber of z = psi(x) ^ psi(y): its fiber minimum lies below the minima of
-    the fibers of x and y, hence below x ^ y, so z <= psi(x ^ y), and
-    monotonicity gives the reverse.  (=>) The fibers are meet-closed, so
-    each has a least element, and if psi(p) <= psi(q), the meet of the two
-    fiber minima lies in p's fiber.  Joins are the dual: maxima, upper covers.
-
-    Only a kind that fails is searched for its witness, by bitmask probes:
-    the first pair a < b of S_n in storage order where it fails, the meet
-    first when both fail there.  S_8 (whose closure this would build) and
-    beyond are refused before L_G, S_n or psi is built.
-    """
+    """Whether psi: S_n -> L_G preserves meets and joins, by ``Poset.map_kinds``.
+    psi is onto (an empty fiber raises); S_8 (whose closure this would build)
+    and beyond are refused before L_G, S_n or psi is built."""
     if g.n >= 8:
         raise TubelatError(
             f"the lattice-map report takes n <= 7; S_{g.n} has {math.factorial(g.n):,} elements"
         )
     lg = lg if lg is not None else build_lg(g)
-    sn = weak_order_poset(g.n)
-    pm = psi_map(g)
+    sn, pm = weak_order_poset(g.n), psi_map(g)
     img = [lg.index(pm[w]) for w in sn.elements]
     if len(set(img)) < len(lg):
         raise TubelatError(f"psi misses a maximal tubing of {g}")
-    ok = {"meet": False, "join": False}
-    if lg.is_lattice() and all(lg._up[img[a]] >> img[b] & 1 for a, b in sn.covers):
-        for kind, nexts in (("meet", sn._lower), ("join", sn._upper)):
-            ends = _class_ends(img, nexts)
-            ok[kind] = all(len(e) == 1 for e in ends.values()) and all(
-                sn._up[ends[p][0]] >> ends[q][0] & 1 for p, q in lg.covers
-            )
-    probes = {"meet": (lg._meet_idx, sn._meet_idx), "join": (lg._join_idx, sn._join_idx)}
-    failed = [(kind, probes[kind]) for kind in ok if not ok[kind]]
-    bad = (
-        (kind, sn.elements[a], sn.elements[b])
-        for a, b in itertools.combinations(range(len(img)), 2)
-        for kind, (lg_probe, sn_probe) in failed
-        if lg_probe(img[a], img[b]) != img[sn_probe(a, b)]
-    )
-    return LatticeMapReport(ok["meet"], ok["join"], next(bad) if failed else None)
+    return LatticeMapReport(*sn.map_kinds(lg, img))
 
 
 # ---------------------------------------------------------------------------

@@ -255,6 +255,7 @@ BAD_INPUTS = [
     ("arc", "subarc", "--arc", "2-4:+", "--n", "4"),
     ("tubings", "--graph-file", "no-such-dir/no-such-graph.txt"),
     ("check", "lattice-map", "--graph", "path:8"),  # the report takes n <= 7
+    ("poset", "--graph", "cycle:11"),  # 184,756 tubings: L_G is refused before its closure
     # negative sizes, and a weak order past S_8, are refused before building
     ("export-dot", "--weak-order", "-1"),
     ("export-dot", "--weak-order", "9"),
@@ -454,11 +455,12 @@ def test_no_unused_module_level_imports():
     assert unused == []
 
 
-def test_code_table_is_named_only_in_tubings():
+def test_private_layouts_are_named_only_in_their_modules():
     # the maximal-tubing code format and the tube tree are decisions of the
     # tubings module; only its producers may skip the Tubing constructor's
     # check, and only its code table and _tubing, which sorts first, may
-    # skip the sort
+    # skip the sort.  The poset's index-order bitmask storage is a decision
+    # of the posets module
     import ast
     from pathlib import Path
 
@@ -475,6 +477,8 @@ def test_code_table_is_named_only_in_tubings():
     assert {(f, n) for f, n in named if n in private} == {
         ("tubings.py", n) for n in ("_code_table", "_sorted_tubing", "_tubing", "tube_tree")
     }
+    storage = ("_up", "_down", "_upper", "_lower", "_meet_idx", "_join_idx")
+    assert {(f, n) for f, n in named if n in storage} == {("posets.py", n) for n in storage}
     root = src.parent.parent
     files = [*src.glob("*.py"), *root.glob("tests/*.py"), *root.glob("bench/*.py")]
     assert not [path.name for path in files if "make_tubing" in names(path)]
