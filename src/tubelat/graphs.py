@@ -421,15 +421,20 @@ def parse_family(descriptor: str) -> GraphFamily:
     }
     if d in simple:
         return simple[d]()
-    if d.startswith("h:"):
-        return family_h(int(d[2:]))
-    if d.startswith("A:"):
-        body = d[2:]
-        if body == "all":
-            return family_from_A("all")
-        body = body.strip("{}")
-        items = [s for s in body.split(",") if s.strip()]
-        return family_from_A(frozenset(int(s) for s in items))
+    try:
+        if d.startswith("h:"):
+            return family_h(int(d[2:]))
+        if d.startswith("A:"):
+            body = d[2:]
+            if body == "all":
+                return family_from_A("all")
+            body = body.strip("{}")
+            items = [s for s in body.split(",") if s.strip()]
+            return family_from_A(frozenset(int(s) for s in items))
+    except TubelatError:
+        raise
+    except ValueError:
+        raise TubelatError(f"non-integer parameter in family descriptor {descriptor!r}") from None
     raise TubelatError(f"unknown family descriptor {descriptor!r}")
 
 

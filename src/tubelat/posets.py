@@ -383,9 +383,6 @@ class Poset:
                 covers.append(((x, other.elements[a]), (x, other.elements[b])))
         return Poset(elements, covers)
 
-    def is_isomorphic_to(self, other: "Poset") -> bool:
-        return _isomorphic(self, other)
-
     # -- export ---------------------------------------------------------------
 
     def to_json_obj(self, label: Callable[[Hashable], str] = str) -> dict:
@@ -420,74 +417,6 @@ def _class_masks(label: Sequence[Hashable]) -> dict:
     for a, c in enumerate(label):
         masks[c] |= 1 << a
     return masks
-
-
-def _refine_labels(p: Poset) -> list:
-    n = len(p)
-    up_covers, down_covers = p._upper, p._lower
-    labels = [
-        (len(up_covers[i]), len(down_covers[i]), bin(p._up[i]).count("1"), bin(p._down[i]).count("1"))
-        for i in range(n)
-    ]
-    for _ in range(n):
-        new = []
-        for i in range(n):
-            new.append(
-                (
-                    labels[i],
-                    tuple(sorted(labels[j] for j in up_covers[i])),
-                    tuple(sorted(labels[j] for j in down_covers[i])),
-                )
-            )
-        canon = {v: k for k, v in enumerate(sorted(set(new)))}
-        new_ids = [canon[v] for v in new]
-        if new_ids == labels:
-            break
-        labels = new_ids
-    return labels
-
-
-def _isomorphic(p: Poset, q: Poset) -> bool:
-    if len(p) != len(q) or len(p.covers) != len(q.covers):
-        return False
-    lp, lq = _refine_labels(p), _refine_labels(q)
-    if sorted(lp) != sorted(lq):
-        return False
-    n = len(p)
-    candidates = [[j for j in range(n) if lq[j] == lp[i]] for i in range(n)]
-    order = sorted(range(n), key=lambda i: len(candidates[i]))
-    qcov = set(q.covers)
-    up_adj, down_adj = p._upper, p._lower
-    assignment: dict = {}
-    used = set()
-
-    def bk(k: int) -> bool:
-        if k == n:
-            return True
-        i = order[k]
-        for j in candidates[i]:
-            if j in used:
-                continue
-            ok = True
-            for b in up_adj[i]:
-                if b in assignment and (j, assignment[b]) not in qcov:
-                    ok = False
-                    break
-            if ok:
-                for a in down_adj[i]:
-                    if a in assignment and (assignment[a], j) not in qcov:
-                        ok = False
-                        break
-            if ok:
-                assignment[i] = j
-                used.add(j)
-                if bk(k + 1):
-                    return True
-                del assignment[i]
-                used.discard(j)
-        return False
-
-    return bk(0)
 
 
 # ---------------------------------------------------------------------------

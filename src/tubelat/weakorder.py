@@ -100,17 +100,6 @@ def perm_descents(w: Perm) -> frozenset:
     )
 
 
-def weak_covers(w: Perm) -> list[Perm]:
-    """Lower covers: swap each adjacent descent pair."""
-    out = []
-    for s in range(1, len(w)):
-        if w[s - 1] > w[s]:
-            u = list(w)
-            u[s - 1], u[s] = u[s], u[s - 1]
-            out.append(tuple(u))
-    return out
-
-
 def weak_upper_covers(w: Perm) -> list[Perm]:
     out = []
     for s in range(1, len(w)):
@@ -372,23 +361,6 @@ def congruence_classes(theta: Congruence) -> tuple[tuple[Perm, ...], ...]:
     )
 
 
-def class_minimum(cls: Sequence[Perm]) -> Perm:
-    """The unique weak-order minimum of a congruence class."""
-    members = set(cls)
-    mins = [w for w in cls if not any(u in members for u in weak_covers(w))]
-    if len(mins) != 1:
-        raise TubelatError("congruence class has no unique minimum")
-    return mins[0]
-
-
-def class_maximum(cls: Sequence[Perm]) -> Perm:
-    members = set(cls)
-    maxs = [w for w in cls if not any(u in members for u in weak_upper_covers(w))]
-    if len(maxs) != 1:
-        raise TubelatError("congruence class has no unique maximum")
-    return maxs[0]
-
-
 def quotient_poset(theta: Congruence) -> Poset:
     """Quotient of the weak order: classes keyed by their minimum.
 
@@ -396,12 +368,14 @@ def quotient_poset(theta: Congruence) -> Poset:
     for a lattice congruence none is redundant: if x < y is a cover, x, y
     lie in different classes and [x] < Z < [y], then for z in Z, (z v x) ^ y
     lies in Z and in [x, y] = {x, y}.  ``Poset`` rejects redundant covers.
+
+    A class's minimum is its first word: ``congruence_classes`` sorts each
+    class; every ``Congruence`` the package builds comes from
+    ``congruence_from_generators``, which is forcing-closed, so its classes
+    are intervals (E05 checks this); and an upper cover turns an ascent
+    into a descent, so the word grows lexicographically along the order.
     """
-    rep = {}
-    for cls in congruence_classes(theta):
-        m = class_minimum(cls)
-        for w in cls:
-            rep[w] = m
+    rep = {w: cls[0] for cls in congruence_classes(theta) for w in cls}
     covers = {(rep[u], rep[w]) for u, w in weak_cover_pairs(theta.n) if rep[u] != rep[w]}
     return Poset(sorted(set(rep.values())), covers)
 

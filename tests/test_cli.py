@@ -247,6 +247,8 @@ def test_annotated_nonlattice_dot(capsys):
 BAD_INPUTS = [
     ("tubings", "--graph", "nonsense"),
     ("tubings", "--graph", "path:99999999999999999999"),  # refused before building
+    ("tubings", "--graph", "h:x:3"),
+    ("family", "translational", "--family", "A:{1,a}", "--max-degree", "3"),
     ("psi", "--graph", "path:3", "--perm", "211"),
     ("tubings",),
     ("arc", "delete", "--arc", "9-2:", "--n", "4", "--k", "1"),

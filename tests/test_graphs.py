@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -244,6 +245,11 @@ def test_family_descriptors():
     assert parse_graph("path:3") == P3
     with pytest.raises(TubelatError):
         parse_family("nonsense")
+    # a non-integer parameter is named with its family descriptor
+    with pytest.raises(TubelatError, match="family descriptor 'h:x'$"):
+        parse_graph("h:x:3")
+    with pytest.raises(TubelatError, match=re.escape("family descriptor 'A:{1,a}'")):
+        parse_family("A:{1,a}")
 
 
 def test_graph_text_and_json_round_trip():
