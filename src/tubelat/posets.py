@@ -18,13 +18,18 @@ kappa map exists on every join-irreducible and its dual on every
 meet-irreducible, one bitmask probe each; a lattice that fails is searched
 for its first violating triple with one probe per element and z.
 
+Construction has one body, ``_init_by_index``, on covers given by index:
+``Poset(elements, covers)`` maps its keys to positions for it, and
+``build_lg``, ``dual`` and ``product`` call it directly.  Redundant covers
+are found from sibling covers on the up closure (see ``Poset.__init__``).
 ``build_lg`` assembles the poset L_G of maximal tubings: its covers are the
-``tubings.flips`` that go up, each found once from its lower end, and
-acyclicity plus irredundancy of covers are verified on construction (the
-orientation is induced by a linear functional, so a cycle or a redundant
-edge would indicate a flip bug).  ``all_tubings`` lists the faces as the
-cliques of the per-graph ``compatibility_masks`` table, each checked once by
-the ``Tubing`` constructor.
+``tubings.flips`` that go up, each found once from its lower end as a pair
+of positions in the enumeration, and acyclicity plus irredundancy of covers
+are verified on construction (the orientation is induced by a linear
+functional, so a cycle or a redundant edge would indicate a flip bug).
+``all_tubings`` lists the faces as the cliques of the per-graph
+``compatibility_masks`` table, each checked once by the ``Tubing``
+constructor.
 """
 
 from __future__ import annotations
@@ -45,30 +50,42 @@ class Poset:
     __slots__ = ("elements", "_index", "covers", "_upper", "_lower", "_up", "_down")
 
     def __init__(self, elements: Sequence[Hashable], covers: Iterable[tuple]):
-        """Build from elements and cover pairs (lower, upper), given by key.
+        """Build from elements and cover pairs (lower, upper), given by key,
+        mapped to positions for ``_init_by_index``.  Raises on duplicate
+        elements, a self-loop, a cycle or a transitively redundant cover;
+        drops a repeated cover.  Elements are reordered into a deterministic
+        linear extension, ties broken by original position.
 
-        Raises if the covers contain a cycle or a transitively redundant
-        pair.  Elements are reordered into a deterministic linear extension:
-        ties broken by original position.
+        A listed cover a < b is redundant iff another listed upper cover c of
+        a has b in up(c): a path a < z < b starts with a listed cover a < c,
+        c <= z < b, so c != b; conversely b in up(c), c != b, gives a < c < b.
+        Such a c precedes b in index order, so the up closure of a, read over
+        its upper covers in that order, holds b on reaching it iff a < b is
+        redundant.  The error names the first redundant cover in ``covers``
+        order.
         """
         idx = {e: i for i, e in enumerate(elements)}
         if len(idx) != len(elements):
             raise TubelatError("duplicate poset elements")
         try:
-            cov = sorted({(idx[a], idx[b]) for a, b in covers})
+            cov = [(idx[a], idx[b]) for a, b in covers]
         except KeyError as exc:
             raise ElementNotFound(f"{exc.args[0]!r} not in poset") from None
+        self._init_by_index(elements, cov)
+
+    def _init_by_index(self, elements: Sequence[Hashable], covers: Sequence[tuple]) -> "Poset":
+        """``Poset(...)`` on covers given as index pairs into ``elements``, with
+        every check; fills and returns self, and hashes no key per cover."""
         n = len(elements)
         succs = [[] for _ in range(n)]
         indeg = [0] * n
-        for a, b in cov:
+        for a, b in covers:
             if a == b:
                 raise TubelatError("cover relation is a self-loop")
             succs[a].append(b)
             indeg[b] += 1
         order = []
-        heap = [i for i in range(n) if indeg[i] == 0]
-        heapq.heapify(heap)
+        heap = [i for i in range(n) if indeg[i] == 0]  # ascending, so a heap
         while heap:
             v = heapq.heappop(heap)
             order.append(v)
@@ -78,34 +95,42 @@ class Poset:
                     heapq.heappush(heap, w)
         if len(order) != n:
             raise TubelatError("cover relation has a cycle")
-        pos = {old: new for new, old in enumerate(order)}
+        pos = dict(zip(order, range(n)))
         self.elements = tuple(elements[old] for old in order)
         self._index = {e: i for i, e in enumerate(self.elements)}
-        self.covers = tuple(sorted((pos[a], pos[b]) for a, b in cov))
-        # the upper and the lower covers of each element, in index order
-        upper = [[] for _ in range(n)]
+        if len(self._index) != n:
+            raise TubelatError("duplicate poset elements")
+        # the upper and lower covers of each element, sorted after relabelling
+        upper = [sorted({pos[b] for b in succs[old]}) for old in order]
+        self.covers = tuple((a, b) for a, ups in enumerate(upper) for b in ups)
         lower = [[] for _ in range(n)]
         for a, b in self.covers:
-            upper[a].append(b)
             lower[b].append(a)
         self._upper = tuple(map(tuple, upper))
         self._lower = tuple(map(tuple, lower))
-        up = [1 << i for i in range(n)]
-        for i in range(n - 1, -1, -1):
-            for b in upper[i]:
-                up[i] |= up[b]
-        down = [1 << i for i in range(n)]
+        up, first = [0] * n, -1
+        for a in range(n - 1, -1, -1):
+            mask = 1 << a
+            for b in upper[a]:
+                if mask >> b & 1:  # an earlier upper cover of a lies below b
+                    first = a  # the least such a, when the loop ends
+                mask |= up[b]
+            up[a] = mask
+        if first >= 0:
+            ups = upper[first]
+            b = next(b for b in ups if any(up[c] >> b & 1 for c in ups if c != b))
+            raise TubelatError(
+                f"cover {self.elements[first]!r} < {self.elements[b]!r} is transitively redundant"
+            )
+        down = [0] * n
         for i in range(n):
+            mask = 1 << i
             for a in lower[i]:
-                down[i] |= down[a]
+                mask |= down[a]
+            down[i] = mask
         self._up = tuple(up)
         self._down = tuple(down)
-        for a, b in self.covers:
-            between = self._up[a] & self._down[b] & ~(1 << a) & ~(1 << b)
-            if between:
-                raise TubelatError(
-                    f"cover {self.elements[a]!r} < {self.elements[b]!r} is transitively redundant"
-                )
+        return self
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -370,18 +395,14 @@ class Poset:
     # -- constructions ---------------------------------------------------------
 
     def dual(self) -> "Poset":
-        return Poset(self.elements, [(self.elements[b], self.elements[a]) for a, b in self.covers])
+        return Poset.__new__(Poset)._init_by_index(self.elements, [(b, a) for a, b in self.covers])
 
     def product(self, other: "Poset") -> "Poset":
+        m = len(other)  # (x, y) sits at m * index(x) + index(y)
         elements = [(x, y) for x in self.elements for y in other.elements]
-        covers = []
-        for a, b in self.covers:
-            for y in other.elements:
-                covers.append(((self.elements[a], y), (self.elements[b], y)))
-        for x in self.elements:
-            for a, b in other.covers:
-                covers.append(((x, other.elements[a]), (x, other.elements[b])))
-        return Poset(elements, covers)
+        covers = [(a * m + y, b * m + y) for a, b in self.covers for y in range(m)]
+        covers += [(x * m + a, x * m + b) for x in range(len(self)) for a, b in other.covers]
+        return Poset.__new__(Poset)._init_by_index(elements, covers)
 
     # -- export ---------------------------------------------------------------
 
@@ -425,12 +446,13 @@ def _class_masks(label: Sequence[Hashable]) -> dict:
 
 
 def build_lg(g: Graph) -> Poset:
-    """The poset of maximal tubings; its covers are the ``flips`` that go up.
-    Its closure takes |MTub|^2 bits, so past 65,536 tubings it is refused."""
+    """The poset of maximal tubings; its covers are the ``flips`` that go up,
+    by position in the enumeration.  Its closure takes |MTub|^2 bits, so
+    past 65,536 tubings it is refused."""
     mtub = enumerate_maximal_tubings(g)
     if len(mtub) > 1 << 16:
         raise TubelatError(f"{g} has {len(mtub):,} maximal tubings; L_G takes at most 65,536")
-    return Poset(mtub, [(x, y) for x, y, a, b in flips(g) if a < b])
+    return Poset.__new__(Poset)._init_by_index(mtub, [(i, j) for i, j, a, b in flips(g) if a < b])
 
 
 @dataclass(frozen=True)

@@ -47,8 +47,8 @@ tubings (n tubes each) compare as their sorted tube indices; the lower one
 holds the least index where they differ, so its code is the larger.  Read
 highest bit first, a code's tubes come in ``tube_key`` order, with no sort.
 Only this module knows the format: the enumerator keeps one table per graph
-(tube mask -> bit, code -> tubing), and ``flips``, ``psi_images`` and
-``split_restrictions`` answer in tubings, finding each by code there.
+(tube mask -> bit, code -> tubing); ``psi_images`` and ``split_restrictions``
+answer in tubings, finding each by code there, and ``flips`` in positions.
 ``psi_tubing``, the surjection from words, and ``maximal_tubings_oracle``, a
 clique search over the per-graph table ``compatibility_masks``, are
 independent routes to the same set.
@@ -512,24 +512,26 @@ def enumerate_maximal_tubings(g: Graph) -> tuple[Tubing, ...]:
     return tuple(_code_table(g)[1].values())
 
 
-def flips(g: Graph) -> Iterator[tuple[Tubing, Tubing, int, int]]:
-    """(x, y, a, b) for every flip of every maximal tubing x of g, in
-    enumeration order: y is x with I exchanged for J, a = top(I) and
-    b = top(J) as ``oriented_flips`` yields them; x < y in L_G iff a < b.
-    Each code's tube masks are read off its bits, highest first (smallest
-    tube first), for ``_mask_flips``, and y is the tubing of code ^ bit(I) ^
-    bit(J), so no tube tree, tube set or tubing is built per flip."""
+def flips(g: Graph) -> Iterator[tuple[int, int, int, int]]:
+    """(i, j, a, b) for every flip of every maximal tubing x of g, by
+    position in ``enumerate_maximal_tubings(g)`` and in its order: x is
+    tubing i, tubing j is x with I exchanged for J, a = top(I) and b = top(J)
+    as ``oriented_flips`` yields them; x < y in L_G iff a < b.  Each code's
+    tube masks are read off its bits, highest first (smallest tube first),
+    for ``_mask_flips``, and j is the position of code ^ bit(I) ^ bit(J), so
+    no tube tree, tube set or tubing is built or hashed per flip."""
     adj = adjacency(g)
     bit, by_code = _code_table(g)
     tube = list(bit)  # the mask of bit j, at index j
-    for code, x in by_code.items():
+    index = dict(zip(by_code, range(len(by_code))))  # code -> position
+    for i, code in enumerate(by_code):
         masks, rest = [], code
         while rest:
             j = rest.bit_length() - 1
             masks.append(tube[j])
             rest ^= 1 << j
         for I, J, a, b in _mask_flips(adj, masks):
-            yield x, by_code[code ^ bit[I] ^ bit[J]], a, b
+            yield i, index[code ^ bit[I] ^ bit[J]], a, b
 
 
 def split_restrictions(g: Graph, n: int) -> Iterator[tuple[Tubing, Tubing, Tubing]]:

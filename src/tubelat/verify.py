@@ -758,7 +758,7 @@ def ex_lg_structure_sweep(max_n=None) -> str:
                 f"cover/descent/ascent counts differ for {g}",
             )
             lam = lambda v: sum((n - idx) * v[idx] for idx in range(n))
-            coords = {x: vertex_coordinates(x) for x in lg.elements}
+            coords = [vertex_coordinates(x) for x in enumerate_maximal_tubings(g)]
             for x, y, i_t, j_t in flips(g):
                 diff = [a - b for a, b in zip(coords[y], coords[x])]
                 scale = diff[i_t - 1]

@@ -374,8 +374,13 @@ def quotient_poset(theta: Congruence) -> Poset:
     ``congruence_from_generators``, which is forcing-closed, so its classes
     are intervals (E05 checks this); and an upper cover turns an ascent
     into a descent, so the word grows lexicographically along the order.
+    A hand-built ``Congruence`` need not be forcing-closed, so each first
+    word is checked against the inversion sets of its class.
     """
-    rep = {w: cls[0] for cls in congruence_classes(theta) for w in cls}
+    classes = congruence_classes(theta)
+    if not all(inversions(cls[0]) <= inversions(w) for cls in classes for w in cls):
+        raise TubelatError("congruence class has no unique minimum")
+    rep = {w: cls[0] for cls in classes for w in cls}
     covers = {(rep[u], rep[w]) for u, w in weak_cover_pairs(theta.n) if rep[u] != rep[w]}
     return Poset(sorted(set(rep.values())), covers)
 

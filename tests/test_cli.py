@@ -461,8 +461,9 @@ def test_private_layouts_are_named_only_in_their_modules():
     # the maximal-tubing code format and the tube tree are decisions of the
     # tubings module; only its producers may skip the Tubing constructor's
     # check, and only its code table and _tubing, which sorts first, may
-    # skip the sort.  The poset's index-order bitmask storage is a decision
-    # of the posets module
+    # skip the sort.  The poset's index-order bitmask storage, and the
+    # private constructor path that takes covers by index, are decisions of
+    # the posets module
     import ast
     from pathlib import Path
 
@@ -479,7 +480,7 @@ def test_private_layouts_are_named_only_in_their_modules():
     assert {(f, n) for f, n in named if n in private} == {
         ("tubings.py", n) for n in ("_code_table", "_sorted_tubing", "_tubing", "tube_tree")
     }
-    storage = ("_up", "_down", "_upper", "_lower", "_meet_idx", "_join_idx")
+    storage = ("_up", "_down", "_upper", "_lower", "_meet_idx", "_join_idx", "_init_by_index")
     assert {(f, n) for f, n in named if n in storage} == {("posets.py", n) for n in storage}
     root = src.parent.parent
     files = [*src.glob("*.py"), *root.glob("tests/*.py"), *root.glob("bench/*.py")]

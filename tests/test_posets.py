@@ -16,8 +16,15 @@ from tubelat.graphs import (
     tubes,
 )
 from tubelat.posets import Poset, all_tubings, build_lg, tubing_face_interval
-from tubelat.tubings import Tubing, enumerate_maximal_tubings, flip_by_search, psi_tubing, top
-from tubelat.weakorder import weak_order_poset
+from tubelat.tubings import (
+    Tubing,
+    enumerate_maximal_tubings,
+    flip_by_search,
+    flips,
+    psi_tubing,
+    top,
+)
+from tubelat.weakorder import permutations, weak_cover_pairs, weak_order_poset
 
 from table_oracles import join_table, meet_table, semidistributivity_scan
 from test_graphs import component_by_dfs
@@ -63,6 +70,96 @@ def test_covers_must_be_acyclic_and_irredundant():
         Poset([1, 2], [(1, 2), (2, 1)])
     with pytest.raises(TubelatError):
         Poset([1, 2, 3], [(1, 2), (2, 3), (1, 3)])
+
+
+def _index_path(elements, covers):
+    # the private constructor path that build_lg, dual and product take,
+    # fed the same covers by position in elements
+    idx = {e: i for i, e in enumerate(elements)}
+    return Poset.__new__(Poset)._init_by_index(elements, [(idx[a], idx[b]) for a, b in covers])
+
+
+def _fields(p):
+    return p.elements, p.covers, p._upper, p._lower, p._up, p._down
+
+
+def _error(build, elements, covers):
+    with pytest.raises(TubelatError) as info:
+        build(elements, covers)
+    return str(info.value)
+
+
+def _redundant_by_interval(n, covers):
+    # the per-cover test that the sibling test replaced, kept as the oracle:
+    # a < b is redundant iff up[a] & down[b] holds a third element; covers
+    # are index pairs in a linear extension, closed here from scratch
+    up = [1 << i for i in range(n)]
+    down = [1 << i for i in range(n)]
+    for a, b in sorted(covers, reverse=True):
+        up[a] |= up[b]
+    for a, b in sorted(covers, key=lambda c: c[1]):
+        down[b] |= down[a]
+    return [(a, b) for a, b in sorted(set(covers)) if up[a] & down[b] & ~(1 << a) & ~(1 << b)]
+
+
+def test_both_constructor_paths_agree():
+    def agree(elements, covers, *built):
+        fields = {_fields(p) for p in (Poset(elements, covers), _index_path(elements, covers), *built)}
+        assert len(fields) == 1
+
+    for n in range(6):
+        for g in all_graphs(n):
+            xs = enumerate_maximal_tubings(g)
+            agree(xs, [(xs[i], xs[j]) for i, j, a, b in flips(g) if a < b], build_lg(g))
+    for n in range(7):
+        s = weak_order_poset(n)
+        agree(permutations(n), weak_cover_pairs(n), s)
+        agree(s.elements, [(s.elements[b], s.elements[a]) for a, b in s.covers], s.dual())
+    for p, q in [(PENTAGON, chain(3)), (chain(2), chain(2)), (antichain(2), PENTAGON.dual())]:
+        elements = [(x, y) for x in p.elements for y in q.elements]
+        covers = [((p.elements[a], y), (p.elements[b], y)) for a, b in p.covers for y in q.elements]
+        covers += [((x, q.elements[a]), (x, q.elements[b])) for x in p.elements for a, b in q.covers]
+        agree(elements, covers, p.product(q))
+        agree(p.elements, [(p.elements[b], p.elements[a]) for a, b in p.covers], p.dual())
+    # a repeated cover is dropped
+    agree(list("abc"), [("a", "b"), ("b", "c"), ("a", "b")], Poset(list("abc"), [("a", "b"), ("b", "c")]))
+
+
+def test_both_constructor_paths_raise_the_same_errors():
+    cases = {
+        "cover relation is a self-loop": (list("ab"), [("a", "b"), ("b", "b")]),
+        "cover relation has a cycle": (list("abc"), [("a", "b"), ("b", "c"), ("c", "a")]),
+        "duplicate poset elements": (list("aba"), [("a", "b")]),
+        "cover 'a' < 'c' is transitively redundant": (
+            list("abcd"), [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d"), ("b", "d")]
+        ),
+    }
+    for message, (elements, covers) in cases.items():
+        assert _error(Poset, elements, covers) == _error(_index_path, elements, covers) == message
+
+
+def test_sibling_redundancy_test_against_interval_oracle(small_lgs):
+    # a valid poset: the oracle finds no redundant cover either
+    for p in small_lgs:
+        assert _redundant_by_interval(len(p), p.covers) == []
+    # one redundant cover at the start, the middle and the end of a chain
+    for a, b in [(0, 2), (2, 4), (3, 5), (0, 5)]:
+        covers = [(i, i + 1) for i in range(5)] + [(a, b)]
+        assert _redundant_by_interval(6, covers) == [(a, b)]
+        for build in (Poset, _index_path):
+            assert _error(build, list(range(6)), covers) == f"cover {a} < {b} is transitively redundant"
+    # L_G with the first path x < y < z of its storage order closed by x < z:
+    # the first redundant cover in covers order is the oracle's first
+    for p in small_lgs:
+        path = next(((a, c) for a, b in p.covers for c in p._upper[b]), None)
+        if path is None:
+            continue
+        covers = [*p.covers, path]
+        first = _redundant_by_interval(len(p), covers)[0]
+        message = f"cover {p.elements[first[0]]!r} < {p.elements[first[1]]!r} is transitively redundant"
+        keyed = [(p.elements[a], p.elements[b]) for a, b in covers]
+        assert _error(Poset, p.elements, keyed) == message
+        assert _error(_index_path, p.elements, keyed) == message
 
 
 def test_cover_naming_a_non_element_raises_element_not_found():

@@ -481,13 +481,23 @@ def test_flips_match_flip_by_search():
             if I not in component_tubes(g)
         }
         seen = []
-        for x, y, a, b in flips(g):
+        for i, j, a, b in flips(g):
+            x, y = xs[i], xs[j]
             (I,) = set(x.tubes) - set(y.tubes)
             searched, J = expected[(x, I)]
             assert y == searched and y is xs[xs.index(y)], g
             assert (a, b) == (top(x, I), top(y, J)), g
             seen.append((x, I))
         assert len(seen) == len(expected) and set(seen) == set(expected), g
+
+
+def test_flips_yield_each_up_cover_pair_once():
+    graphs = [g for n in range(6) for g in all_graphs(n)]
+    for g in graphs + [parse_graph(d) for d in ("complete:6", "cycle:7")]:
+        size = len(enumerate_maximal_tubings(g))
+        pairs = [(i, j) for i, j, a, b in flips(g) if a < b]
+        assert len(set(pairs)) == len(pairs), g
+        assert all(0 <= i < size and 0 <= j < size and i != j for i, j in pairs), g
 
 
 def _oriented_flips_by_tube_tree(x):
@@ -514,13 +524,14 @@ def test_flips_match_tube_tree_oracle():
     # every field of every flip, and each flip's reverse among the flips
     graphs = [g for n in range(6) for g in all_graphs(n)]
     for g in graphs + [parse_graph(d) for d in ("complete:6", "cycle:7", "h:2:6")]:
+        xs = enumerate_maximal_tubings(g)
         expected = []
-        for x in enumerate_maximal_tubings(g):
+        for x in xs:
             for I, J, a, b in _oriented_flips_by_tube_tree(x):
                 I, J = mask_vertices(I), mask_vertices(J)
                 y = Tubing(g, tuple(t for t in x.tubes if t != I) + (J,))
                 expected.append((x, y, a, b))
-        got = sorted(flips(g), key=_flip_order)
+        got = sorted(((xs[i], xs[j], a, b) for i, j, a, b in flips(g)), key=_flip_order)
         assert got == sorted(expected, key=_flip_order), g
         assert sorted(((y, x, b, a) for x, y, a, b in got), key=_flip_order) == got, g
 

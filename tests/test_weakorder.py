@@ -16,6 +16,7 @@ from tubelat.posets import Poset
 from tubelat.tubings import enumerate_maximal_tubings, psi_tubing, sigma_min, tau
 from tubelat.weakorder import (
     Arc,
+    Congruence,
     all_arcs,
     arc_delete,
     arc_insertions,
@@ -678,6 +679,16 @@ def test_quotient_poset_matches_transitive_reduction():
     for th in thetas:
         q, oracle = quotient_poset(th), _quotient_by_reduction(th)
         assert (q.elements, q.covers) == (oracle.elements, oracle.covers), th.generators
+
+
+def test_quotient_poset_refuses_a_class_without_a_minimum():
+    # a hand-built Congruence need not be forcing-closed: here 2413, the
+    # first word of its class, is not below 4123 (it inverts 1, 2)
+    arcs = frozenset(parse_arc(s, 4) for s in ("1-2:", "1-4:--", "2-4:+", "2-4:-"))
+    theta = Congruence(4, frozenset(), arcs)
+    assert ((2, 4, 1, 3), (4, 1, 2, 3), (4, 2, 1, 3)) in congruence_classes(theta)
+    with pytest.raises(TubelatError, match="^congruence class has no unique minimum$"):
+        quotient_poset(theta)
 
 
 def test_weak_order_poset_refuses_sizes_outside_0_to_8_before_building():
