@@ -68,14 +68,15 @@ class Poset:
         if len(idx) != len(elements):
             raise TubelatError("duplicate poset elements")
         try:
-            cov = [(idx[a], idx[b]) for a, b in covers]
+            cov = {(idx[a], idx[b]) for a, b in covers}
         except KeyError as exc:
             raise ElementNotFound(f"{exc.args[0]!r} not in poset") from None
         self._init_by_index(elements, cov)
 
-    def _init_by_index(self, elements: Sequence[Hashable], covers: Sequence[tuple]) -> "Poset":
-        """``Poset(...)`` on covers given as index pairs into ``elements``, with
-        every check; fills and returns self, and hashes no key per cover."""
+    def _init_by_index(self, elements: Sequence[Hashable], covers: Iterable[tuple]) -> "Poset":
+        """``Poset(...)`` on distinct covers given as index pairs into
+        ``elements``, with every check; fills and returns self, and hashes no
+        key per cover."""
         n = len(elements)
         succs = [[] for _ in range(n)]
         indeg = [0] * n
@@ -101,7 +102,7 @@ class Poset:
         if len(self._index) != n:
             raise TubelatError("duplicate poset elements")
         # the upper and lower covers of each element, sorted after relabelling
-        upper = [sorted({pos[b] for b in succs[old]}) for old in order]
+        upper = [sorted([pos[b] for b in succs[old]]) for old in order]
         self.covers = tuple((a, b) for a, ups in enumerate(upper) for b in ups)
         lower = [[] for _ in range(n)]
         for a, b in self.covers:

@@ -10,9 +10,9 @@ pair by the rule below (nested, or disjoint with no edge between).  Only
 this module's producers skip the check, through ``_tubing``, each by a rule.
 ``psi_tubing``'s tube comp(w_j, P_j) is connected in the prefix P_k, k > j,
 so it lies in comp(w_k, P_k) or apart from it; ``coarsen`` and ``flip`` give
-psi of a word (see below), and ``chi`` the ideals ``validate_gforest``
-checked.  In ``restrict_std`` a component of T & I lies in one component of
-T' & I when T lies in T', and pieces of tubes apart stay apart.  In
+psi of a word (see below), and ``chi`` the ideals of a ``GForest``.  In
+``restrict_std`` a component of T & I lies in one component of T' & I when
+T lies in T', and pieces of tubes apart stay apart.  In
 ``quotient_std`` a component C of G|_I, I an ideal, is a tube of x, so it
 lies in each tube J not inside I that it meets or touches: J - I is a tube
 of G/I, and tubes apart in G stay apart, as an edge of G/I through C would
@@ -27,15 +27,22 @@ smaller tube, and tops are a bijection onto [n].
 
 A parent array is a G-forest when it has no cycle, every principal ideal is
 a tube, and incomparable vertices have ideals whose union is not a tube;
-disjoint tubes have a tube union exactly when an edge joins them.
-``validate_gforest`` tests this locally, bottom-up on bitmasks: every vertex
-v is adjacent to the ideal of each child, and no edge joins the ideals of
-two children of v or of two roots.  The local test is equivalent.  Given
-the sibling condition, v's ideal is a tube iff v touches each child's ideal,
-since a path out of a child's ideal can only leave through v.  Two
-incomparable vertices lie under distinct children c, c' of their lowest
-common ancestor (or under distinct roots), and an edge between their ideals
-is an edge between the ideals of c and c'.
+disjoint tubes have a tube union exactly when an edge joins them.  A
+``GForest`` is always a G-forest: its constructor tests this locally,
+bottom-up on bitmasks: every vertex v is adjacent to the ideal of each
+child, and no edge joins the ideals of two children of v or of two roots.
+The local test is equivalent.  Given the sibling condition, v's ideal is a
+tube iff v touches each child's ideal, since a path out of a child's ideal
+can only leave through v.  Two incomparable vertices lie under distinct
+children c, c' of their lowest common ancestor (or under distinct roots),
+and an edge between their ideals is an edge between the ideals of c and c'.
+Only ``tau`` skips the test, by this rule: in a maximal tubing x the tube
+with top v is v together with the tubes just below it in the tube tree, so,
+down the tree, it is v's ideal in tau(x).  The ideals of tau(x) are x's
+tubes, pairwise compatible, and each parent's tube is strictly larger, so
+tau(x) is a G-forest.  ``tau`` builds each ideal as v's bit OR the ideals of
+v's children in the tube tree, never by copying x's tubes, so
+``chi(tau(x)) == x`` tests its parent array.
 
 ``enumerate_maximal_tubings`` builds every maximal tubing from one fact: a
 maximal tubing of a connected set picks a root and recurses on the
@@ -61,10 +68,10 @@ The tube tree is read in one pass over the tube masks, smallest first.
 Tubes of a tubing are nested or disjoint, so a tube's top is its one vertex
 that no smaller tube has claimed, and its children are the roots so far
 (tubes not yet inside a larger one) that lie inside it.  ``tube_tree`` reads
-it this way for ``tau``, ``top``, ``coarsen``, ``split_restrictions`` and
-coordinates, and ``_mask_flips`` reads it in the same pass as the flips.  A
-flip exchanges I for J, the component of top(K) in K - top(I), K the
-smallest tube strictly containing I; oriented by comparing tops, the flips
+it this way for ``tau``, ``top``, ``coarsen`` and ``split_restrictions``,
+and ``_mask_flips`` reads it in the same pass as the flips.  A flip
+exchanges I for J, the component of top(K) in K - top(I), K the smallest
+tube strictly containing I; oriented by comparing tops, the flips
 are the covers of the partial order on maximal tubings built in the poset
 module.  K - top(I) is top(K), the other children of K, each touching
 top(K) but not I, and the children of I, components of I - top(I); so J is
@@ -250,50 +257,59 @@ def compatibility_masks(g: Graph) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class GForest:
-    """Forest poset on [n] as a parent array; parent 0 marks a root.
+    """A G-forest on [n] as a parent array; parent 0 marks a root.
 
-    i <_T k means k lies on the path from i to its root.  Validity (no
+    i <_T k means k lies on the path from i to its root.  ``GForest(...)``
+    raises ``InvalidForest`` unless the array is a G-forest of ``graph`` (no
     cycle, principal ideals are tubes, incomparable ideals have non-tube
-    unions) is checked by ``validate_gforest``; ``chi``/``tau`` always hand
-    back valid values.
+    unions), by the local test of the module docstring, and keeps each
+    vertex's children and principal ideal as masks.  Only ``tau`` skips the
+    check (see the module docstring).
     """
 
     graph: Graph
     parent: tuple[int, ...]
 
     def __post_init__(self):
-        n = self.graph.n
-        if len(self.parent) != n:
+        g = self.graph
+        if len(self.parent) != g.n:
             raise InvalidForest("parent array length must equal n")
-        # children[0] lists the roots; bit c of below[v] marks a child c of v
-        children: list[list[int]] = [[] for _ in range(n + 1)]
-        below = [0] * (n + 1)
+        # bit c of below[v] marks a child c of v; below[0] marks the roots
+        below = [0] * (g.n + 1)
         for v, p in enumerate(self.parent, 1):
-            if not 0 <= p <= n:
+            if not 0 <= p <= g.n:
                 raise InvalidForest(f"parent of {v} out of range")
-            children[p].append(v)
             below[p] |= 1 << v
-        object.__setattr__(self, "_children", tuple(map(tuple, children)))
+        # 0, then every vertex off a cycle, each after its parent
+        order = [0]
+        for v in order:
+            order.extend(bits(below[v]))
+        if len(order) <= g.n:
+            raise InvalidForest("parent relation has a cycle")
+        adj = adjacency(g)
+        ideal = [0] * (g.n + 1)  # v's principal ideal; 0's holds 0 and every vertex
+        reach = [0] * (g.n + 1)  # the vertices adjacent to that ideal
+        for v in reversed(order):
+            down, near = 0, adj[v]
+            for c in bits(below[v]):
+                # v touches each child's ideal; sibling ideals do not touch
+                if v and not adj[v] & ideal[c] or reach[c] & down:
+                    _gforest_scan(g, below, order)
+                down |= ideal[c]
+                near |= reach[c]
+            ideal[v], reach[v] = down | 1 << v, near
         object.__setattr__(self, "_below", tuple(below))
+        object.__setattr__(self, "_ideal", tuple(ideal))
 
     def parent_of(self, v: int) -> int:
         return self.parent[v - 1]
 
     def children(self, v: int) -> tuple[int, ...]:
-        return self._children[v]
-
-    def less(self, i: int, k: int) -> bool:
-        """i <_T k (strictly)."""
-        v = self.parent_of(i)
-        while v != 0:
-            if v == k:
-                return True
-            v = self.parent_of(v)
-        return False
+        return tuple(bits(self._below[v]))
 
     def ideal(self, v: int) -> frozenset:
-        """The principal order ideal v_down: a flood fill over the child masks."""
-        return mask_vertices(component(self._below, -1, v))
+        """The principal order ideal v_down."""
+        return mask_vertices(self._ideal[v])
 
     def to_json_obj(self) -> dict:
         return {"graph": self.graph.to_json_obj(), "parent": list(self.parent)}
@@ -301,55 +317,18 @@ class GForest:
     @staticmethod
     def from_json_obj(obj: dict) -> "GForest":
         g = Graph.from_json_obj(obj["graph"])
-        t = GForest(g, tuple(int(p) for p in obj["parent"]))
-        validate_gforest(t)
-        return t
+        return GForest(g, tuple(int(p) for p in obj["parent"]))
 
 
-def validate_gforest(t: GForest) -> tuple[frozenset, ...]:
-    """Raise ``InvalidForest`` unless t is a G-forest; return the principal
-    ideals of vertices 1..n.
-
-    One bottom-up pass over bitmasks applies the local test of the module
-    docstring; a forest it rejects goes through ``_gforest_scan``, which
-    names the first failure.
-    """
-    g = t.graph
-    children = t._children
-    # every vertex off a cycle hangs below a root
-    below_roots = list(children[0])
-    for v in below_roots:
-        below_roots.extend(children[v])
-    if len(below_roots) != g.n:
-        raise InvalidForest("parent relation has a cycle")
-    adj = adjacency(g)
-    ideal = [0] * (g.n + 1)  # mask of v's principal ideal
-    reach = [0] * (g.n + 1)  # mask of the vertices adjacent to that ideal
-    for v in reversed(below_roots):
-        down, near = 0, adj[v]
-        for c in children[v]:
-            # v touches each child's ideal; sibling ideals do not touch
-            if not adj[v] & ideal[c] or reach[c] & down:
-                return _gforest_scan(t, below_roots)
-            down |= ideal[c]
-            near |= reach[c]
-        ideal[v], reach[v] = down | 1 << v, near
-    apart = 0
-    for r in children[0]:
-        if reach[r] & apart:
-            return _gforest_scan(t, below_roots)
-        apart |= ideal[r]
-    return tuple(map(mask_vertices, ideal[1:]))
-
-
-def _gforest_scan(t: GForest, below_roots: list[int]) -> tuple[frozenset, ...]:
-    """``validate_gforest`` for an acyclic t, by testing every ideal and every
-    incomparable pair in turn; it names the first failure."""
-    g = t.graph
+def _gforest_scan(g: Graph, below: list[int], order: list[int]) -> None:
+    """Raise ``InvalidForest`` for the acyclic parent array whose child masks
+    are ``below`` and whose vertices, each after its parent, are ``order``,
+    naming its first failure: every ideal, then every incomparable pair, is
+    tested in turn."""
     ideal = [0] * (g.n + 1)
-    for v in reversed(below_roots):
+    for v in reversed(order):
         ideal[v] = 1 << v
-        for c in t.children(v):
+        for c in bits(below[v]):
             ideal[v] |= ideal[c]
     adj = adjacency(g)
     for v in g.vertices:
@@ -363,12 +342,11 @@ def _gforest_scan(t: GForest, below_roots: list[int]) -> tuple[frozenset, ...]:
                 raise InvalidForest(
                     f"incomparable {i},{k} have a tube union {list(bits(ideal[i] | ideal[k]))}"
                 )
-    return tuple(map(mask_vertices, ideal[1:]))
 
 
 def chi(t: GForest) -> Tubing:
     """Forest -> maximal tubing of principal ideals."""
-    return _tubing(t.graph, validate_gforest(t))
+    return _tubing(t.graph, tuple(map(mask_vertices, t._ideal[1:])))
 
 
 def tube_tree(x: Tubing) -> tuple[list[int], list[int], list[int]]:
@@ -406,15 +384,28 @@ def top(x: Tubing, I: Iterable[int]) -> int:
 
 
 def tau(x: Tubing) -> GForest:
-    """Maximal tubing -> forest: each top's parent is the top of the next tube up."""
+    """Maximal tubing -> forest: each top's parent is the top of the next tube
+    up.  Built with no check, by the rule of the module docstring: tubes
+    come smallest first, so each ideal is whole before it is OR-ed into its
+    parent's."""
     if not x.is_maximal():
         raise InvalidTubing("tau requires a maximal tubing")
-    parent = [0] * x.graph.n
+    n = x.graph.n
+    parent = [0] * n
+    below = [0] * (n + 1)
+    ideal = [1 << v for v in range(n + 1)]
     tops, up, _ = tube_tree(x)
-    for i, j in enumerate(up):
-        if j >= 0:
-            parent[tops[i] - 1] = tops[j]
-    return GForest(x.graph, tuple(parent))
+    for v, j in zip(tops, up):
+        p = tops[j] if j >= 0 else 0
+        parent[v - 1] = p
+        below[p] |= 1 << v
+        ideal[p] |= ideal[v]
+    t = object.__new__(GForest)
+    object.__setattr__(t, "graph", x.graph)
+    object.__setattr__(t, "parent", tuple(parent))
+    object.__setattr__(t, "_below", tuple(below))
+    object.__setattr__(t, "_ideal", tuple(ideal))
+    return t
 
 
 def psi_tubing(g: Graph, word: Sequence[int]) -> Tubing:
@@ -685,31 +676,21 @@ def linear_extensions(t: GForest) -> list[tuple[int, ...]]:
     return list(_forest_words(t))
 
 
-def _first_word(t: GForest, descending: bool) -> tuple[int, ...]:
-    for word in _forest_words(t, descending):
-        return word
-    raise InvalidForest("parent relation has a cycle")
-
-
 def sigma_min(t: GForest) -> tuple[int, ...]:
     """Lexicographically minimal linear extension (take the least available
     minimal element at each step)."""
-    return _first_word(t, descending=False)
+    return next(_forest_words(t))
 
 
 def sigma_max(t: GForest) -> tuple[int, ...]:
     """Lexicographically maximal linear extension; for left- or right-filled
     graphs this is the unique largest element of the fiber."""
-    return _first_word(t, descending=True)
+    return next(_forest_words(t, descending=True))
 
 
 def forest_inversions(t: GForest) -> frozenset:
     """Pairs (i, j) with i < j and j strictly below i in the forest."""
-    return frozenset(
-        (i, j)
-        for i, j in itertools.combinations(t.graph.vertices, 2)
-        if t.less(j, i)
-    )
+    return frozenset((i, j) for i in t.graph.vertices for j in bits(t._ideal[i] & -(2 << i)))
 
 
 def descents(t: GForest) -> frozenset:
@@ -804,17 +785,13 @@ def _mask_flips(adj: Sequence[int], masks: Iterable[int]) -> Iterator[tuple[int,
         roots = rest
 
 
-def vertex_coordinates(x: Tubing) -> tuple[int, ...]:
-    """Vertex of the graph associahedron: coordinate i counts the tubes of G
-    inside the smallest x-tube containing i that themselves contain i.
+def vertex_coordinates(t: GForest) -> tuple[int, ...]:
+    """Vertex of the graph associahedron at the maximal tubing chi(t):
+    coordinate i counts the tubes of G inside the smallest tube of chi(t)
+    containing i that themselves contain i.
 
-    The smallest x-tube containing i is the tube whose top is i."""
-    coords = [0] * (x.graph.n + 1)
-    for t, v in zip(x.tubes, tube_tree(x)[0]):
-        coords[v] = _containment_counts(x.graph, t)[v]
-    if 0 in coords[1:]:
-        raise InvalidTubing(f"no tube of the tubing contains {coords.index(0, 1)}")
-    return tuple(coords[1:])
+    That tube is the one whose top is i, the ideal of i in t."""
+    return tuple(_containment_counts(t.graph, t.ideal(v))[v] for v in t.graph.vertices)
 
 
 @lru_cache(maxsize=None)

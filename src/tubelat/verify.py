@@ -750,7 +750,8 @@ def ex_lg_structure_sweep(max_n=None) -> str:
             lg = build_lg(g)
             _require(lg.minimum() is not None, f"no unique minimum for {g}")
             _require(lg.maximum() is not None, f"no unique maximum for {g}")
-            trees = [tau(x) for x in lg.elements]
+            # by position in the enumeration, as flips names tubings
+            trees = [tau(x) for x in enumerate_maximal_tubings(g)]
             total_desc = sum(len(descents(t)) for t in trees)
             total_asc = sum(len(ascents(t)) for t in trees)
             _require(
@@ -758,7 +759,7 @@ def ex_lg_structure_sweep(max_n=None) -> str:
                 f"cover/descent/ascent counts differ for {g}",
             )
             lam = lambda v: sum((n - idx) * v[idx] for idx in range(n))
-            coords = [vertex_coordinates(x) for x in enumerate_maximal_tubings(g)]
+            coords = [vertex_coordinates(t) for t in trees]
             for x, y, i_t, j_t in flips(g):
                 diff = [a - b for a, b in zip(coords[y], coords[x])]
                 scale = diff[i_t - 1]

@@ -375,9 +375,13 @@ def quotient_poset(theta: Congruence) -> Poset:
     are intervals (E05 checks this); and an upper cover turns an ascent
     into a descent, so the word grows lexicographically along the order.
     A hand-built ``Congruence`` need not be forcing-closed, so each first
-    word is checked against the inversion sets of its class.
+    word is checked against the inversion sets of its class.  Like
+    ``build_lg``, it refuses more than 65,536 classes before it builds the
+    poset, whose closure takes |classes|^2 bits.
     """
     classes = congruence_classes(theta)
+    if len(classes) > 1 << 16:
+        raise TubelatError(f"the quotient has {len(classes):,} classes; a poset takes at most 65,536")
     if not all(inversions(cls[0]) <= inversions(w) for cls in classes for w in cls):
         raise TubelatError("congruence class has no unique minimum")
     rep = {w: cls[0] for cls in classes for w in cls}

@@ -461,9 +461,10 @@ def test_private_layouts_are_named_only_in_their_modules():
     # the maximal-tubing code format and the tube tree are decisions of the
     # tubings module; only its producers may skip the Tubing constructor's
     # check, and only its code table and _tubing, which sorts first, may
-    # skip the sort.  The poset's index-order bitmask storage, and the
-    # private constructor path that takes covers by index, are decisions of
-    # the posets module
+    # skip the sort; only tau may build a GForest without its constructor's
+    # check.  The poset's index-order bitmask storage, and the private
+    # constructor path that takes covers by index, are decisions of the
+    # posets module
     import ast
     from pathlib import Path
 
@@ -494,6 +495,23 @@ def test_private_layouts_are_named_only_in_their_modules():
         if getattr(node, "id", None) == "_sorted_tubing"
     ]
     assert sorted(callers) == ["_code_table", "_tubing"]
+
+    def gforest_news(tree):  # each __new__ call that names GForest
+        return [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == "__new__"
+            and "GForest" in {getattr(a, "id", None) for a in (node.func.value, *node.args)}
+        ]
+
+    unchecked = []  # (file, innermost enclosing function or None) of each
+    for path in files:
+        tree = ast.parse(path.read_text())
+        functions = [f for f in ast.walk(tree) if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        inside = {id(node): f.name for f in functions for node in gforest_news(f)}
+        unchecked += [(path.name, inside.get(id(node))) for node in gforest_news(tree)]
+    assert unchecked == [("tubings.py", "tau")]
 
 
 def test_benchmark_clear_caches_empties_every_cache(monkeypatch):

@@ -74,9 +74,10 @@ def test_covers_must_be_acyclic_and_irredundant():
 
 def _index_path(elements, covers):
     # the private constructor path that build_lg, dual and product take,
-    # fed the same covers by position in elements
+    # fed the same covers by position in elements, each once, as they give
     idx = {e: i for i, e in enumerate(elements)}
-    return Poset.__new__(Poset)._init_by_index(elements, [(idx[a], idx[b]) for a, b in covers])
+    cov = dict.fromkeys((idx[a], idx[b]) for a, b in covers)
+    return Poset.__new__(Poset)._init_by_index(elements, list(cov))
 
 
 def _fields(p):

@@ -53,7 +53,6 @@ from tubelat.tubings import (
     tau,
     top,
     tube_tree,
-    validate_gforest,
     vertex_coordinates,
 )
 
@@ -204,31 +203,51 @@ def test_chi_tau_examples():
     assert tau(x) == chain
 
 
-def test_validate_gforest_rejects_bad_forests():
+def test_gforest_rejects_bad_forests():
     with pytest.raises(InvalidForest):
-        validate_gforest(GForest(P3, (2, 1, 0)))  # cycle between 1 and 2
+        GForest(P3, (2, 1, 0))  # cycle between 1 and 2
     # ideals must be tubes: parent 3 covers 1 directly in the path graph
     with pytest.raises(InvalidForest):
-        validate_gforest(GForest(P3, (3, 0, 0)))
+        GForest(P3, (3, 0, 0))
     # incomparable ideals whose union is a tube
     with pytest.raises(InvalidForest):
-        validate_gforest(GForest(K2, (0, 0)))
-    # parents outside [0, n] never reach the children table
+        GForest(K2, (0, 0))
+    # parents outside [0, n] never reach the children masks
     for parent in ((5, 0, 0), (-1, 0, 0)):
         with pytest.raises(InvalidForest):
-            validate_gforest(GForest(P3, parent))
+            GForest(P3, parent)
+
+
+def test_gforest_refuses_a_cycle_at_construction():
+    # once built, walking 2 <-> 3 up to a root would never end
+    with pytest.raises(InvalidForest, match="^parent relation has a cycle$"):
+        GForest(P3, (0, 3, 2))
+
+
+def _ideal_by_walk(parent, v):
+    # v and every vertex whose walk up the parent array passes v
+    out = set()
+    for u in range(1, len(parent) + 1):
+        w = u
+        for _ in range(len(parent) + 1):
+            if w == v:
+                out.add(u)
+            w = parent[w - 1] if w else 0
+    return frozenset(out)
 
 
 def test_gforest_children_and_ideals_match_parent_scan():
-    for g in itertools.chain.from_iterable(all_graphs(n) for n in range(5)):
+    # tau builds its forest unchecked: it equals the checked constructor's
+    for g in itertools.chain.from_iterable(all_graphs(n) for n in range(6)):
         for x in enumerate_maximal_tubings(g):
             t = tau(x)
-            assert t.children(0) == tuple(u for u in g.vertices if t.parent_of(u) == 0)
-            for v in g.vertices:
-                assert t.children(v) == tuple(u for u in g.vertices if t.parent_of(u) == v)
-                below = {u for u in g.vertices if t.less(u, v)}
-                assert t.ideal(v) == frozenset(below | {v})
-            assert validate_gforest(t) == tuple(t.ideal(v) for v in g.vertices)
+            checked = GForest(g, t.parent)
+            for u in (t, checked):
+                assert u.parent == t.parent
+                for v in range(g.n + 1):
+                    assert u.children(v) == tuple(c for c in g.vertices if t.parent_of(c) == v)
+                for v in g.vertices:
+                    assert u.ideal(v) == _ideal_by_walk(t.parent, v)
 
 
 def test_top_examples():
@@ -399,23 +418,22 @@ def _greedy_extension(t: GForest, pick_max: bool):
 
 
 def _assert_forest_walk_matches_oracles(t: GForest):
-    words = _linear_extensions_by_copies(t)
-    assert linear_extensions(t) == words
-    if words:
-        assert sigma_min(t) == _greedy_extension(t, pick_max=False)
-        assert sigma_max(t) == _greedy_extension(t, pick_max=True)
-    else:  # only a parent array with a cycle has no linear extension
-        with pytest.raises(InvalidForest):
-            sigma_min(t)
-        with pytest.raises(InvalidForest):
-            sigma_max(t)
+    assert linear_extensions(t) == _linear_extensions_by_copies(t)
+    assert sigma_min(t) == _greedy_extension(t, pick_max=False)
+    assert sigma_max(t) == _greedy_extension(t, pick_max=True)
 
 
 def test_forest_walk_matches_oracles_on_every_parent_array():
-    # every forest on [n] for n <= 4, and the parent arrays with cycles
+    # every forest on [n] for n <= 4, each a G-forest of its own Hasse
+    # diagram; the parent arrays with cycles are refused
     for n in range(5):
         for parent in itertools.product(range(n + 1), repeat=n):
-            _assert_forest_walk_matches_oracles(GForest(Graph(n), parent))
+            if _gforest_failure(Graph(n), parent) == "parent relation has a cycle":
+                with pytest.raises(InvalidForest, match="^parent relation has a cycle$"):
+                    GForest(Graph(n), parent)
+            else:
+                hasse = Graph(n, {(v, p) for v, p in enumerate(parent, 1) if p})
+                _assert_forest_walk_matches_oracles(GForest(hasse, parent))
 
 
 def test_compatibility_masks_match_compatible():
@@ -549,17 +567,16 @@ def test_build_lg_builds_no_tube_tree(monkeypatch):
 def test_vertex_coordinates_examples():
     for n in range(1, 5):
         x = enumerate_maximal_tubings(Graph(n))[0]
-        assert vertex_coordinates(x) == tuple([1] * n)
+        assert vertex_coordinates(tau(x)) == tuple([1] * n)
     x = Tubing(K2, (fs(1), fs(1, 2)))
-    assert vertex_coordinates(x) == (1, 2)
+    assert vertex_coordinates(tau(x)) == (1, 2)
     for g in all_graphs(4):
-        coords = [vertex_coordinates(x) for x in enumerate_maximal_tubings(g)]
+        coords = [vertex_coordinates(tau(x)) for x in enumerate_maximal_tubings(g)]
         assert len(set(coords)) == len(coords)
-    # not maximal: {1, 2, 3} keeps 2 and 3, and no tube contains 3
-    with pytest.raises(InvalidTubing, match="no unique top"):
-        vertex_coordinates(Tubing(P3, (fs(1), fs(1, 2, 3))))
-    with pytest.raises(InvalidTubing, match="no tube of the tubing contains 3"):
-        vertex_coordinates(Tubing(P3, (fs(1), fs(1, 2))))
+    # tubings that are not maximal have no forest, so no coordinates
+    for ts in ((fs(1), fs(1, 2, 3)), (fs(1), fs(1, 2))):
+        with pytest.raises(InvalidTubing, match="tau requires a maximal tubing"):
+            vertex_coordinates(tau(Tubing(P3, ts)))
 
 
 def _smallest_containing_tube(x, v):
@@ -588,7 +605,7 @@ def test_vertex_coordinates_match_scan():
     for n in range(6):
         for g in all_graphs(n):
             for x in enumerate_maximal_tubings(g):
-                assert vertex_coordinates(x) == _vertex_coordinates_by_scan(x), (g, x.label())
+                assert vertex_coordinates(tau(x)) == _vertex_coordinates_by_scan(x), (g, x.label())
 
 
 def test_tubing_json_round_trip():
@@ -690,22 +707,22 @@ def test_forest_walk_matches_oracles_random(g):
         _assert_forest_walk_matches_oracles(tau(x))
 
 
-def _gforest_failure(t: GForest):
+def _gforest_failure(g, parent):
     """The definition of a G-forest, read off literally: the message
-    ``validate_gforest`` must raise for t, or None when t is one."""
-    g = t.graph
+    ``GForest(g, parent)`` must raise, or None when parent is one."""
     for v in g.vertices:
         u = v
         for _ in range(g.n):
-            u = t.parent_of(u) if u else 0
+            u = parent[u - 1] if u else 0
         if u:
             return "parent relation has a cycle"
+    ideal = {v: _ideal_by_walk(parent, v) for v in g.vertices}
     for v in g.vertices:
-        if not is_tube(g, t.ideal(v)):
+        if not is_tube(g, ideal[v]):
             return f"principal ideal of {v} is not a tube"
     for i, k in itertools.combinations(g.vertices, 2):
-        if not t.less(i, k) and not t.less(k, i) and not compatible(g, t.ideal(i), t.ideal(k)):
-            return f"incomparable {i},{k} have a tube union {sorted(t.ideal(i) | t.ideal(k))}"
+        if i not in ideal[k] and k not in ideal[i] and not compatible(g, ideal[i], ideal[k]):
+            return f"incomparable {i},{k} have a tube union {sorted(ideal[i] | ideal[k])}"
     return None
 
 
@@ -719,16 +736,18 @@ def random_parent_arrays(draw):
             parent[draw(st.integers(0, g.n - 1))] = draw(st.integers(0, g.n))
     else:
         parent = draw(st.lists(st.integers(0, g.n), min_size=g.n, max_size=g.n))
-    return GForest(g, tuple(parent))
+    return g, tuple(parent)
 
 
 @settings(RANDOMIZED, max_examples=400)
 @given(random_parent_arrays())
-def test_validate_gforest_matches_definition_random(t):
-    expected = _gforest_failure(t)
+def test_gforest_matches_definition_random(g_parent):
+    g, parent = g_parent
+    expected = _gforest_failure(g, parent)
     if expected is None:
-        assert validate_gforest(t) == tuple(t.ideal(v) for v in t.graph.vertices)
+        t = GForest(g, parent)
+        assert [t.ideal(v) for v in g.vertices] == [_ideal_by_walk(parent, v) for v in g.vertices]
     else:
         with pytest.raises(InvalidForest) as err:
-            validate_gforest(t)
+            GForest(g, parent)
         assert str(err.value) == expected

@@ -691,6 +691,22 @@ def test_quotient_poset_refuses_a_class_without_a_minimum():
         quotient_poset(theta)
 
 
+def test_quotient_poset_refuses_more_classes_than_a_poset_takes(monkeypatch):
+    # S_9's discrete quotient would need about 16 GB of up-masks; a stand-in
+    # for its classes shows the refusal comes before the poset is built
+    from tubelat import weakorder
+
+    classes = tuple(((k,),) for k in range((1 << 16) + 1))
+    monkeypatch.setattr(weakorder, "congruence_classes", lambda theta: classes)
+    monkeypatch.setattr(weakorder, "Poset", None)  # building the poset raises TypeError
+    with pytest.raises(TubelatError, match="^the quotient has 65,537 classes; a poset takes at most 65,536$"):
+        quotient_poset(Congruence(9, frozenset(), frozenset()))
+    # 65,536 classes go on to the poset (n = 0 keeps the covers empty)
+    classes = classes[: 1 << 16]
+    with pytest.raises(TypeError, match="'NoneType' object is not callable"):
+        quotient_poset(Congruence(0, frozenset(), frozenset()))
+
+
 def test_weak_order_poset_refuses_sizes_outside_0_to_8_before_building():
     from tubelat import weakorder
 
