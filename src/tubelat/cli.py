@@ -33,10 +33,10 @@ from .hopf import (
 from .posets import all_tubings, build_lg, tubing_face_interval
 from .tubings import enumerate_maximal_tubings, sigma_min, tau
 from .weakorder import (
+    Congruence,
     arc_delete,
     arc_insertions,
     congruence_classes,
-    congruence_from_generators,
     format_perm,
     insertional_witness,
     is_subarc,
@@ -147,18 +147,15 @@ def cmd_check(args) -> int:
             payload["witness"] = {"kind": kind, "pair": [format_perm(u), format_perm(w)]}
         _emit_json(payload) if args.json else print(payload)
         return 0 if rep.ok else 1
-    if args.property == "nrc":
-        lg = build_lg(g)
-        for y in all_tubings(g):
-            res = tubing_face_interval(g, y, lg)
-            if not res.ok:
-                payload = {"nrc": False, "witness": y.label()}
-                _emit_json(payload) if args.json else print(payload)
-                return 1
-        payload = {"nrc": True}
-        _emit_json(payload) if args.json else print(payload)
-        return 0
-    raise TubelatError(f"unknown property {args.property!r}")
+    lg = build_lg(g)  # "nrc", the last choice
+    for y in all_tubings(g):
+        if not tubing_face_interval(g, y, lg).ok:
+            payload = {"nrc": False, "witness": y.label()}
+            _emit_json(payload) if args.json else print(payload)
+            return 1
+    payload = {"nrc": True}
+    _emit_json(payload) if args.json else print(payload)
+    return 0
 
 
 def cmd_psi(args) -> int:
@@ -183,7 +180,7 @@ def _congruence_from_args(args):
         raise TubelatError("provide --graph/--graph-file or --arcs with --n")
     n = args.n
     arcs = [parse_arc(s, n) for s in args.arcs.split(",") if s.strip()]
-    return congruence_from_generators(n, arcs), n
+    return Congruence(n, arcs), n
 
 
 def cmd_congruence(args) -> int:
@@ -200,16 +197,14 @@ def cmd_congruence(args) -> int:
             for cls in classes:
                 print(" ".join(format_perm(w) for w in cls))
         return 0
-    if args.action == "quotient":
-        q = quotient_poset(theta)
-        if args.json:
-            _emit_json(q.to_json_obj(label=format_perm))
-        else:
-            print(f"{len(q)} classes, {len(q.covers)} covers")
-            for a, b in q.covers:
-                print(f"{format_perm(q.elements[a])} < {format_perm(q.elements[b])}")
-        return 0
-    raise TubelatError(f"unknown congruence action {args.action!r}")
+    q = quotient_poset(theta)  # "quotient", the last choice
+    if args.json:
+        _emit_json(q.to_json_obj(label=format_perm))
+    else:
+        print(f"{len(q)} classes, {len(q.covers)} covers")
+        for a, b in q.covers:
+            print(f"{format_perm(q.elements[a])} < {format_perm(q.elements[b])}")
+    return 0
 
 
 def cmd_arc(args) -> int:
@@ -217,23 +212,18 @@ def cmd_arc(args) -> int:
         raise TubelatError(f"arc {args.action} needs --k")
     if args.action == "subarc" and args.arc2 is None:
         raise TubelatError("arc subarc needs --arc2")
+    a = parse_arc(args.arc, args.n)
     if args.action == "delete":
-        a = parse_arc(args.arc, args.n)
         out = arc_delete(a, args.k)
         _emit_json(out.format()) if args.json else print(out.format())
         return 0
     if args.action == "insert":
-        a = parse_arc(args.arc, args.n)
         outs = [b.format() for b in arc_insertions(a, args.k)]
         _emit_json(outs) if args.json else print("\n".join(outs))
         return 0
-    if args.action == "subarc":
-        a = parse_arc(args.arc, args.n)
-        b = parse_arc(args.arc2, args.n)
-        ok = is_subarc(a, b)
-        _emit_json(ok) if args.json else print(ok)
-        return 0 if ok else 1
-    raise TubelatError(f"unknown arc action {args.action!r}")
+    ok = is_subarc(a, parse_arc(args.arc2, args.n))  # "subarc", the last choice
+    _emit_json(ok) if args.json else print(ok)
+    return 0 if ok else 1
 
 
 def cmd_product(args) -> int:
@@ -317,7 +307,7 @@ def cmd_family(args) -> int:
                 f"arc {wit[0].format()} on [{wit[0].n}] contracted, inserting {wit[1]} "
                 f"gives uncontracted {wit[2].format()}"
             )
-    elif args.property == "associative":
+    else:  # "associative", the last choice
         try:
             wit = associativity_witness(fam, n)
         except NotAdmissibleAtDegree as exc:
@@ -325,8 +315,6 @@ def cmd_family(args) -> int:
         else:
             if wit is not None:
                 wit = " . ".join(t.label() for t in wit)
-    else:
-        raise TubelatError(f"unknown family property {args.property!r}")
     ok = wit is None
     payload = {"family": fam.name, "property": args.property, "max_degree": n, "ok": ok}
     if not ok:

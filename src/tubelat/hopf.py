@@ -284,10 +284,6 @@ def admissibility_witness(family: GraphFamily, max_degree: int):
     return None
 
 
-def is_admissible(family: GraphFamily, max_degree: int) -> bool:
-    return admissibility_witness(family, max_degree) is None
-
-
 def recover_A(family: GraphFamily, max_degree: int) -> frozenset:
     """Read the distance set from the first-row edges: k is in A iff
     {1, k+1} is an edge of the degree-(k+1) graph."""
@@ -314,10 +310,6 @@ def restriction_compatibility_witness(family: GraphFamily, max_degree: int):
                 if extra:
                     return (n, I, "contraction", sorted(extra)[0])
     return None
-
-
-def is_restriction_compatible(family: GraphFamily, max_degree: int) -> bool:
-    return restriction_compatibility_witness(family, max_degree) is None
 
 
 # ---------------------------------------------------------------------------

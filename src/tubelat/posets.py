@@ -7,9 +7,12 @@ Elements are arbitrary hashable keys stored in a deterministic topological
 order; the reachability relation is kept as one up-set and one down-set
 bitmask per element.  Because the storage order extends the partial order, a
 single meet or join is a bitmask probe: the meet of x and y exists iff the
-highest-indexed common lower bound dominates all the others.  Partitions and
-maps come in by index, and each class is one bitmask whose lowest-indexed
-member is its only possible minimum and its highest its only possible maximum.
+highest-indexed common lower bound dominates all the others.  For the same
+reason only element 0 can be the least element and only the last the
+greatest.  Partitions, maps and the maximal tubings of a face come in as
+bitmasks by index; the lowest-indexed member of one is its only possible
+minimum and its highest its only possible maximum, so it is an interval iff
+it equals up[lo] & down[hi].
 
 Whole-lattice queries work from the covers and probes alone.  A poset with
 a least element is a lattice iff every two upper covers of a common element
@@ -153,12 +156,14 @@ class Poset:
         return self._up[self.index(x)]
 
     def minimum(self) -> Optional[Hashable]:
-        mins = [i for i in range(len(self)) if self._down[i] == 1 << i]
-        return self.elements[mins[0]] if len(mins) == 1 else None
+        """The least element, or None; only element 0 can be it."""
+        full = (1 << len(self)) - 1
+        return self.elements[0] if full and self._up[0] == full else None
 
     def maximum(self) -> Optional[Hashable]:
-        maxs = [i for i in range(len(self)) if self._up[i] == 1 << i]
-        return self.elements[maxs[0]] if len(maxs) == 1 else None
+        """The greatest element, or None; only the last element can be it."""
+        full = (1 << len(self)) - 1
+        return self.elements[-1] if full and self._down[-1] == full else None
 
     def _meet_idx(self, i: int, j: int) -> int:
         common = self._down[i] & self._down[j]
@@ -459,43 +464,23 @@ def build_lg(g: Graph) -> Poset:
 @dataclass(frozen=True)
 class FaceIntervalResult:
     ok: bool
-    lower: Optional[Tubing]
-    upper: Optional[Tubing]
-    witness: Optional[tuple]
+    lower: Tubing
+    upper: Tubing
 
 
 def tubing_face_interval(g: Graph, y: Tubing, lg: Optional[Poset] = None) -> FaceIntervalResult:
-    """Check that the maximal tubings containing ``y`` form an order-convex
-    interval of L_G, returning its endpoints or a violating chain."""
+    """Whether the maximal tubings containing ``y`` form an interval of L_G,
+    with their lowest- and highest-indexed members, which are then its
+    minimum and maximum.  As in ``Poset.is_congruence``, a set is an interval
+    iff its mask is up[lo] & down[hi].  Every tubing lies in a maximal one,
+    so the set is never empty."""
     if y.graph != g:
         raise TubelatError(f"the tubing is on {y.graph}, not on {g}")
     lg = lg if lg is not None else build_lg(g)
-    members = [x for x in lg.elements if set(y.tubes) <= set(x.tubes)]
-    if not members:
-        return FaceIntervalResult(False, None, None, None)
-    member_idx = [lg.index(x) for x in members]
-    member_mask = 0
-    for i in member_idx:
-        member_mask |= 1 << i
-    minimal = [i for i in member_idx if lg._down[i] & member_mask == 1 << i]
-    maximal = [i for i in member_idx if lg._up[i] & member_mask == 1 << i]
-    if len(minimal) != 1 or len(maximal) != 1:
-        lo, hi = minimal[0], maximal[-1]
-        return FaceIntervalResult(
-            False, lg.elements[lo], lg.elements[hi], ("multiple extrema", len(minimal), len(maximal))
-        )
-    lo, hi = minimal[0], maximal[0]
-    interval_mask = lg._up[lo] & lg._down[hi]
-    if interval_mask != member_mask:
-        stray = interval_mask & ~member_mask
-        z = next(bits(stray))
-        return FaceIntervalResult(
-            False,
-            lg.elements[lo],
-            lg.elements[hi],
-            (lg.elements[lo], lg.elements[z], lg.elements[hi]),
-        )
-    return FaceIntervalResult(True, lg.elements[lo], lg.elements[hi], None)
+    face = set(y.tubes)
+    m = sum(1 << i for i, x in enumerate(lg.elements) if face.issubset(x.tubes))
+    lo, hi = (m & -m).bit_length() - 1, m.bit_length() - 1
+    return FaceIntervalResult(m == lg._up[lo] & lg._down[hi], lg.elements[lo], lg.elements[hi])
 
 
 def all_tubings(g: Graph) -> list[Tubing]:

@@ -49,8 +49,6 @@ from .hopf import (
     c_delta_holds,
     c_delta_witness,
     fiber_sum,
-    is_admissible,
-    is_restriction_compatible,
     mr_coproduct,
     mr_product,
     recover_A,
@@ -87,20 +85,19 @@ from .tubings import (
 )
 from .weakorder import (
     Arc,
+    Congruence,
     all_arcs,
     arc_delete,
     arc_insertions,
     arc_of_cover,
     congruence_classes,
-    congruence_from_generators,
     finest_lattice_congruence,
     generators_of_theta_g,
+    insertional_witness,
     inversions,
     is_g_permutation,
-    is_insertional,
     is_lattice_congruence,
     is_subarc,
-    is_translational,
     lattice_map_report,
     metasylvester_congruence,
     perm_descents,
@@ -431,12 +428,12 @@ def acc_10_family_equivalences(max_n=None) -> str:
     ]
     rc_true = []
     for label, fam in families:
-        adm = is_admissible(fam, bound)
-        tra = is_translational(fam, bound)
+        adm = admissibility_witness(fam, bound) is None
+        tra = translational_witness(fam, bound) is None
         _require(adm == tra, f"admissible != translational for {label}")
         _require(adm, f"H family {label} should be admissible")
-        rc = is_restriction_compatible(fam, bound)
-        ins = is_insertional(fam, bound)
+        rc = restriction_compatibility_witness(fam, bound) is None
+        ins = insertional_witness(fam, bound) is None
         _require(rc == ins, f"restriction-compatible != insertional for {label}")
         if rc:
             rc_true.append(label)
@@ -598,7 +595,7 @@ def ex_arc_combinatorics(max_n=None) -> str:
     _require(is_subarc(a24, Arc(1, 4, (1, 1), 4)), "subarc example 1")
     _require(is_subarc(a24, Arc(1, 4, (-1, 1), 4)), "subarc example 2")
     _require(not is_subarc(a24, Arc(1, 4, (-1, -1), 4)), "subarc non-example")
-    theta = congruence_from_generators(4, [a24])
+    theta = Congruence(4, [a24])
     _require(
         theta.contracted == {a24, Arc(1, 4, (1, 1), 4), Arc(1, 4, (-1, 1), 4)},
         "closure of (2,4,+) wrong",
@@ -613,14 +610,14 @@ def ex_arc_combinatorics(max_n=None) -> str:
                 raise VerifyFailure(f"arc round trip fails for {a.format()}")
     for n in range(1, _cap(4, max_n) + 1):
         for a in all_arcs(n):
-            single = congruence_classes(congruence_from_generators(n, [a]))
+            single = congruence_classes(Congruence(n, [a]))
             closure = finest_lattice_congruence(
                 n, [(perm_of_arc_lower(a), perm_of_arc(a))]
             )
             _require(single == closure, f"forcing closure mismatch for {a.format()}")
         # joins of two join-irreducibles close the same way
         for a, b in itertools.combinations(all_arcs(n), 2):
-            pair = congruence_classes(congruence_from_generators(n, [a, b]))
+            pair = congruence_classes(Congruence(n, [a, b]))
             closure = finest_lattice_congruence(
                 n,
                 [
@@ -659,7 +656,7 @@ def ex_congruence_classes_are_intervals(max_n=None) -> str:
             gen_sets = [[a] for a in arcs]
             gen_sets += [list(p) for p in itertools.combinations(arcs, 2)]
         for gens in gen_sets:
-            theta = congruence_from_generators(n, gens)
+            theta = Congruence(n, gens)
             classes = congruence_classes(theta)
             # is_lattice_congruence also requires each class to be the
             # interval between its least and its greatest member
@@ -859,8 +856,8 @@ def ex_metasylvester(max_n=None) -> str:
                     )
     for k in (1, 2):
         src = lambda n, k=k: metasylvester_congruence(n, k).contracted
-        _require(is_translational(src, bound), f"metasylvester k={k} not translational")
-        _require(is_insertional(src, bound), f"metasylvester k={k} not insertional")
+        _require(translational_witness(src, bound) is None, f"metasylvester k={k} not translational")
+        _require(insertional_witness(src, bound) is None, f"metasylvester k={k} not insertional")
     _require(
         congruence_classes(metasylvester_congruence(3, 1))
         == congruence_classes(theta_g(family_path()(3))),
@@ -873,14 +870,18 @@ def ex_admissibility_characterization(max_n=None) -> str:
     bound = _cap(6, max_n)
     for A in ({1}, {2}, {1, 2}, {1, 3}, {2, 3}, frozenset()):
         fam = family_from_A(A)
-        _require(is_admissible(fam, bound), f"fromA({sorted(A)}) should be admissible")
+        _require(admissibility_witness(fam, bound) is None, f"fromA({sorted(A)}) should be admissible")
         _require(
             recover_A(fam, bound) == frozenset(a for a in A if a < bound),
             f"recover_A mismatch for {sorted(A)}",
         )
-    _require(is_admissible(family_from_A("all"), bound), "fromA(all) should be admissible")
+    _require(
+        admissibility_witness(family_from_A("all"), bound) is None, "fromA(all) should be admissible"
+    )
     _require(recover_A(family_path(), 6) == frozenset({1}), "recover_A(path) != {1}")
-    _require(is_admissible(family_odd_bipartite(), _cap(4, max_n)), "oddbip not admissible")
+    _require(
+        admissibility_witness(family_odd_bipartite(), _cap(4, max_n)) is None, "oddbip not admissible"
+    )
     return f"distance families admissible and recoverable at N={bound}"
 
 
@@ -888,7 +889,7 @@ def ex_restriction_compatible_families(max_n=None) -> str:
     bound = _cap(6, max_n)
     for fam in (family_path(), family_complete(), family_empty(), family_cycle()):
         _require(
-            is_restriction_compatible(fam, bound),
+            restriction_compatibility_witness(fam, bound) is None,
             f"{fam.name} should be restriction-compatible",
         )
     wit = None

@@ -8,9 +8,11 @@ A cover that swaps the values i < k determines an *arc* (i, k, eps): the sign
 of an intermediate value j records whether j sits before (-) or after (+) the
 swapped pair.  Arcs index the join-irreducible lattice congruences, and one
 arc forces another exactly when it is a subarc, so a congruence is described
-by the upward closure of its generating arcs.  Congruence classes are then
-connected components of the Hasse diagram along contracted covers, read from
-``weak_cover_arcs``, the covers of S_n grouped by arc once per n.
+by the upward closure of its generating arcs; ``Congruence(n, arcs)`` closes
+its arcs on construction, so every value is forcing-closed.  Congruence
+classes are then connected components of the Hasse diagram along contracted
+covers, read from ``weak_cover_arcs``, the covers of S_n grouped by arc once
+per n; they are intervals, each with its first word as minimum.
 
 The canonical surjection ``psi`` onto maximal tubings lives here as well,
 together with the derived notions: G-permutations, the congruence of a
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
@@ -311,33 +313,36 @@ def translates(a: Arc, m: int) -> list[Arc]:
 
 @dataclass(frozen=True)
 class Congruence:
-    """A lattice congruence of the weak order, stored as its generating
-    antichain and the upward (subarc-forcing) closure."""
+    """The lattice congruence of the weak order generated by ``arcs``.
+
+    An arc forces exactly its superarcs, so the constructor keeps the
+    subarc-minimal arcs as ``generators`` and their superarc closure as
+    ``contracted``: every ``Congruence`` is forcing-closed, and its classes
+    are intervals (E05 checks this)."""
 
     n: int
-    generators: frozenset
-    contracted: frozenset
+    arcs: InitVar[Iterable[Arc]]
+    generators: frozenset = field(init=False)
+    contracted: frozenset = field(init=False)
 
-
-def congruence_from_generators(n: int, arcs: Iterable[Arc]) -> Congruence:
-    if n < 0:
-        raise TubelatError(f"a congruence of S_n needs n >= 0, not n = {n}")
-    arcs = list(arcs)
-    for a in arcs:
-        if a.n != n:
-            raise SizeMismatch(f"arc {a.format()} not on [{n}]")
-    contracted = frozenset(
-        b for b in all_arcs(n) if any(is_subarc(a, b) for a in arcs)
-    )
-    gens = frozenset(
-        a for a in arcs if not any(o != a and is_subarc(o, a) for o in arcs)
-    )
-    return Congruence(n, gens, contracted)
+    def __post_init__(self, arcs: Iterable[Arc]) -> None:
+        if self.n < 0:
+            raise TubelatError(f"a congruence of S_n needs n >= 0, not n = {self.n}")
+        arcs = list(arcs)
+        for a in arcs:
+            if a.n != self.n:
+                raise SizeMismatch(f"arc {a.format()} not on [{self.n}]")
+        gens = frozenset(a for a in arcs if not any(o != a and is_subarc(o, a) for o in arcs))
+        contracted = frozenset(b for b in all_arcs(self.n) if any(is_subarc(a, b) for a in gens))
+        object.__setattr__(self, "generators", gens)
+        object.__setattr__(self, "contracted", contracted)
 
 
 def congruence_classes(theta: Congruence) -> tuple[tuple[Perm, ...], ...]:
     """Partition of S_n into classes: connected components of the Hasse
-    diagram restricted to covers whose arc is contracted."""
+    diagram restricted to covers whose arc is contracted.  S_n is read in
+    lexicographic order, so each class comes out sorted and the classes come
+    in the order of their first words."""
     perms = permutations(theta.n)
     parent = {w: w for w in perms}
 
@@ -356,9 +361,7 @@ def congruence_classes(theta: Congruence) -> tuple[tuple[Perm, ...], ...]:
     groups: dict = {}
     for w in perms:
         groups.setdefault(find(w), []).append(w)
-    return tuple(
-        tuple(sorted(g)) for g in sorted(groups.values(), key=lambda g: sorted(g)[0])
-    )
+    return tuple(map(tuple, groups.values()))
 
 
 def quotient_poset(theta: Congruence) -> Poset:
@@ -369,24 +372,18 @@ def quotient_poset(theta: Congruence) -> Poset:
     lie in different classes and [x] < Z < [y], then for z in Z, (z v x) ^ y
     lies in Z and in [x, y] = {x, y}.  ``Poset`` rejects redundant covers.
 
-    A class's minimum is its first word: ``congruence_classes`` sorts each
-    class; every ``Congruence`` the package builds comes from
-    ``congruence_from_generators``, which is forcing-closed, so its classes
-    are intervals (E05 checks this); and an upper cover turns an ascent
-    into a descent, so the word grows lexicographically along the order.
-    A hand-built ``Congruence`` need not be forcing-closed, so each first
-    word is checked against the inversion sets of its class.  Like
+    A class's minimum is its first word: a ``Congruence`` is forcing-closed,
+    so its classes are intervals, and an upper cover turns an ascent into a
+    descent, so the word grows lexicographically along the order.  Like
     ``build_lg``, it refuses more than 65,536 classes before it builds the
     poset, whose closure takes |classes|^2 bits.
     """
     classes = congruence_classes(theta)
     if len(classes) > 1 << 16:
         raise TubelatError(f"the quotient has {len(classes):,} classes; a poset takes at most 65,536")
-    if not all(inversions(cls[0]) <= inversions(w) for cls in classes for w in cls):
-        raise TubelatError("congruence class has no unique minimum")
     rep = {w: cls[0] for cls in classes for w in cls}
     covers = {(rep[u], rep[w]) for u, w in weak_cover_pairs(theta.n) if rep[u] != rep[w]}
-    return Poset(sorted(set(rep.values())), covers)
+    return Poset([cls[0] for cls in classes], covers)
 
 
 def is_lattice_congruence(partition: Iterable[Sequence[Perm]], n: int) -> bool:
@@ -501,7 +498,7 @@ def theta_g(g: Graph) -> Congruence:
     non-edges generate it."""
     if not filled_status(g).filled:
         raise NotFilled("theta_g requires a filled graph")
-    return congruence_from_generators(g.n, generators_of_theta_g(g))
+    return Congruence(g.n, generators_of_theta_g(g))
 
 
 def generators_of_theta_g(g: Graph) -> list[Arc]:
@@ -570,10 +567,6 @@ def translational_witness(source, max_degree: int):
     return None
 
 
-def is_translational(source, max_degree: int) -> bool:
-    return translational_witness(source, max_degree) is None
-
-
 def insertional_witness(source, max_degree: int):
     """None when insertional through max_degree; else (arc, node, insertion)."""
     sets = _contracted_by_degree(source, max_degree)
@@ -586,10 +579,6 @@ def insertional_witness(source, max_degree: int):
     return None
 
 
-def is_insertional(source, max_degree: int) -> bool:
-    return insertional_witness(source, max_degree) is None
-
-
 def metasylvester_congruence(n: int, k: int) -> Congruence:
     """The congruence contracting every arc with at least k plus signs;
     generated by the subarc-minimal such arcs."""
@@ -597,9 +586,7 @@ def metasylvester_congruence(n: int, k: int) -> Congruence:
         raise TubelatError("k must be nonnegative")
     # the set is closed under superarcs, so it is its own closure and its
     # subarc-minimal arcs are the generators
-    return congruence_from_generators(
-        n, (a for a in all_arcs(n) if sum(1 for s in a.signs if s > 0) >= k)
-    )
+    return Congruence(n, (a for a in all_arcs(n) if sum(1 for s in a.signs if s > 0) >= k))
 
 
 def rho_subword(w: Perm, V: Iterable[int]) -> tuple[int, ...]:

@@ -30,13 +30,12 @@ from tubelat.hopf import (
     embed_c,
     fiber_sum,
     formal_sum_to_json_obj,
-    is_admissible,
-    is_restriction_compatible,
     mr_coproduct,
     mr_coproduct_sum,
     mr_product,
     mr_product_sums,
     recover_A,
+    restriction_compatibility_witness,
     shuffles,
     standardize_word,
     tubing_coproduct,
@@ -202,8 +201,8 @@ def test_tubing_product_rejects_foreign_tubings():
 
 
 def test_admissibility_examples():
-    assert is_admissible(family_from_A({1, 3}), 6)
-    assert is_admissible(family_odd_bipartite(), 4)
+    assert admissibility_witness(family_from_A({1, 3}), 6) is None
+    assert admissibility_witness(family_odd_bipartite(), 4) is None
     assert admissibility_witness(family_cycle(), 4) is not None
     assert recover_A(family_path(), 6) == frozenset({1})
     assert recover_A(family_complete(), 6) == frozenset({1, 2, 3, 4, 5})
@@ -212,8 +211,8 @@ def test_admissibility_examples():
 
 def test_restriction_compatibility_examples():
     for fam in (family_path(), family_complete(), family_empty(), family_cycle()):
-        assert is_restriction_compatible(fam, 5)
-    assert not is_restriction_compatible(family_odd_bipartite(), 5)
+        assert restriction_compatibility_witness(fam, 5) is None
+    assert restriction_compatibility_witness(family_odd_bipartite(), 5) is not None
 
 
 def test_coarsen_and_fibers():

@@ -529,6 +529,58 @@ def test_lg_min_is_identity_image():
         assert lg.maximum() == psi(g, tuple(range(g.n, 0, -1)))
 
 
+def _extreme_by_scan(p, below):
+    # the one element with no other element below it, or None when there
+    # are several
+    ends = [x for x in p.elements if not any(y != x and below(y, x) for y in p.elements)]
+    return ends[0] if len(ends) == 1 else None
+
+
+def test_minimum_and_maximum_match_a_scan():
+    vee = Poset(["a", "b", "c"], [("a", "c"), ("b", "c")])  # two minimal elements
+    cases = [build_lg(g) for n in range(5) for g in all_graphs(n)]
+    cases += [weak_order_poset(4), vee, vee.dual(), vee.product(chain(2)), PENTAGON.dual()]
+    cases += [PENTAGON.product(antichain(2)), antichain(3), antichain(1), antichain(0)]
+    for p in cases:
+        assert p.minimum() == _extreme_by_scan(p, p.le)
+        assert p.maximum() == _extreme_by_scan(p, lambda x, y: p.le(y, x))
+    assert sum(p.minimum() is None for p in cases) == 5
+    assert sum(p.maximum() is None for p in cases) == 4
+
+
+def _face_interval_by_probes(lg, y):
+    # by definition: the members have one minimal and one maximal element
+    # by le, and every element between those two is a member; otherwise
+    # lower and upper are the first and last members in storage order
+    members = [x for x in lg.elements if set(y.tubes) <= set(x.tubes)]
+    mins = [x for x in members if not any(z != x and lg.le(z, x) for z in members)]
+    maxs = [x for x in members if not any(z != x and lg.le(x, z) for z in members)]
+    ok = len(mins) == len(maxs) == 1 and all(
+        z in members for z in lg.elements if lg.le(mins[0], z) and lg.le(z, maxs[0])
+    )
+    return (True, mins[0], maxs[0]) if ok else (False, members[0], members[-1])
+
+
+def test_face_interval_matches_a_probe_oracle():
+    for g in [g for n in range(5) for g in all_graphs(n)] + [parse_graph("cycle:5")]:
+        lg = build_lg(g)
+        for y in all_tubings(g):
+            res = tubing_face_interval(g, y, lg)
+            assert (res.ok, res.lower, res.upper) == _face_interval_by_probes(lg, y), (g, y.label())
+    # stand-in orders on the maximal tubings of path:3, where a face's
+    # members need not form an interval
+    g = parse_graph("path:3")
+    ms = list(enumerate_maximal_tubings(g))
+    shuffled = ms[::2] + ms[1::2]
+    oks = []
+    for order in (Poset(ms, []), Poset(shuffled, list(zip(shuffled, shuffled[1:])))):
+        for y in all_tubings(g):
+            res = tubing_face_interval(g, y, order)
+            assert (res.ok, res.lower, res.upper) == _face_interval_by_probes(order, y), y.label()
+            oks.append(res.ok)
+    assert True in oks and False in oks
+
+
 def test_face_interval_trivial_cases():
     g = parse_graph("path:3")
     lg = build_lg(g)
@@ -567,7 +619,7 @@ def test_face_intervals_are_convex_random(face):
     g, y = face
     lg = build_lg(g)
     res = tubing_face_interval(g, y, lg)
-    assert res.ok, (g, y.label(), res.witness)
+    assert res.ok, (g, y.label())
     assert lg.le(res.lower, res.upper)
 
 

@@ -22,17 +22,15 @@ from tubelat.weakorder import (
     arc_insertions,
     arc_of_cover,
     congruence_classes,
-    congruence_from_generators,
     contracted_arcs_of_graph,
     finest_lattice_congruence,
     format_perm,
     generators_of_theta_g,
+    insertional_witness,
     inversions,
     is_g_permutation,
     is_lattice_congruence,
     is_subarc,
-    is_insertional,
-    is_translational,
     lattice_map_report,
     metasylvester_congruence,
     parse_arc,
@@ -46,6 +44,7 @@ from tubelat.weakorder import (
     psi_map,
     quotient_poset,
     theta_g,
+    translational_witness,
     weak_cover_arcs,
     weak_cover_pairs,
     weak_join,
@@ -129,22 +128,29 @@ def test_is_subarc_examples():
         is_subarc(a, Arc(1, 4, (1, 1), 5))
 
 
-def test_congruence_from_generators():
-    th = congruence_from_generators(4, [Arc(2, 4, (1,), 4)])
+def test_congruence_constructor_closes_its_arcs():
+    th = Congruence(4, [Arc(2, 4, (1,), 4)])
     assert th.contracted == {
         Arc(2, 4, (1,), 4),
         Arc(1, 4, (1, 1), 4),
         Arc(1, 4, (-1, 1), 4),
     }
     assert th.generators == {Arc(2, 4, (1,), 4)}
-    # redundant generators collapse to the antichain
-    th2 = congruence_from_generators(4, [Arc(2, 4, (1,), 4), Arc(1, 4, (1, 1), 4)])
+    # redundant arcs collapse to the antichain, and repeats to one
+    th2 = Congruence(4, [Arc(1, 4, (1, 1), 4), Arc(2, 4, (1,), 4), Arc(2, 4, (1,), 4)])
     assert th2.generators == {Arc(2, 4, (1,), 4)}
-    assert th2.contracted == th.contracted
+    assert th2 == th
+    # any arcs closed under superarcs give back their own set
+    closed = frozenset(b for b in all_arcs(5) if b.i == 1)
+    assert Congruence(5, closed).contracted == closed
+    with pytest.raises(SizeMismatch, match=r"^arc 2-4:\+ not on \[5\]$"):
+        Congruence(5, [Arc(2, 4, (1,), 4)])
+    with pytest.raises(TubelatError, match="^a congruence of S_n needs n >= 0, not n = -1$"):
+        Congruence(-1, ())
 
 
 def test_discrete_congruence_quotient_is_weak_order():
-    th = congruence_from_generators(3, [])
+    th = Congruence(3, [])
     classes = congruence_classes(th)
     assert all(len(c) == 1 for c in classes)
     q, s3 = quotient_poset(th), weak_order_poset(3)
@@ -152,7 +158,7 @@ def test_discrete_congruence_quotient_is_weak_order():
 
 
 def test_congruence_classes_are_intervals_spot():
-    th = congruence_from_generators(4, [Arc(2, 4, (1,), 4)])
+    th = Congruence(4, [Arc(2, 4, (1,), 4)])
     classes = congruence_classes(th)
     assert sorted(len(c) for c in classes) == [1] * 14 + [2, 2, 3, 3]
     assert is_lattice_congruence(classes, 4)
@@ -475,8 +481,8 @@ def test_arc_insertions_examples():
 def test_translational_insertional_band_families():
     for k, (tr, ins) in {0: (True, True), 1: (True, True), 2: (True, False)}.items():
         fam = family_h(k)
-        assert is_translational(fam, 5) == tr
-        assert is_insertional(fam, 5) == ins
+        assert (translational_witness(fam, 5) is None) == tr
+        assert (insertional_witness(fam, 5) is None) == ins
 
 
 def test_from_a2_family_oracle_values():
@@ -486,10 +492,10 @@ def test_from_a2_family_oracle_values():
     from tubelat.graphs import family_from_A
 
     fam = family_from_A({2})
-    assert is_translational(fam, 4)
-    assert is_translational(fam, 6)
-    assert not is_insertional(fam, 3)
-    assert not is_insertional(fam, 6)
+    assert translational_witness(fam, 4) is None
+    assert translational_witness(fam, 6) is None
+    assert insertional_witness(fam, 3) is not None
+    assert insertional_witness(fam, 6) is not None
 
 
 def test_contracted_arcs_match_theta_for_filled():
@@ -512,7 +518,7 @@ def test_uncontracted_arcs_closed_under_subarcs():
     from tubelat.weakorder import all_arcs, is_subarc
 
     for a in all_arcs(4):
-        theta = congruence_from_generators(4, [a])
+        theta = Congruence(4, [a])
         unc = frozenset(all_arcs(4)) - theta.contracted
         for beta in unc:
             for alpha in all_arcs(4):
@@ -558,7 +564,7 @@ def _e05_e06_partitions():
             gen_sets = list(_arc_antichains(n))
         else:
             gen_sets = [[a] for a in arcs] + [list(p) for p in itertools.combinations(arcs, 2)]
-        out += [(congruence_classes(congruence_from_generators(n, gens)), n) for gens in gen_sets]
+        out += [(congruence_classes(Congruence(n, gens)), n) for gens in gen_sets]
         for r in range(n + 1):
             for V in itertools.combinations(range(1, n + 1), r):
                 fibers: dict = {}
@@ -585,7 +591,7 @@ def _partitions(draw):
     perms = permutations(n)
     if draw(st.booleans()):
         gens = draw(st.lists(st.sampled_from(all_arcs(n)), max_size=3))
-        classes = [list(c) for c in congruence_classes(congruence_from_generators(n, gens))]
+        classes = [list(c) for c in congruence_classes(Congruence(n, gens))]
     else:
         labels = draw(st.lists(st.integers(0, 5), min_size=len(perms), max_size=len(perms)))
         groups: dict = {}
@@ -670,25 +676,31 @@ def _arc_antichain_congruences(n):
         for gens in itertools.combinations(arcs, r):
             pairs = itertools.combinations(gens, 2)
             if not any(is_subarc(a, b) or is_subarc(b, a) for a, b in pairs):
-                yield congruence_from_generators(n, gens)
+                yield Congruence(n, gens)
 
 
 def test_quotient_poset_matches_transitive_reduction():
     thetas = [th for n in range(5) for th in _arc_antichain_congruences(n)]
     thetas += [metasylvester_congruence(n, k) for n in range(7) for k in range(n)]
     for th in thetas:
+        classes = congruence_classes(th)  # each sorted, in order of first words
+        assert list(classes) == sorted(tuple(sorted(c)) for c in classes), th.generators
         q, oracle = quotient_poset(th), _quotient_by_reduction(th)
         assert (q.elements, q.covers) == (oracle.elements, oracle.covers), th.generators
 
 
-def test_quotient_poset_refuses_a_class_without_a_minimum():
-    # a hand-built Congruence need not be forcing-closed: here 2413, the
-    # first word of its class, is not below 4123 (it inverts 1, 2)
-    arcs = frozenset(parse_arc(s, 4) for s in ("1-2:", "1-4:--", "2-4:+", "2-4:-"))
-    theta = Congruence(4, frozenset(), arcs)
-    assert ((2, 4, 1, 3), (4, 1, 2, 3), (4, 2, 1, 3)) in congruence_classes(theta)
-    with pytest.raises(TubelatError, match="^congruence class has no unique minimum$"):
-        quotient_poset(theta)
+def test_congruence_closes_arcs_that_are_not_forcing_closed():
+    # these four arcs are not closed under superarcs: as a contracted set
+    # they would put 2413, 4123 and 4213 in one class with no least word
+    # (2413 inverts 1, 2; 4123 does not).  The constructor closes them, so
+    # every class has its first word as minimum
+    arcs = [parse_arc(s, 4) for s in ("1-2:", "1-4:--", "2-4:+", "2-4:-")]
+    theta = Congruence(4, arcs)
+    assert theta.contracted == {b for b in all_arcs(4) if any(is_subarc(a, b) for a in arcs)}
+    assert theta.contracted > set(arcs)
+    assert theta.generators == set(arcs) - {parse_arc("1-4:--", 4)}
+    q, oracle = quotient_poset(theta), _quotient_by_reduction(theta)
+    assert (q.elements, q.covers) == (oracle.elements, oracle.covers)
 
 
 def test_quotient_poset_refuses_more_classes_than_a_poset_takes(monkeypatch):
@@ -700,11 +712,11 @@ def test_quotient_poset_refuses_more_classes_than_a_poset_takes(monkeypatch):
     monkeypatch.setattr(weakorder, "congruence_classes", lambda theta: classes)
     monkeypatch.setattr(weakorder, "Poset", None)  # building the poset raises TypeError
     with pytest.raises(TubelatError, match="^the quotient has 65,537 classes; a poset takes at most 65,536$"):
-        quotient_poset(Congruence(9, frozenset(), frozenset()))
+        quotient_poset(Congruence(9, ()))
     # 65,536 classes go on to the poset (n = 0 keeps the covers empty)
     classes = classes[: 1 << 16]
     with pytest.raises(TypeError, match="'NoneType' object is not callable"):
-        quotient_poset(Congruence(0, frozenset(), frozenset()))
+        quotient_poset(Congruence(0, ()))
 
 
 def test_weak_order_poset_refuses_sizes_outside_0_to_8_before_building():
