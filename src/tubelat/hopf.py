@@ -13,8 +13,8 @@ carries a coproduct: summing over ideals, each side is pushed into the family
 graph of matching size via the fiber-sum section of the coarsening map.
 Restriction and coarsening follow one rule, proved and applied in the
 ``tubings`` module: ``tubings.split_restrictions`` cuts the product's
-tubings, and ``tubings.coarsen`` sends each maximal tubing to the fiber it
-lies in.  This module reads only those pairs and fibers, never a tube tree.
+tubings, and ``tubings.coarsenings`` sends each maximal tubing to the fiber
+it lies in.  This module reads only those pairs and fibers, never a tube tree.
 
 All coefficients are exact integers.  Products here are multiplicity-free;
 coproducts are not (distinct ideals may standardize to the same pair), so no
@@ -36,7 +36,7 @@ from .errors import (
 from .graphs import Graph, GraphFamily, contract, induced_subgraph
 from .tubings import (
     Tubing,
-    coarsen,
+    coarsenings,
     enumerate_maximal_tubings,
     ideals,
     linear_extensions,
@@ -320,8 +320,8 @@ def restriction_compatibility_witness(family: GraphFamily, max_degree: int):
 @lru_cache(maxsize=None)
 def _coarsen_fibers(h: Graph, g: Graph) -> dict:
     fibers: dict = {}
-    for w in enumerate_maximal_tubings(g):
-        fibers.setdefault(coarsen(h, w), []).append(w)
+    for w, x in coarsenings(h, g):
+        fibers.setdefault(x, []).append(w)
     return {x: tuple(v) for x, v in fibers.items()}
 
 

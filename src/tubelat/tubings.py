@@ -54,8 +54,9 @@ tubings (n tubes each) compare as their sorted tube indices; the lower one
 holds the least index where they differ, so its code is the larger.  Read
 highest bit first, a code's tubes come in ``tube_key`` order, with no sort.
 Only this module knows the format: the enumerator keeps one table per graph
-(tube mask -> bit, code -> tubing); ``psi_images`` and ``split_restrictions``
-answer in tubings, finding each by code there, and ``flips`` in positions.
+(tube mask -> bit, code -> tubing); ``psi_images``, ``split_restrictions``
+and ``coarsenings`` answer in tubings, finding each by code there, and
+``flips`` in positions.
 ``psi_tubing``, the surjection from words, and ``maximal_tubings_oracle``, a
 clique search over the per-graph table ``compatibility_masks``, are
 independent routes to the same set.
@@ -68,7 +69,7 @@ The tube tree is read in one pass over the tube masks, smallest first.
 Tubes of a tubing are nested or disjoint, so a tube's top is its one vertex
 that no smaller tube has claimed, and its children are the roots so far
 (tubes not yet inside a larger one) that lie inside it.  ``tube_tree`` reads
-it this way for ``tau``, ``top``, ``coarsen`` and ``split_restrictions``,
+it this way for one tubing at a time (``tau``, ``top`` and ``coarsen``),
 and ``_mask_flips`` reads it in the same pass as the flips.  A flip
 exchanges I for J, the component of top(K) in K - top(I), K the smallest
 tube strictly containing I; oriented by comparing tops, the flips
@@ -91,8 +92,12 @@ Restricting psi_G(w) to I gives psi_{G|I}(w|_I); each of its tubes,
 comp(w_j, P_j & I), is connected, lies in P_j and contains w_j, so it lies
 in T_j and equals comp(w_j, T_j & I).  Coarsening gives psi_h(w), and
 comp_h(w_j, P_j) lies in T_j because h is inside G, so it equals
-comp_h(w_j, T_j).  ``split_restrictions`` and ``coarsen`` read the two maps
-off ``tube_tree`` this way, and the tubings they build are psi of w.
+comp_h(w_j, T_j).  So each tube's image depends only on the tube and its
+top, and a tubing's image is the OR of its tubes' images.  ``_tubewise``
+builds the image of every code in the code table's own recursion, where a
+tube's top is the root picked for it; ``split_restrictions`` and
+``coarsenings`` read the two maps there, and ``coarsen``, for one tubing,
+off ``tube_tree``.  The tubings they build are psi of w.
 
 ``restrict_std`` and ``quotient_std`` return ``Tubing`` values on the graph
 that ``graphs.induced_subgraph`` or ``graphs.contract`` returns, relabeled
@@ -496,6 +501,36 @@ def _code_table(g: Graph) -> tuple[dict, dict]:
     return bit, by_code
 
 
+def _tubewise(g: Graph, piece) -> dict:
+    """Code -> image code for every maximal tubing of g: the OR of
+    ``piece(C, r)`` over its tubes C, r the top of C, read in ``_code_table``'s
+    decomposition, where r is the root picked for C.  Each vertex set keeps
+    its codes and their images as two parallel lists, freed on return."""
+    adj = adjacency(g)
+    bit = _code_table(g)[0]
+    memo: dict = {}
+
+    def rec(S: int) -> tuple[list[int], list[int]]:
+        if S not in memo:
+            codes, images = [0], [0]
+            rest = S
+            while rest:
+                C = component(adj, rest, (rest & -rest).bit_length() - 1)
+                rest ^= C
+                tube, opt_codes, opt_images = bit[C], [], []
+                for r in bits(C):
+                    sub_codes, sub_images = rec(C ^ 1 << r)
+                    image = piece(C, r)
+                    opt_codes += [code | tube for code in sub_codes]
+                    opt_images += [sub | image for sub in sub_images]
+                codes = [acc | o for acc in codes for o in opt_codes]
+                images = [acc | o for acc in images for o in opt_images]
+            memo[S] = codes, images
+        return memo[S]
+
+    return dict(zip(*rec((2 << g.n) - 2)))
+
+
 @lru_cache(maxsize=None)
 def enumerate_maximal_tubings(g: Graph) -> tuple[Tubing, ...]:
     """All maximal tubings, sorted by ``Tubing.key``: the tubings of the
@@ -527,22 +562,36 @@ def flips(g: Graph) -> Iterator[tuple[int, int, int, int]]:
 
 def split_restrictions(g: Graph, n: int) -> Iterator[tuple[Tubing, Tubing, Tubing]]:
     """(z, restrict_std(z, [1..n]), restrict_std(z, [n+1..N])) for every
-    maximal tubing z of g on [N].  By the restriction rule, each tube t of z
-    with top v adds the component of v in t cut to v's side to the code of
-    the left restriction (v <= n) or, shifted down by n, of the right one."""
+    maximal tubing z of g on [N], in enumeration order.  By the restriction
+    rule, each tube C of z with top r gives ``_tubewise`` the component of r
+    in C cut to r's side, as a bit of the left table (r <= n) or, shifted
+    down by n, of the right one, shifted past the left table's bits."""
     adj = adjacency(g)
     low_bit, low_by_code = _code_table(induced_subgraph(g, range(1, n + 1))[0])
     high_bit, high_by_code = _code_table(induced_subgraph(g, range(n + 1, g.n + 1))[0])
-    below = (2 << n) - 2
-    for z in enumerate_maximal_tubings(g):
-        tops, _, masks = tube_tree(z)
-        left = right = 0
-        for v, t in zip(tops, masks):
-            if v <= n:
-                left |= low_bit[component(adj, t & below, v)]
-            else:
-                right |= high_bit[component(adj, t & ~below, v) >> n]
+    below, shift = (2 << n) - 2, len(low_bit)
+
+    def piece(C: int, r: int) -> int:
+        if r <= n:
+            return low_bit[component(adj, C & below, r)]
+        return high_bit[component(adj, C & ~below, r) >> n] << shift
+
+    images = _tubewise(g, piece)
+    for code, z in _code_table(g)[1].items():
+        right, left = divmod(images[code], 1 << shift)
         yield z, low_by_code[left], high_by_code[right]
+
+
+def coarsenings(h: Graph, g: Graph) -> Iterator[tuple[Tubing, Tubing]]:
+    """(w, coarsen(h, w)) for every maximal tubing w of g, in enumeration
+    order, each image an object of ``enumerate_maximal_tubings(h)``: each
+    tube C of w with top r gives ``_tubewise`` the h-component of r in C."""
+    if h.n != g.n or not set(h.edges) <= set(g.edges):
+        raise NotASubgraph(f"{h} is not a subgraph of {g}")
+    adj = adjacency(h)
+    h_bit, h_by_code = _code_table(h)
+    images = _tubewise(g, lambda C, r: h_bit[component(adj, C, r)])
+    return ((w, h_by_code[images[code]]) for code, w in _code_table(g)[1].items())
 
 
 def coarsen(h: Graph, w: Tubing) -> Tubing:

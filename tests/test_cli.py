@@ -476,10 +476,14 @@ def test_private_layouts_are_named_only_in_their_modules():
             yield node.name if isinstance(node, ast.alias) else name
 
     src = Path(tubelat.__file__).parent
-    private = ("_code_table", "code_index", "tube_bits", "_sorted_tubing", "_tubing", "tube_tree")
+    private = (
+        "_code_table", "_tubewise", "code_index", "tube_bits", "_sorted_tubing", "_tubing",
+        "tube_tree",
+    )
     named = {(path.name, name) for path in sorted(src.glob("*.py")) for name in names(path)}
     assert {(f, n) for f, n in named if n in private} == {
-        ("tubings.py", n) for n in ("_code_table", "_sorted_tubing", "_tubing", "tube_tree")
+        ("tubings.py", n)
+        for n in ("_code_table", "_tubewise", "_sorted_tubing", "_tubing", "tube_tree")
     }
     storage = ("_up", "_down", "_upper", "_lower", "_meet_idx", "_join_idx", "_init_by_index")
     assert {(f, n) for f, n in named if n in storage} == {("posets.py", n) for n in storage}

@@ -45,6 +45,7 @@ from tubelat.hopf import _coarsen_fibers, _require_admissible_at, _split_index
 from tubelat.tubings import (
     Tubing,
     coarsen,
+    coarsenings,
     enumerate_maximal_tubings,
     psi_tubing,
     restrict_std,
@@ -276,7 +277,9 @@ def _coarsen_by_walk(h, w):
     return psi_tubing(h, sigma_min(tau(w)))
 
 
-def test_coarsen_matches_prefix_walk():
+def _coarsen_pairs():
+    # (h, g): every graph on at most 4 vertices less one edge or all of
+    # them, and three pairs on 6 and 7 vertices
     pairs = []
     for n in range(5):
         for g in all_graphs(n):
@@ -286,9 +289,36 @@ def test_coarsen_matches_prefix_walk():
         (parse_graph(h), parse_graph(g))
         for h, g in [("path:7", "complete:7"), ("cycle:7", "complete:7"), ("path:6", "cycle:6")]
     ]
-    for h, g in pairs:
+    return pairs
+
+
+def test_coarsen_matches_prefix_walk():
+    for h, g in _coarsen_pairs():
         for w in enumerate_maximal_tubings(g):
             assert coarsen(h, w) == _coarsen_by_walk(h, w), (h, g, w.label())
+
+
+def test_coarsenings_match_coarsen():
+    # the coarsening rule by code, against coarsen's tube tree, in
+    # enumeration order and returning the enumerated objects of h
+    for h, g in _coarsen_pairs():
+        ws = enumerate_maximal_tubings(g)
+        got = list(coarsenings(h, g))
+        assert got == [(w, coarsen(h, w)) for w in ws], (h, g)
+        assert all(v is w for (v, _), w in zip(got, ws)), (h, g)
+        known = {id(x) for x in enumerate_maximal_tubings(h)}
+        assert all(id(x) in known for _, x in got), (h, g)
+    with pytest.raises(NotASubgraph):
+        coarsenings(parse_graph("complete:3"), parse_graph("path:3"))
+
+
+def test_coarsen_fibers_group_by_coarsen():
+    for h, g in _coarsen_pairs():
+        expected: dict = {}
+        for w in enumerate_maximal_tubings(g):
+            expected.setdefault(coarsen(h, w), []).append(w)
+        got = _coarsen_fibers.__wrapped__(h, g)
+        assert list(got.items()) == [(x, tuple(ws)) for x, ws in expected.items()], (h, g)
 
 
 def test_coarsen_rejects_non_maximal_tubings():

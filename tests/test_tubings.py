@@ -19,12 +19,14 @@ from tubelat.graphs import (
     adjacency,
     all_graphs,
     component_tubes,
+    family_path,
     induced_subgraph,
     is_tube,
     mask_vertices,
     parse_graph,
     tubes,
 )
+from tubelat.hopf import _coarsen_fibers, _split_index
 from tubelat.posets import build_lg
 from tubelat.tubings import (
     GForest,
@@ -562,6 +564,20 @@ def test_build_lg_builds_no_tube_tree(monkeypatch):
     assert calls == []
     tau(lg.elements[0])  # the count sees the calls that do happen
     assert calls == [lg.elements[0]]
+
+
+def test_hopf_indexes_build_no_tube_tree(monkeypatch):
+    # the product's split index and the coproduct's coarsening fibers read
+    # every tubing's images off the code table's recursion
+    calls = []
+    real = tubings.tube_tree
+    monkeypatch.setattr(tubings, "tube_tree", lambda x: calls.append(x) or real(x))
+    index = _split_index.__wrapped__(family_path(), 3, 4)
+    fibers = _coarsen_fibers.__wrapped__(parse_graph("path:7"), parse_graph("cycle:7"))
+    assert calls == []
+    assert sum(map(len, index.values())) == 429 and sum(map(len, fibers.values())) == 924
+    coarsen(parse_graph("path:7"), next(iter(fibers.values()))[0])
+    assert len(calls) == 1
 
 
 def test_vertex_coordinates_examples():
