@@ -278,8 +278,8 @@ def _coarsen_by_walk(h, w):
 
 
 def _coarsen_pairs():
-    # (h, g): every graph on at most 4 vertices less one edge or all of
-    # them, and three pairs on 6 and 7 vertices
+    # (h, g): g each graph on at most 4 vertices and h g less one edge or
+    # less every edge, and three pairs on 6 and 7 vertices
     pairs = []
     for n in range(5):
         for g in all_graphs(n):
