@@ -14,7 +14,10 @@ graph of matching size via the fiber-sum section of the coarsening map.
 Restriction and coarsening follow one rule, proved and applied in the
 ``tubings`` module: ``tubings.split_restrictions`` cuts the product's
 tubings, and ``tubings.coarsenings`` sends each maximal tubing to the fiber
-it lies in.  This module reads only those pairs and fibers, never a tube tree.
+it lies in.  The per-graph indexes read only those pairs and fibers and
+build no tube tree (``test_hopf_indexes_build_no_tube_tree`` checks this);
+``embed_c`` and ``c_delta_holds`` read the forest ``tau`` of each tubing,
+which ``tau`` takes off its tube tree.
 
 All coefficients are exact integers.  Products here are multiplicity-free;
 coproducts are not (distinct ideals may standardize to the same pair), so no

@@ -46,13 +46,17 @@ v's children in the tube tree, never by copying x's tubes, so
 
 ``enumerate_maximal_tubings`` builds every maximal tubing from one fact: a
 maximal tubing of a connected set picks a root and recurses on the
-components of what is left.  It works on *codes* (of the m tubes of g,
-``tubes(g)[k]`` holds bit m - 1 - k), so adding a tube, or joining the
-tubings of disjoint components, is an OR.  Descending codes are ascending
-``Tubing.key``: ``tubes(g)`` is in ``tube_key`` order, so two maximal
-tubings (n tubes each) compare as their sorted tube indices; the lower one
-holds the least index where they differ, so its code is the larger.  Read
-highest bit first, a code's tubes come in ``tube_key`` order, with no sort.
+components of what is left.  ``_tubewise`` is that recursion, the one walk
+over components and roots in this module: it ORs a piece of each (tube,
+root) pair over the tubes of every maximal tubing.  The enumerator works on
+*codes* (of the m tubes of g, ``tubes(g)[k]`` holds bit m - 1 - k), so
+adding a tube, or joining the tubings of disjoint components, is an OR, and
+a code is ``_tubewise`` with the piece (tube, root) -> the tube's bit.
+Descending codes are ascending ``Tubing.key``: ``tubes(g)`` is in
+``tube_key`` order, so two maximal tubings (n tubes each) compare as their
+sorted tube indices; the lower one holds the least index where they differ,
+so its code is the larger.  Read highest bit first, a code's tubes come in
+``tube_key`` order, with no sort.
 Only this module knows the format: the enumerator keeps one table per graph
 (tube mask -> bit, code -> tubing); ``psi_images``, ``split_restrictions``
 and ``coarsenings`` answer in tubings, finding each by code there, and
@@ -93,11 +97,13 @@ comp(w_j, P_j & I), is connected, lies in P_j and contains w_j, so it lies
 in T_j and equals comp(w_j, T_j & I).  Coarsening gives psi_h(w), and
 comp_h(w_j, P_j) lies in T_j because h is inside G, so it equals
 comp_h(w_j, T_j).  So each tube's image depends only on the tube and its
-top, and a tubing's image is the OR of its tubes' images.  ``_tubewise``
-builds the image of every code in the code table's own recursion, where a
-tube's top is the root picked for it; ``split_restrictions`` and
-``coarsenings`` read the two maps there, and ``coarsen``, for one tubing,
-off ``tube_tree``.  The tubings they build are psi of w.
+top, and a tubing's image is the OR of its tubes' images.  In
+``_tubewise`` a tube's top is the root picked for it, so
+``split_restrictions`` and ``coarsenings`` read the two maps in the one
+pass that builds the codes: each piece is the tube's bit OR its image
+shifted past g's m bits, and ``divmod`` splits each tubing's sum into image
+and code.  ``coarsen``, for one tubing, reads its tops off ``tube_tree``.
+The tubings they build are psi of w.
 
 ``restrict_std`` and ``quotient_std`` return ``Tubing`` values on the graph
 that ``graphs.induced_subgraph`` or ``graphs.contract`` returns, relabeled
@@ -468,30 +474,12 @@ def psi_images(g: Graph) -> list[Tubing]:
 def _code_table(g: Graph) -> tuple[dict, dict]:
     """The code table of g: tube mask -> its bit, and code -> maximal tubing
     in ``Tubing.key`` order, decoded highest bit first into ``_sorted_tubing``.
-    A maximal tubing of a connected set C picks a root r, the top of C, and
-    recurses on the components of C - {r}; a disconnected set combines one of
-    each component.  Each subset is decomposed once, its codes memoized."""
-    adj = adjacency(g)
+    A code is the OR of its tubes' bits, so ``_tubewise`` builds the codes
+    with the piece (C, r) -> bit(C)."""
     rev = tubes(g)[::-1]  # bit j stands for rev[j] (see the module docstring)
     bit = {sum(1 << v for v in t): 1 << j for j, t in enumerate(rev)}
-    memo: dict = {}
-
-    def rec(S: int) -> list[int]:
-        """Codes of the maximal tubings of G|_S, S a mask."""
-        if S not in memo:
-            combos = [0]
-            rest = S
-            while rest:
-                C = component(adj, rest, (rest & -rest).bit_length() - 1)
-                rest ^= C
-                tube = bit[C]
-                opts = [code | tube for r in bits(C) for code in rec(C ^ 1 << r)]
-                combos = [acc | o for acc in combos for o in opts]
-            memo[S] = combos
-        return memo[S]
-
     by_code = {}
-    for code in sorted(rec((2 << g.n) - 2), reverse=True):
+    for code in sorted(_tubewise(g, lambda C, r: bit[C]), reverse=True):
         ts, rest = [], code
         while rest:
             j = rest.bit_length() - 1
@@ -501,34 +489,34 @@ def _code_table(g: Graph) -> tuple[dict, dict]:
     return bit, by_code
 
 
-def _tubewise(g: Graph, piece) -> dict:
-    """Code -> image code for every maximal tubing of g: the OR of
-    ``piece(C, r)`` over its tubes C, r the top of C, read in ``_code_table``'s
-    decomposition, where r is the root picked for C.  Each vertex set keeps
-    its codes and their images as two parallel lists, freed on return."""
+def _tubewise(g: Graph, piece) -> list[int]:
+    """The OR of ``piece(C, r)`` over the tubes C of each maximal tubing of
+    g, r the top of C, one int per tubing.  A maximal tubing of a connected
+    set C picks a root r, the top of C, and recurses on the components of
+    C - {r}; a disconnected set combines one of each component.  Each subset
+    is decomposed once, its ints memoized; the memo is freed on return."""
     adj = adjacency(g)
-    bit = _code_table(g)[0]
     memo: dict = {}
 
-    def rec(S: int) -> tuple[list[int], list[int]]:
+    def rec(S: int) -> list[int]:
         if S not in memo:
-            codes, images = [0], [0]
+            combos = [0]
             rest = S
             while rest:
                 C = component(adj, rest, (rest & -rest).bit_length() - 1)
                 rest ^= C
-                tube, opt_codes, opt_images = bit[C], [], []
-                for r in bits(C):
-                    sub_codes, sub_images = rec(C ^ 1 << r)
-                    image = piece(C, r)
-                    opt_codes += [code | tube for code in sub_codes]
-                    opt_images += [sub | image for sub in sub_images]
-                codes = [acc | o for acc in codes for o in opt_codes]
-                images = [acc | o for acc in images for o in opt_images]
-            memo[S] = codes, images
+                # one piece per root r, not one per code
+                opts = [
+                    sub | image
+                    for r in bits(C)
+                    for image in [piece(C, r)]
+                    for sub in rec(C ^ 1 << r)
+                ]
+                combos = [acc | o for acc in combos for o in opts]
+            memo[S] = combos
         return memo[S]
 
-    return dict(zip(*rec((2 << g.n) - 2)))
+    return rec((2 << g.n) - 2)
 
 
 @lru_cache(maxsize=None)
@@ -563,21 +551,23 @@ def flips(g: Graph) -> Iterator[tuple[int, int, int, int]]:
 def split_restrictions(g: Graph, n: int) -> Iterator[tuple[Tubing, Tubing, Tubing]]:
     """(z, restrict_std(z, [1..n]), restrict_std(z, [n+1..N])) for every
     maximal tubing z of g on [N], in enumeration order.  By the restriction
-    rule, each tube C of z with top r gives ``_tubewise`` the component of r
-    in C cut to r's side, as a bit of the left table (r <= n) or, shifted
-    down by n, of the right one, shifted past the left table's bits."""
+    rule, each tube C of z with top r gives ``_tubewise`` its own bit and,
+    past g's m bits, the component of r in C cut to r's side, as a bit of the
+    left table (r <= n) or, shifted down by n, of the right one, shifted past
+    the left table's bits."""
     adj = adjacency(g)
+    bit, by_code = _code_table(g)
     low_bit, low_by_code = _code_table(induced_subgraph(g, range(1, n + 1))[0])
     high_bit, high_by_code = _code_table(induced_subgraph(g, range(n + 1, g.n + 1))[0])
-    below, shift = (2 << n) - 2, len(low_bit)
+    below, m, shift = (2 << n) - 2, len(bit), len(low_bit)
 
     def piece(C: int, r: int) -> int:
         if r <= n:
-            return low_bit[component(adj, C & below, r)]
-        return high_bit[component(adj, C & ~below, r) >> n] << shift
+            return bit[C] | low_bit[component(adj, C & below, r)] << m
+        return bit[C] | high_bit[component(adj, C & ~below, r) >> n] << m + shift
 
-    images = _tubewise(g, piece)
-    for code, z in _code_table(g)[1].items():
+    images = dict(divmod(p, 1 << m)[::-1] for p in _tubewise(g, piece))
+    for code, z in by_code.items():
         right, left = divmod(images[code], 1 << shift)
         yield z, low_by_code[left], high_by_code[right]
 
@@ -585,13 +575,17 @@ def split_restrictions(g: Graph, n: int) -> Iterator[tuple[Tubing, Tubing, Tubin
 def coarsenings(h: Graph, g: Graph) -> Iterator[tuple[Tubing, Tubing]]:
     """(w, coarsen(h, w)) for every maximal tubing w of g, in enumeration
     order, each image an object of ``enumerate_maximal_tubings(h)``: each
-    tube C of w with top r gives ``_tubewise`` the h-component of r in C."""
+    tube C of w with top r gives ``_tubewise`` its own bit and, past g's m
+    bits, the h-component of r in C."""
     if h.n != g.n or not set(h.edges) <= set(g.edges):
         raise NotASubgraph(f"{h} is not a subgraph of {g}")
     adj = adjacency(h)
+    bit, by_code = _code_table(g)
     h_bit, h_by_code = _code_table(h)
-    images = _tubewise(g, lambda C, r: h_bit[component(adj, C, r)])
-    return ((w, h_by_code[images[code]]) for code, w in _code_table(g)[1].items())
+    m = len(bit)
+    packed = _tubewise(g, lambda C, r: bit[C] | h_bit[component(adj, C, r)] << m)
+    images = dict(divmod(p, 1 << m)[::-1] for p in packed)
+    return ((w, h_by_code[images[code]]) for code, w in by_code.items())
 
 
 def coarsen(h: Graph, w: Tubing) -> Tubing:
@@ -686,16 +680,17 @@ def quotient_std(x: Tubing, I: Iterable[int]) -> Tubing:
 def ideals(x: Tubing) -> list[frozenset]:
     """All ideals (including the empty set and [n]), canonically ordered.
 
-    For a maximal tubing these coincide with the order ideals of tau(x).
+    An ideal's components are tubes of x, pairwise disjoint, so each ideal
+    is built once, as the union of its components: each tube t of x joins
+    every union so far that it misses.  Disjoint tubes of a tubing have no
+    edge between them, so missing t is all the test needs.  For a maximal
+    tubing these coincide with the order ideals of tau(x).
     """
-    tset = set(x.tubes)
-    out = []
-    for r in range(x.graph.n + 1):
-        for sub in itertools.combinations(x.graph.vertices, r):
-            I = frozenset(sub)
-            if all(c in tset for c in components_within(x.graph, I)):
-                out.append(I)
-    return sorted(out, key=tube_key)
+    out = [0]
+    for t in x.tubes:
+        mask = sum(1 << v for v in t)
+        out += [I | mask for I in out if not I & mask]
+    return sorted(map(mask_vertices, out), key=tube_key)
 
 
 def _forest_words(t: GForest, descending: bool = False) -> Iterator[tuple[int, ...]]:

@@ -18,16 +18,19 @@ from tubelat.graphs import (
     Graph,
     adjacency,
     all_graphs,
+    bits,
     component_tubes,
+    components_within,
     family_path,
     induced_subgraph,
     is_tube,
     mask_vertices,
     parse_graph,
+    tube_key,
     tubes,
 )
 from tubelat.hopf import _coarsen_fibers, _split_index
-from tubelat.posets import build_lg
+from tubelat.posets import all_tubings, build_lg
 from tubelat.tubings import (
     GForest,
     Tubing,
@@ -302,6 +305,22 @@ def test_tube_tree_matches_scan():
                 _assert_tube_tree_matches_scan(x)
 
 
+def test_tubewise_images_name_each_tube_and_its_top():
+    # the decomposition's contract, with a piece that is injective on (tube,
+    # top) pairs: each image names exactly the pairs of one maximal tubing
+    for g in [*(g for n in range(6) for g in all_graphs(n)), parse_graph("cycle:6")]:
+        pairs: dict = {}
+        images = tubings._tubewise(g, lambda C, r: 1 << pairs.setdefault((C, r), len(pairs)))
+        named = list(pairs)
+        got = {frozenset(named[k] for k in bits(image)) for image in images}
+        want = {
+            frozenset(zip(masks, tops))
+            for x in enumerate_maximal_tubings(g)
+            for tops, _, masks in [tube_tree(x)]
+        }
+        assert len(images) == len(want) and got == want, g
+
+
 def test_restrict_examples():
     for x in enumerate_maximal_tubings(K3):
         assert restrict_std(x, {1, 2, 3}) == x
@@ -357,6 +376,28 @@ def test_ideals_are_forest_downsets():
                         downsets.append(frozenset(s))
             assert set(ideals(x)) == set(downsets)
             assert all(is_ideal(x, I) for I in ideals(x))
+
+
+def _ideals_by_scan(x):
+    # every vertex subset whose components all belong to x
+    tset = set(x.tubes)
+    out = []
+    for r in range(x.graph.n + 1):
+        for sub in itertools.combinations(x.graph.vertices, r):
+            I = frozenset(sub)
+            if all(c in tset for c in components_within(x.graph, I)):
+                out.append(I)
+    return sorted(out, key=tube_key)
+
+
+def test_ideals_match_subset_scan():
+    # every tubing of the small graphs, not only the maximal ones
+    xs = [x for n in range(5) for g in all_graphs(n) for x in all_tubings(g)]
+    for name in ("cycle:6", "path:7", "complete:5"):
+        xs += enumerate_maximal_tubings(parse_graph(name))
+    assert len(xs) == 6166
+    for x in xs:
+        assert ideals(x) == _ideals_by_scan(x), x
 
 
 def test_linear_extensions_examples():
