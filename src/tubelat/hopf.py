@@ -16,8 +16,8 @@ Restriction and coarsening follow one rule, proved and applied in the
 tubings, and ``tubings.coarsenings`` sends each maximal tubing to the fiber
 it lies in.  The per-graph indexes read only those pairs and fibers and
 build no tube tree (``test_hopf_indexes_build_no_tube_tree`` checks this);
-``embed_c`` and ``c_delta_holds`` read the forest ``tau`` of each tubing,
-which ``tau`` takes off its tube tree.
+``embed_c`` and ``c_delta_holds`` read each tubing's forest through
+``tau``, which reads ``tube_tree``.
 
 All coefficients are exact integers.  Products here are multiplicity-free;
 coproducts are not (distinct ideals may standardize to the same pair), so no
