@@ -233,6 +233,11 @@ def contract(g: Graph, I: Iterable[int]) -> tuple[Graph, dict]:
     )
 
 
+def is_subgraph(h: Graph, g: Graph) -> bool:
+    """Whether h is a subgraph of g on the same vertices, on ``adjacency`` masks."""
+    return h.n == g.n and not any(a & ~b for a, b in zip(adjacency(h), adjacency(g)))
+
+
 def is_tube(g: Graph, I: Iterable[int]) -> bool:
     """True iff I is nonempty and G induces a connected subgraph on it."""
     I = _check_vertex_subset(g, I)
@@ -334,16 +339,22 @@ def minors(g: Graph) -> list[Graph]:
 
 @dataclass(frozen=True)
 class GraphFamily:
-    """One graph per degree; ``rule(n)`` must return a Graph on [n]."""
+    """One graph per degree; ``rule(n)`` must return a Graph on [n].  Equality by
+    name keys ``_family_graph``, as it keys ``hopf._split_index``: one name, one rule."""
 
     name: str
     rule: Callable[[int], Graph] = field(compare=False, repr=False)
 
     def __call__(self, n: int) -> Graph:
-        g = self.rule(n)
-        if g.n != n:
-            raise TubelatError(f"family {self.name!r} returned wrong degree at n={n}")
-        return g
+        return _family_graph(self, n)
+
+
+@lru_cache(maxsize=None)
+def _family_graph(family: GraphFamily, n: int) -> Graph:
+    g = family.rule(n)
+    if g.n != n:
+        raise TubelatError(f"family {family.name!r} returned wrong degree at n={n}")
+    return g
 
 
 def _distance_graph(n: int, allowed: Callable[[int], bool]) -> Graph:

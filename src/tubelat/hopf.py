@@ -13,9 +13,10 @@ carries a coproduct: summing over ideals, each side is pushed into the family
 graph of matching size via the fiber-sum section of the coarsening map.
 Restriction and coarsening follow one rule, proved and applied in the
 ``tubings`` module: ``tubings.split_restrictions`` cuts the product's
-tubings, and ``tubings.coarsenings`` sends each maximal tubing to the fiber
-it lies in.  The per-graph indexes read only those pairs and fibers and
-build no tube tree (``test_hopf_indexes_build_no_tube_tree`` checks this);
+tubings, ``tubings.coarsenings`` sends each maximal tubing to the fiber it
+lies in, and ``tubings.ideal_splits`` cuts a coproduct's tubing at each
+ideal.  The per-graph indexes read only those pairs and fibers and build
+no tube tree (``test_hopf_indexes_build_no_tube_tree`` checks this);
 ``embed_c`` and ``c_delta_holds`` read each tubing's forest through
 ``tau``, which reads ``tube_tree``.
 
@@ -36,15 +37,13 @@ from .errors import (
     NotRestrictionCompatible,
     SizeMismatch,
 )
-from .graphs import Graph, GraphFamily, contract, induced_subgraph
+from .graphs import Graph, GraphFamily, contract, induced_subgraph, is_subgraph
 from .tubings import (
     Tubing,
     coarsenings,
     enumerate_maximal_tubings,
-    ideals,
+    ideal_splits,
     linear_extensions,
-    quotient_std,
-    restrict_std,
     split_restrictions,
     tau,
 )
@@ -331,7 +330,7 @@ def _coarsen_fibers(h: Graph, g: Graph) -> dict:
 def fiber_sum(h: Graph, g: Graph, x: Tubing) -> FormalSum:
     """c_h^g(P_x): the sum of P_w over maximal tubings of g coarsening to x,
     empty unless x is a maximal tubing of h."""
-    if h.n != g.n or not set(h.edges) <= set(g.edges):
+    if not is_subgraph(h, g):
         raise NotASubgraph(f"{h} is not a subgraph of {g}")
     return FormalSum("P", dict.fromkeys(_fiber(h, g, x), 1))
 
@@ -362,17 +361,13 @@ def embed_c(x: Tubing) -> FormalSum:
 def tubing_coproduct(family: GraphFamily, x: Tubing) -> FormalSum:
     """Delta(P_x): over each ideal I, the fiber sums of the standardized
     restriction to I and quotient by I, paired as a tensor."""
-    g = x.graph
-    n = g.n
-    if g != family(n):
+    n = x.graph.n
+    if x.graph != family(n):
         raise SizeMismatch("tubing does not belong to the family at its degree")
     out = FormalSum("P*P")
-    for I in ideals(x):
-        low, high = restrict_std(x, I), quotient_std(x, I)
+    for I, low, high in ideal_splits(x):
         g_low, g_high = family(len(I)), family(n - len(I))
-        if not set(low.graph.edges) <= set(g_low.edges) or not set(
-            high.graph.edges
-        ) <= set(g_high.edges):
+        if not is_subgraph(low.graph, g_low) or not is_subgraph(high.graph, g_high):
             raise NotRestrictionCompatible(
                 f"family {family.name!r} is not restriction-compatible at the "
                 f"ideal {sorted(I)} of degree {n}"

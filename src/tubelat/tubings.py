@@ -16,9 +16,9 @@ T lies in T', and pieces of tubes apart stay apart.  In
 ``quotient_std`` a component C of G|_I, I an ideal, is a tube of x, so it
 lies in each tube J not inside I that it meets or touches: J - I is a tube
 of G/I, and tubes apart in G stay apart, as an edge of G/I through C would
-need C inside both.  ``flip_by_search`` checks its new tube with
-``compatible``, and ``maximal_tubings_oracle`` takes cliques of
-``compatibility_masks``.
+need C inside both.  ``ideal_splits`` takes x/I so, and x|_I by the ideal
+rule below.  ``flip_by_search`` checks its new tube with ``compatible``, and
+``maximal_tubings_oracle`` takes cliques of ``compatibility_masks``.
 
 Maximal tubings are encoded interchangeably as forests: ``chi`` sends a
 forest to the tubing of its principal ideals, and ``tau`` inverts it.  The
@@ -107,7 +107,12 @@ The tubings they build are psi of w.
 
 ``restrict_std`` and ``quotient_std`` return ``Tubing`` values on the graph
 that ``graphs.induced_subgraph`` or ``graphs.contract`` returns, relabeled
-onto [k] in label order with it: x|_I on G|_I and x/I on G/I.
+onto [k] in label order with it: x|_I on G|_I and x/I on G/I.  The ideal
+rule: for an ideal I of x, x|_I is the tubes of x inside I.  Proof: each
+component C of G|_I is a tube of x (see ``ideals``).  A tube inside I is
+its own component; a tube T not inside I contains each C it meets, being
+compatible with C and not inside it, so T & I's components are such C.
+``ideal_splits`` reads both sides so, onto G|_I and G/I built once per (G, I).
 """
 
 from __future__ import annotations
@@ -137,6 +142,7 @@ from .graphs import (
     components_within,
     contract,
     induced_subgraph,
+    is_subgraph,
     is_tube,
     mask_vertices,
     tube_key,
@@ -577,7 +583,7 @@ def coarsenings(h: Graph, g: Graph) -> Iterator[tuple[Tubing, Tubing]]:
     order, each image an object of ``enumerate_maximal_tubings(h)``: each
     tube C of w with top r gives ``_tubewise`` its own bit and, past g's m
     bits, the h-component of r in C."""
-    if h.n != g.n or not set(h.edges) <= set(g.edges):
+    if not is_subgraph(h, g):
         raise NotASubgraph(f"{h} is not a subgraph of {g}")
     adj = adjacency(h)
     bit, by_code = _code_table(g)
@@ -593,7 +599,7 @@ def coarsen(h: Graph, w: Tubing) -> Tubing:
     each tube keeps the h-component of its top, by the restriction rule, as
     h's surjection does on any linear extension of the forest of w."""
     g = w.graph
-    if h.n != g.n or not set(h.edges) <= set(g.edges):
+    if not is_subgraph(h, g):
         raise NotASubgraph(f"{h} is not a subgraph of {g}")
     if not w.is_maximal():
         raise InvalidTubing("coarsen requires a maximal tubing")
@@ -691,6 +697,23 @@ def ideals(x: Tubing) -> list[frozenset]:
         mask = sum(1 << v for v in t)
         out += [I | mask for I in out if not I & mask]
     return sorted(map(mask_vertices, out), key=tube_key)
+
+
+def ideal_splits(x: Tubing) -> Iterator[tuple[frozenset, Tubing, Tubing]]:
+    """(I, restrict_std(x, I), quotient_std(x, I)) for every ideal I of x, in
+    ``ideals`` order, by the ideal rule of the module docstring."""
+    for I in ideals(x):
+        sub, quo, label = _ideal_graphs(x.graph, I)
+        inside = [frozenset(map(label.__getitem__, t)) for t in x.tubes if t <= I]
+        outside = [frozenset(map(label.__getitem__, t - I)) for t in x.tubes if not t <= I]
+        yield I, _tubing(sub, inside), _tubing(quo, outside)
+
+
+@lru_cache(maxsize=None)
+def _ideal_graphs(g: Graph, I: frozenset) -> tuple[Graph, Graph, tuple]:
+    """G|_I, G/I and each vertex's label in the one of them that keeps it."""
+    (sub, low), (quo, high) = induced_subgraph(g, I), contract(g, I)
+    return sub, quo, tuple(map({**low, **high}.get, range(g.n + 1)))
 
 
 def _forest_words(t: GForest, descending: bool = False) -> Iterator[tuple[int, ...]]:

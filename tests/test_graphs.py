@@ -6,6 +6,7 @@ import pytest
 from tubelat.errors import InvalidVertex, TubelatError
 from tubelat.graphs import (
     Graph,
+    GraphFamily,
     all_graphs,
     components_within,
     contract,
@@ -250,6 +251,15 @@ def test_family_descriptors():
         parse_graph("h:x:3")
     with pytest.raises(TubelatError, match=re.escape("family descriptor 'A:{1,a}'")):
         parse_family("A:{1,a}")
+
+
+def test_family_builds_each_degree_once():
+    # families are equal by name, and the name keys the one graph per degree
+    assert parse_family("path")(5) is parse_family("path")(5)
+    bad = GraphFamily("bad", lambda n: Graph(n + 1))
+    for _ in range(2):  # a refused degree is not cached
+        with pytest.raises(TubelatError, match="family 'bad' returned wrong degree at n=3"):
+            bad(3)
 
 
 def test_graph_text_and_json_round_trip():

@@ -21,6 +21,7 @@ from tubelat.graphs import (
     bits,
     component_tubes,
     components_within,
+    family_cycle,
     family_path,
     induced_subgraph,
     is_tube,
@@ -29,7 +30,7 @@ from tubelat.graphs import (
     tube_key,
     tubes,
 )
-from tubelat.hopf import _coarsen_fibers, _split_index
+from tubelat.hopf import _coarsen_fibers, _split_index, tubing_coproduct
 from tubelat.posets import all_tubings, build_lg
 from tubelat.tubings import (
     GForest,
@@ -45,6 +46,7 @@ from tubelat.tubings import (
     flip_by_search,
     flips,
     forest_inversions,
+    ideal_splits,
     ideals,
     is_ideal,
     linear_extensions,
@@ -390,14 +392,29 @@ def _ideals_by_scan(x):
     return sorted(out, key=tube_key)
 
 
-def test_ideals_match_subset_scan():
+def _ideal_test_tubings():
     # every tubing of the small graphs, not only the maximal ones
     xs = [x for n in range(5) for g in all_graphs(n) for x in all_tubings(g)]
     for name in ("cycle:6", "path:7", "complete:5"):
         xs += enumerate_maximal_tubings(parse_graph(name))
     assert len(xs) == 6166
-    for x in xs:
+    return xs
+
+
+def test_ideals_match_subset_scan():
+    for x in _ideal_test_tubings():
         assert ideals(x) == _ideals_by_scan(x), x
+
+
+def test_ideal_splits_match_restrict_and_quotient():
+    # restrict_std and quotient_std, which rebuild their graphs and re-test
+    # the ideal, are the oracle
+    for x in _ideal_test_tubings():
+        splits = list(ideal_splits(x))
+        assert [I for I, _, _ in splits] == ideals(x), x
+        for I, low, high in splits:
+            for got, want in ((low, restrict_std(x, I)), (high, quotient_std(x, I))):
+                assert (got.graph, got.tubes) == (want.graph, want.tubes), (x, I)
 
 
 def test_linear_extensions_examples():
@@ -619,6 +636,24 @@ def test_hopf_indexes_build_no_tube_tree(monkeypatch):
     assert sum(map(len, index.values())) == 429 and sum(map(len, fibers.values())) == 924
     coarsen(parse_graph("path:7"), next(iter(fibers.values()))[0])
     assert len(calls) == 1
+
+
+def test_coproduct_splits_ideals_without_component_scans(monkeypatch):
+    # ideal_splits reads both sides of every ideal off the tubing's tubes:
+    # no restrict_std scan of tube intersections, no quotient_std re-test
+    # of the ideal
+    calls = []
+    for name in ("components_within", "is_ideal"):
+        real = getattr(tubings, name)
+        monkeypatch.setattr(
+            tubings, name, lambda *a, name=name, real=real: calls.append(name) or real(*a)
+        )
+    terms = 0
+    for fam in (family_path(), family_cycle()):
+        for x in enumerate_maximal_tubings(fam(6)):
+            terms += len(tubing_coproduct(fam, x))
+    assert calls == []
+    assert terms > 0
 
 
 def test_vertex_coordinates_examples():
