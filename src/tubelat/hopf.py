@@ -15,10 +15,13 @@ Restriction and coarsening follow one rule, proved and applied in the
 ``tubings`` module: ``tubings.split_restrictions`` cuts the product's
 tubings, ``tubings.coarsenings`` sends each maximal tubing to the fiber it
 lies in, and ``tubings.ideal_splits`` cuts a coproduct's tubing at each
-ideal.  The per-graph indexes read only those pairs and fibers and build
-no tube tree (``test_hopf_indexes_build_no_tube_tree`` checks this);
-``embed_c`` and ``c_delta_holds`` read each tubing's forest through
-``tau``, which reads ``tube_tree``.
+ideal.  A fiber's precondition, h a subgraph of g, is checked once, where
+``coarsenings`` builds the fiber index; the coproduct reports its
+``NotASubgraph`` as a family not restriction-compatible.  The per-graph
+indexes read only those pairs and fibers and build no tube tree
+(``test_hopf_indexes_build_no_tube_tree`` checks this); ``embed_c`` and
+``c_delta_holds`` read each tubing's forest through ``tau``, which reads
+``tube_tree``.
 
 All coefficients are exact integers.  Products here are multiplicity-free;
 coproducts are not (distinct ideals may standardize to the same pair), so no
@@ -37,7 +40,7 @@ from .errors import (
     NotRestrictionCompatible,
     SizeMismatch,
 )
-from .graphs import Graph, GraphFamily, contract, induced_subgraph, is_subgraph
+from .graphs import Graph, GraphFamily, contract, induced_subgraph
 from .tubings import (
     Tubing,
     coarsenings,
@@ -55,12 +58,9 @@ class FormalSum:
 
     __slots__ = ("basis", "terms")
 
-    def __init__(self, basis: str, terms=None):
+    def __init__(self, basis: str, terms: Optional[dict] = None):
         self.basis = basis
-        self.terms: dict = {}
-        if terms:
-            for key, coeff in dict(terms).items():
-                self.add_term(key, coeff)
+        self.terms: dict = {key: c for key, c in (terms or {}).items() if c}
 
     def add_term(self, key, coeff: int = 1) -> None:
         c = self.terms.get(key, 0) + coeff
@@ -233,10 +233,7 @@ def tubing_product(family: GraphFamily, x: Tubing, y: Tubing) -> FormalSum:
     n, m = x.graph.n, y.graph.n
     if x.graph != family(n) or y.graph != family(m):
         raise SizeMismatch("tubings do not belong to the family at their degree")
-    out = FormalSum("P")
-    for z in _split_index(family, n, m).get((x, y), ()):
-        out.add_term(z)
-    return out
+    return FormalSum("P", dict.fromkeys(_split_index(family, n, m).get((x, y), ()), 1))
 
 
 def tubing_product_sums(family: GraphFamily, a: FormalSum, b: FormalSum) -> FormalSum:
@@ -329,17 +326,16 @@ def _coarsen_fibers(h: Graph, g: Graph) -> dict:
 
 def fiber_sum(h: Graph, g: Graph, x: Tubing) -> FormalSum:
     """c_h^g(P_x): the sum of P_w over maximal tubings of g coarsening to x,
-    empty unless x is a maximal tubing of h."""
-    if not is_subgraph(h, g):
-        raise NotASubgraph(f"{h} is not a subgraph of {g}")
+    empty unless x is a maximal tubing of h (``coarsenings`` checks that h
+    is a subgraph of g)."""
     return FormalSum("P", dict.fromkeys(_fiber(h, g, x), 1))
 
 
 def _fiber(h: Graph, g: Graph, x: Tubing) -> tuple[Tubing, ...]:
-    """The maximal tubings of g coarsening to x (h is a subgraph of g on
-    [n]).  ``tubing_coproduct`` reads its fibers here, as restrictions and
-    quotients of a maximal tubing are maximal tubings."""
-    if h == g:  # the identity on MTub(g): enumerate nothing
+    """The maximal tubings of g coarsening to x (``NotASubgraph`` unless h
+    is a subgraph of g).  ``tubing_coproduct`` reads its fibers here, as
+    restrictions and quotients of a maximal tubing are maximal tubings."""
+    if h == g:  # the identity on MTub(g), a subgraph of itself: enumerate nothing
         return (x,) if x.graph == g and x.is_maximal() else ()
     return _coarsen_fibers(h, g).get(x, ())
 
@@ -366,14 +362,16 @@ def tubing_coproduct(family: GraphFamily, x: Tubing) -> FormalSum:
         raise SizeMismatch("tubing does not belong to the family at its degree")
     out = FormalSum("P*P")
     for I, low, high in ideal_splits(x):
-        g_low, g_high = family(len(I)), family(n - len(I))
-        if not is_subgraph(low.graph, g_low) or not is_subgraph(high.graph, g_high):
+        try:
+            lows = _fiber(low.graph, family(len(I)), low)
+            highs = _fiber(high.graph, family(n - len(I)), high)
+        except NotASubgraph:
             raise NotRestrictionCompatible(
                 f"family {family.name!r} is not restriction-compatible at the "
                 f"ideal {sorted(I)} of degree {n}"
-            )
-        for lx in _fiber(low.graph, g_low, low):
-            for rx in _fiber(high.graph, g_high, high):
+            ) from None
+        for lx in lows:
+            for rx in highs:
                 out.add_term((lx, rx))
     return out
 

@@ -2,8 +2,10 @@
 
 Two tubes are *compatible* when they are nested or their union is not a tube
 (compatible tubes that are not nested are automatically disjoint).  A tubing
-is a pairwise-compatible set of tubes; the maximal ones all have exactly n
-tubes and are the vertices of the graph associahedron.
+is a pairwise-compatible set of tubes; the maximal ones are the vertices of
+the graph associahedron.  Every tubing lies in a maximal one, and the nested
+complex is pure: each maximal tubing has exactly n tubes (Carr-Devadoss,
+2006).  So ``Tubing.is_maximal`` only counts the tubes.
 
 A ``Tubing`` is always a tubing: its constructor checks each tube, and each
 pair by the rule below (nested, or disjoint with no edge between).  Only
@@ -105,14 +107,18 @@ shifted past g's m bits, and ``divmod`` splits each tubing's sum into image
 and code.  ``coarsen``, for one tubing, reads its tops off ``tube_tree``.
 The tubings they build are psi of w.
 
-``restrict_std`` and ``quotient_std`` return ``Tubing`` values on the graph
-that ``graphs.induced_subgraph`` or ``graphs.contract`` returns, relabeled
-onto [k] in label order with it: x|_I on G|_I and x/I on G/I.  The ideal
-rule: for an ideal I of x, x|_I is the tubes of x inside I.  Proof: each
-component C of G|_I is a tube of x (see ``ideals``).  A tube inside I is
-its own component; a tube T not inside I contains each C it meets, being
+``restrict_std``, ``quotient_std`` and ``ideal_splits`` put x|_I on G|_I
+and x/I on G/I, relabeled onto [k] in label order, all read off one table,
+``_cut_graphs``, built once per (G, I); ``restrict_std`` flood-fills each
+tube's mask cut to I.  An ideal of x is a union of disjoint tubes of x.
+The cover rule: I is an ideal iff the tubes of x inside I cover I (as
+``is_ideal`` tests), for their maximal members are compatible and not
+nested, so disjoint with no edge between: the components of G|_I.  The
+ideal rule: for an ideal I of x, x|_I is the tubes of x inside I.  Proof:
+each component C of G|_I is a tube of x.  A tube inside I is its own
+component; a tube T not inside I contains each C it meets, being
 compatible with C and not inside it, so T & I's components are such C.
-``ideal_splits`` reads both sides so, onto G|_I and G/I built once per (G, I).
+``ideal_splits`` reads both sides so.
 """
 
 from __future__ import annotations
@@ -138,8 +144,6 @@ from .graphs import (
     adjacency,
     bits,
     component,
-    component_tubes,
-    components_within,
     contract,
     induced_subgraph,
     is_subgraph,
@@ -210,9 +214,8 @@ class Tubing:
         return self.key() < other.key()
 
     def is_maximal(self) -> bool:
-        if len(self.tubes) != self.graph.n:
-            return False
-        return all(c in self.tubes for c in component_tubes(self.graph))
+        """No tube can be added iff there are n tubes, by purity (module docstring)."""
+        return len(self.tubes) == self.graph.n
 
     def label(self) -> str:
         return "".join("{" + ",".join(map(str, sorted(t))) + "}" for t in self.tubes)
@@ -650,27 +653,25 @@ def maximal_tubings_oracle(g: Graph) -> tuple[Tubing, ...]:
 
 
 def restrict_std(x: Tubing, I: Iterable[int]) -> Tubing:
-    """X|_I: components of every I-intersected tube, a tubing of G|_I,
-    relabeled with it onto [|I|] in label order."""
-    g = x.graph
+    """X|_I: the components of each tube cut to I, flood-filled on masks, a
+    tubing of G|_I, relabeled with it onto [|I|] in label order."""
     I = frozenset(I)
-    sub, phi = induced_subgraph(g, I)
-    out: set = set()
+    sub, _, label = _cut_graphs(x.graph, I)
+    adj, cut, out = adjacency(x.graph), sum(1 << v for v in I), set()
     for t in x.tubes:
-        out.update(components_within(g, t & I))
-    return _tubing(sub, tuple(frozenset(phi[v] for v in c) for c in out))
+        rest = sum(1 << v for v in t) & cut
+        while rest:
+            c = component(adj, rest, (rest & -rest).bit_length() - 1)
+            rest ^= c
+            out.add(c)
+    return _tubing(sub, [frozenset(map(label.__getitem__, bits(c))) for c in out])
 
 
 def is_ideal(x: Tubing, I: Iterable[int]) -> bool:
-    """An ideal is a union of pairwise disjoint tubes of x, equivalently a
-    set whose G|_I components all belong to x."""
+    """Whether I is a union of pairwise disjoint tubes of x: whether the
+    tubes of x inside I cover I (see the module docstring)."""
     I = frozenset(I)
-    if not I:
-        return True
-    if not I <= set(x.graph.vertices):
-        return False
-    tset = set(x.tubes)
-    return all(c in tset for c in components_within(x.graph, I))
+    return frozenset().union(*(t for t in x.tubes if t <= I)) == I
 
 
 def quotient_std(x: Tubing, I: Iterable[int]) -> Tubing:
@@ -679,8 +680,8 @@ def quotient_std(x: Tubing, I: Iterable[int]) -> Tubing:
     I = frozenset(I)
     if not is_ideal(x, I):
         raise NotAnIdeal(f"{sorted(I)} is not an ideal of the tubing")
-    quo, phi = contract(x.graph, I)
-    return _tubing(quo, tuple(frozenset(phi[v] for v in t - I) for t in x.tubes if not t <= I))
+    _, quo, label = _cut_graphs(x.graph, I)
+    return _tubing(quo, [frozenset(map(label.__getitem__, t - I)) for t in x.tubes if not t <= I])
 
 
 def ideals(x: Tubing) -> list[frozenset]:
@@ -703,14 +704,14 @@ def ideal_splits(x: Tubing) -> Iterator[tuple[frozenset, Tubing, Tubing]]:
     """(I, restrict_std(x, I), quotient_std(x, I)) for every ideal I of x, in
     ``ideals`` order, by the ideal rule of the module docstring."""
     for I in ideals(x):
-        sub, quo, label = _ideal_graphs(x.graph, I)
+        sub, quo, label = _cut_graphs(x.graph, I)
         inside = [frozenset(map(label.__getitem__, t)) for t in x.tubes if t <= I]
         outside = [frozenset(map(label.__getitem__, t - I)) for t in x.tubes if not t <= I]
         yield I, _tubing(sub, inside), _tubing(quo, outside)
 
 
 @lru_cache(maxsize=None)
-def _ideal_graphs(g: Graph, I: frozenset) -> tuple[Graph, Graph, tuple]:
+def _cut_graphs(g: Graph, I: frozenset) -> tuple[Graph, Graph, tuple]:
     """G|_I, G/I and each vertex's label in the one of them that keeps it."""
     (sub, low), (quo, high) = induced_subgraph(g, I), contract(g, I)
     return sub, quo, tuple(map({**low, **high}.get, range(g.n + 1)))

@@ -166,6 +166,14 @@ def test_coproduct_commands(capsys):
     assert code == 0
 
 
+def test_coproduct_names_the_ideal_of_an_incompatible_family(capsys):
+    code, _, err = invoke(capsys, "coproduct", "--family", "oddbip", "--perm", "2314")
+    assert code == 2
+    assert err == (
+        "error: family 'oddbip' is not restriction-compatible at the ideal [2] of degree 4\n"
+    )
+
+
 def test_mobius_command(capsys):
     # the full interval of the pentagon carries mu = (-1)^(3-1) = 1
     code, out, _ = invoke(capsys, "mobius", "--graph", "path:3")
@@ -270,6 +278,7 @@ BAD_INPUTS = [
     ("tubings", "--graph-file", {"n": 3, "edges": [[1, 2.5]]}),
     ("tubings", "--graph-file", {"n": 10**20, "edges": []}),  # no vertex table fits
     ("verify", "--suite", "acceptance", "--max-n", "-1"),
+    ("coproduct", "--family", "oddbip", "--perm", "2314"),  # not restriction-compatible
 ]
 
 
@@ -478,12 +487,14 @@ def test_private_layouts_are_named_only_in_their_modules():
     src = Path(tubelat.__file__).parent
     private = (
         "_code_table", "_tubewise", "code_index", "tube_bits", "_sorted_tubing", "_tubing",
-        "tube_tree",
+        "tube_tree", "_cut_graphs",
     )
     named = {(path.name, name) for path in sorted(src.glob("*.py")) for name in names(path)}
     assert {(f, n) for f, n in named if n in private} == {
         ("tubings.py", n)
-        for n in ("_code_table", "_tubewise", "_sorted_tubing", "_tubing", "tube_tree")
+        for n in (
+            "_code_table", "_tubewise", "_sorted_tubing", "_tubing", "tube_tree", "_cut_graphs"
+        )
     }
     storage = ("_up", "_down", "_upper", "_lower", "_meet_idx", "_join_idx", "_init_by_index")
     assert {(f, n) for f, n in named if n in storage} == {("posets.py", n) for n in storage}

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -232,6 +233,15 @@ def test_coarsen_and_fibers():
         coarsen(k3, enumerate_maximal_tubings(p3)[0])
 
 
+def test_fiber_sum_refuses_a_non_subgraph():
+    # the refusal comes from coarsenings, where the fiber index is built
+    k3, p3 = parse_graph("complete:3"), parse_graph("path:3")
+    for x in (enumerate_maximal_tubings(k3)[0], enumerate_maximal_tubings(p3)[0]):
+        with pytest.raises(NotASubgraph) as e:
+            fiber_sum(k3, p3, x)
+        assert str(e.value) == f"{k3} is not a subgraph of {p3}"
+
+
 def test_fiber_sum_onto_the_same_graph_matches_the_fibers():
     # fiber_sum(g, g, x) skips _coarsen_fibers; it must agree with that route
     for fam in ("path", "complete", "cycle", "empty", "h:2"):
@@ -362,8 +372,31 @@ def test_tubing_coproduct_complete_matches_mr():
 def test_tubing_coproduct_rejects_incompatible_family():
     fam = family_odd_bipartite()
     x = enumerate_maximal_tubings(fam(4))[0]
-    with pytest.raises(NotRestrictionCompatible):
+    with pytest.raises(NotRestrictionCompatible) as e:
         tubing_coproduct(fam, x)
+    assert str(e.value) == (
+        "family 'oddbip' is not restriction-compatible at the ideal [1] of degree 4"
+    )
+
+
+def test_warm_coproducts_make_no_subgraph_test(monkeypatch):
+    # the subgraph precondition is checked where coarsenings builds a fiber
+    # index, so a coproduct that reads cached fibers tests no subgraph
+    fams = (family_path(), family_cycle())
+    xs = [(fam, x) for fam in fams for x in enumerate_maximal_tubings(fam(6))]
+    cold = [tubing_coproduct(fam, x) for fam, x in xs]
+    calls = []
+    # every module that binds the name, so no import route escapes the count
+    bound = [
+        m
+        for name, m in sys.modules.items()
+        if name.split(".")[0] == "tubelat" and hasattr(m, "is_subgraph")
+    ]
+    for m in bound:
+        real = m.is_subgraph
+        monkeypatch.setattr(m, "is_subgraph", lambda *a, real=real: calls.append(a) or real(*a))
+    assert [tubing_coproduct(fam, x) for fam, x in xs] == cold
+    assert calls == [] and len(bound) >= 2
 
 
 def test_grading():

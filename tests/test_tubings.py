@@ -9,6 +9,7 @@ from tubelat import tubings
 from tubelat.errors import (
     InvalidForest,
     InvalidTubing,
+    InvalidVertex,
     MaximalTubeNotFlippable,
     NotAnIdeal,
     NotATube,
@@ -406,6 +407,60 @@ def test_ideals_match_subset_scan():
         assert ideals(x) == _ideals_by_scan(x), x
 
 
+def _small_tubings():
+    # every tubing of every graph with n <= 4, not only the maximal ones
+    return [x for n in range(5) for g in all_graphs(n) for x in all_tubings(g)]
+
+
+def _vertex_subsets(g):
+    return [frozenset(I) for r in range(g.n + 1) for I in itertools.combinations(g.vertices, r)]
+
+
+def test_is_ideal_matches_subset_scan():
+    # the cover rule against the component scan, on every vertex subset
+    for x in _small_tubings():
+        scanned = _ideals_by_scan(x)
+        for I in _vertex_subsets(x.graph):
+            assert is_ideal(x, I) == (I in scanned), (x, I)
+
+
+def _restrict_by_components(x, I):
+    # the components of every tube cut to I, on the rebuilt subgraph
+    sub, phi = induced_subgraph(x.graph, I)
+    cut = {c for t in x.tubes for c in components_within(x.graph, t & I)}
+    return Tubing(sub, tuple(frozenset(phi[v] for v in c) for c in cut))
+
+
+def test_restrict_std_matches_component_scan():
+    for x in _small_tubings():
+        for I in _vertex_subsets(x.graph):
+            got, want = restrict_std(x, I), _restrict_by_components(x, I)
+            assert (got.graph, got.tubes) == (want.graph, want.tubes), (x, I)
+
+
+def test_cuts_refuse_a_vertex_outside_the_graph():
+    x = Tubing(P3, (fs(1), fs(1, 2), fs(1, 2, 3)))
+    for I in ({0}, {4}, {1, 4}):
+        with pytest.raises(InvalidVertex):
+            restrict_std(x, I)
+        with pytest.raises(NotAnIdeal):
+            quotient_std(x, I)
+
+
+def test_is_maximal_matches_component_tube_rule():
+    # purity: n tubes make a tubing maximal; the oracle also asks for every
+    # component of G among them
+    kinds = set()
+    graphs = [g for n in range(5) for g in all_graphs(n)]
+    for g in graphs + [parse_graph("cycle:5"), parse_graph("path:5")]:
+        comps = component_tubes(g)
+        for x in all_tubings(g):
+            want = len(x) == g.n and all(c in x.tubes for c in comps)
+            assert x.is_maximal() == want, x
+            kinds.add(want)
+    assert kinds == {True, False}
+
+
 def test_ideal_splits_match_restrict_and_quotient():
     # restrict_std and quotient_std, which rebuild their graphs and re-test
     # the ideal, are the oracle
@@ -643,11 +698,12 @@ def test_coproduct_splits_ideals_without_component_scans(monkeypatch):
     # no restrict_std scan of tube intersections, no quotient_std re-test
     # of the ideal
     calls = []
-    for name in ("components_within", "is_ideal"):
-        real = getattr(tubings, name)
-        monkeypatch.setattr(
-            tubings, name, lambda *a, name=name, real=real: calls.append(name) or real(*a)
-        )
+    # tubings binds no components_within, so it is patched where it lives
+    for name, real in (
+        ("tubelat.graphs.components_within", components_within),
+        ("tubelat.tubings.is_ideal", is_ideal),
+    ):
+        monkeypatch.setattr(name, lambda *a, name=name, real=real: calls.append(name) or real(*a))
     terms = 0
     for fam in (family_path(), family_cycle()):
         for x in enumerate_maximal_tubings(fam(6)):
