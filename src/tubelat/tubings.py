@@ -676,7 +676,7 @@ def is_ideal(x: Tubing, I: Iterable[int]) -> bool:
 
 def quotient_std(x: Tubing, I: Iterable[int]) -> Tubing:
     """X/I = {J - I : J in X, J not inside I}, a tubing of G/I, relabeled
-    with it onto [n - |I|] in label order."""
+    with it onto [n - |I|] in label order; ``NotAnIdeal`` unless ``is_ideal``."""
     I = frozenset(I)
     if not is_ideal(x, I):
         raise NotAnIdeal(f"{sorted(I)} is not an ideal of the tubing")
