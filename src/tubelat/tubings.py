@@ -58,11 +58,14 @@ Descending codes are ascending ``Tubing.key``: ``tubes(g)`` is in
 ``tube_key`` order, so two maximal tubings (n tubes each) compare as their
 sorted tube indices; the lower one holds the least index where they differ,
 so its code is the larger.  Read highest bit first, a code's tubes come in
-``tube_key`` order, with no sort.
+``tube_key`` order, with no sort.  ``_halves`` reads them so, split at bit
+m // 2: sorted codes repeat their high half, decoded when it changes, and
+the low half is memoized, so each half is decoded once per table.
 Only this module knows the format: the enumerator keeps one table per graph
-(tube mask -> bit, code -> tubing); ``psi_images``, ``split_restrictions``
-and ``coarsenings`` answer in tubings, finding each by code there, and
-``flips`` in positions.
+(tube mask -> bit, the codes descending, their tubings aligned), whose
+tubings ``enumerate_maximal_tubings`` returns.  ``psi_images``,
+``split_restrictions`` and ``coarsenings`` answer in tubings, zipping codes
+with tubings once per call, and ``flips`` in positions.
 ``psi_tubing``, the surjection from words, and ``maximal_tubings_oracle``, a
 clique search over the per-graph table ``compatibility_masks``, are
 independent routes to the same set.
@@ -108,9 +111,10 @@ and code.  ``coarsen``, for one tubing, reads its tops off ``tube_tree``.
 The tubings they build are psi of w.
 
 ``restrict_std``, ``quotient_std`` and ``ideal_splits`` put x|_I on G|_I
-and x/I on G/I, relabeled onto [k] in label order, all read off one table,
-``_cut_graphs``, built once per (G, I); ``restrict_std`` flood-fills each
-tube's mask cut to I.  An ideal of x is a union of disjoint tubes of x.
+and x/I on G/I, relabeled onto [k] in label order, each graph read off its
+own cache, ``_cut_sub`` or ``_cut_quo``, built once per (G, I) and only
+for the side asked for; ``restrict_std`` flood-fills each tube's mask cut
+to I.  An ideal of x is a union of disjoint tubes of x.
 The cover rule: I is an ideal iff the tubes of x inside I cover I (as
 ``is_ideal`` tests), for their maximal members are compatible and not
 nested, so disjoint with no edge between: the components of G|_I.  The
@@ -124,7 +128,7 @@ compatible with C and not inside it, so T & I's components are such C.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
@@ -158,7 +162,7 @@ def canonical_tubes(ts: Iterable[frozenset]) -> tuple[frozenset, ...]:
     return tuple(sorted(set(ts), key=tube_key))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tubing:
     """A tubing of ``graph``, its tubes distinct and in ``tube_key`` order.
 
@@ -166,10 +170,12 @@ class Tubing:
     or ``NotATube`` unless each is a tube, and ``InvalidTubing`` unless each
     pair is nested or disjoint with no edge between.  Only this module's
     producers skip the check, through ``_tubing`` (see the module docstring),
-    and the code table skips the sort too, through ``_sorted_tubing``."""
+    and the code table skips the sort too, through ``_sorted_tubing``.
+    It has slots, no ``__dict__``; equality and ``repr`` skip ``_hash``."""
 
     graph: Graph
     tubes: tuple[frozenset, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g, ts = self.graph, canonical_tubes(self.tubes)
@@ -275,7 +281,7 @@ def compatibility_masks(g: Graph) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GForest:
     """A G-forest on [n] as a parent array; parent 0 marks a root.
 
@@ -283,12 +289,15 @@ class GForest:
     raises ``InvalidForest`` unless the array is a G-forest of ``graph`` (no
     cycle, principal ideals are tubes, incomparable ideals have non-tube
     unions), by the local test of the module docstring, and keeps each
-    vertex's children and principal ideal as masks.  Only ``tau`` skips the
-    check (see the module docstring).
+    vertex's children and principal ideal as masks, in the slots ``_below``
+    and ``_ideal``, which equality, hash and ``repr`` leave out; a forest has
+    no ``__dict__``.  Only ``tau`` skips the check (see the module docstring).
     """
 
     graph: Graph
     parent: tuple[int, ...]
+    _below: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _ideal: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = self.graph
@@ -450,7 +459,8 @@ def psi_images(g: Graph) -> list[Tubing]:
     that extends it (so the merge stays inline, not in ``graphs.component``),
     and each leaf's code picks its tubing."""
     adj = adjacency(g)
-    bit, by_code = _code_table(g)
+    bit, codes, xs = _code_table(g)
+    by_code = dict(zip(codes, xs))
     images: list = []
 
     def walk(rest: int, comps: list, code: int) -> None:
@@ -480,22 +490,30 @@ def psi_images(g: Graph) -> list[Tubing]:
 
 
 @lru_cache(maxsize=None)
-def _code_table(g: Graph) -> tuple[dict, dict]:
-    """The code table of g: tube mask -> its bit, and code -> maximal tubing
-    in ``Tubing.key`` order, decoded highest bit first into ``_sorted_tubing``.
-    A code is the OR of its tubes' bits, so ``_tubewise`` builds the codes
-    with the piece (C, r) -> bit(C)."""
+def _code_table(g: Graph) -> tuple[dict, tuple[int, ...], tuple[Tubing, ...]]:
+    """The code table of g: tube mask -> its bit, the codes descending, and
+    their maximal tubings aligned, in ``Tubing.key`` order, decoded by
+    ``_halves`` into ``_sorted_tubing``.  A code is the OR of its tubes'
+    bits, so ``_tubewise`` builds the codes with the piece (C, r) -> bit(C)."""
     rev = tubes(g)[::-1]  # bit j stands for rev[j] (see the module docstring)
     bit = {sum(1 << v for v in t): 1 << j for j, t in enumerate(rev)}
-    by_code = {}
-    for code in sorted(_tubewise(g, lambda C, r: bit[C]), reverse=True):
-        ts, rest = [], code
-        while rest:
-            j = rest.bit_length() - 1
-            ts.append(rev[j])
-            rest ^= 1 << j
-        by_code[code] = _sorted_tubing(g, tuple(ts))
-    return bit, by_code
+    codes = tuple(sorted(_tubewise(g, lambda C, r: bit[C]), reverse=True))
+    return bit, codes, tuple(_sorted_tubing(g, ts) for ts in _halves(codes, rev))
+
+
+def _halves(codes: Sequence[int], items: Sequence) -> Iterator[tuple]:
+    """Each code's items[j], j its set bits, highest first: the high half
+    (bits from len(items) // 2) decoded as it changes, the low one memoized."""
+    half = len(items) // 2
+    low, last, memo = (1 << half) - 1, None, {}
+    for code in codes:
+        if code >> half != last:
+            last = code >> half
+            head = tuple([items[half + j] for j in bits(last)][::-1])
+        tail = memo.get(code & low)
+        if tail is None:
+            tail = memo[code & low] = tuple([items[j] for j in bits(code & low)][::-1])
+        yield head + tail
 
 
 def _tubewise(g: Graph, piece) -> list[int]:
@@ -531,28 +549,23 @@ def _tubewise(g: Graph, piece) -> list[int]:
 @lru_cache(maxsize=None)
 def enumerate_maximal_tubings(g: Graph) -> tuple[Tubing, ...]:
     """All maximal tubings, sorted by ``Tubing.key``: the tubings of the
-    code table, as the same objects."""
-    return tuple(_code_table(g)[1].values())
+    code table, as the same tuple."""
+    return _code_table(g)[2]
 
 
 def flips(g: Graph) -> Iterator[tuple[int, int, int, int]]:
     """(i, j, a, b) for every flip of every maximal tubing x of g, by
     position in ``enumerate_maximal_tubings(g)`` and in its order: x is
     tubing i, tubing j is x with I exchanged for J, a = top(I) and b = top(J)
-    as ``oriented_flips`` yields them; x < y in L_G iff a < b.  Each code's
-    tube masks are read off its bits, highest first (smallest tube first),
-    for ``_mask_flips``, and j is the position of code ^ bit(I) ^ bit(J), so
-    no tube tree, tube set or tubing is built or hashed per flip."""
+    as ``oriented_flips`` yields them; x < y in L_G iff a < b.  ``_halves``
+    reads each code's tube masks off its bits (``list(bit)`` holds bit j's
+    mask at j), smallest tube first, for ``_mask_flips``, and j is the
+    position of code ^ bit(I) ^ bit(J), so no tube tree, tube set or tubing
+    is built or hashed per flip."""
     adj = adjacency(g)
-    bit, by_code = _code_table(g)
-    tube = list(bit)  # the mask of bit j, at index j
-    index = dict(zip(by_code, range(len(by_code))))  # code -> position
-    for i, code in enumerate(by_code):
-        masks, rest = [], code
-        while rest:
-            j = rest.bit_length() - 1
-            masks.append(tube[j])
-            rest ^= 1 << j
+    bit, codes, _ = _code_table(g)
+    index = dict(zip(codes, range(len(codes))))  # code -> position
+    for i, (code, masks) in enumerate(zip(codes, _halves(codes, list(bit)))):
         for I, J, a, b in _mask_flips(adj, masks):
             yield i, index[code ^ bit[I] ^ bit[J]], a, b
 
@@ -565,9 +578,10 @@ def split_restrictions(g: Graph, n: int) -> Iterator[tuple[Tubing, Tubing, Tubin
     left table (r <= n) or, shifted down by n, of the right one, shifted past
     the left table's bits."""
     adj = adjacency(g)
-    bit, by_code = _code_table(g)
-    low_bit, low_by_code = _code_table(induced_subgraph(g, range(1, n + 1))[0])
-    high_bit, high_by_code = _code_table(induced_subgraph(g, range(n + 1, g.n + 1))[0])
+    bit, codes, xs = _code_table(g)
+    low_bit, *low = _code_table(induced_subgraph(g, range(1, n + 1))[0])
+    high_bit, *high = _code_table(induced_subgraph(g, range(n + 1, g.n + 1))[0])
+    low_by_code, high_by_code = dict(zip(*low)), dict(zip(*high))
     below, m, shift = (2 << n) - 2, len(bit), len(low_bit)
 
     def piece(C: int, r: int) -> int:
@@ -576,7 +590,7 @@ def split_restrictions(g: Graph, n: int) -> Iterator[tuple[Tubing, Tubing, Tubin
         return bit[C] | high_bit[component(adj, C & ~below, r) >> n] << m + shift
 
     images = dict(divmod(p, 1 << m)[::-1] for p in _tubewise(g, piece))
-    for code, z in by_code.items():
+    for code, z in zip(codes, xs):
         right, left = divmod(images[code], 1 << shift)
         yield z, low_by_code[left], high_by_code[right]
 
@@ -589,12 +603,12 @@ def coarsenings(h: Graph, g: Graph) -> Iterator[tuple[Tubing, Tubing]]:
     if not is_subgraph(h, g):
         raise NotASubgraph(f"{h} is not a subgraph of {g}")
     adj = adjacency(h)
-    bit, by_code = _code_table(g)
-    h_bit, h_by_code = _code_table(h)
-    m = len(bit)
+    bit, codes, ws = _code_table(g)
+    h_bit, *h_table = _code_table(h)
+    h_by_code, m = dict(zip(*h_table)), len(bit)
     packed = _tubewise(g, lambda C, r: bit[C] | h_bit[component(adj, C, r)] << m)
     images = dict(divmod(p, 1 << m)[::-1] for p in packed)
-    return ((w, h_by_code[images[code]]) for code, w in by_code.items())
+    return ((w, h_by_code[images[code]]) for code, w in zip(codes, ws))
 
 
 def coarsen(h: Graph, w: Tubing) -> Tubing:
@@ -656,7 +670,7 @@ def restrict_std(x: Tubing, I: Iterable[int]) -> Tubing:
     """X|_I: the components of each tube cut to I, flood-filled on masks, a
     tubing of G|_I, relabeled with it onto [|I|] in label order."""
     I = frozenset(I)
-    sub, _, label = _cut_graphs(x.graph, I)
+    sub, label = _cut_sub(x.graph, I)
     adj, cut, out = adjacency(x.graph), sum(1 << v for v in I), set()
     for t in x.tubes:
         rest = sum(1 << v for v in t) & cut
@@ -680,7 +694,7 @@ def quotient_std(x: Tubing, I: Iterable[int]) -> Tubing:
     I = frozenset(I)
     if not is_ideal(x, I):
         raise NotAnIdeal(f"{sorted(I)} is not an ideal of the tubing")
-    _, quo, label = _cut_graphs(x.graph, I)
+    quo, label = _cut_quo(x.graph, I)
     return _tubing(quo, [frozenset(map(label.__getitem__, t - I)) for t in x.tubes if not t <= I])
 
 
@@ -704,17 +718,24 @@ def ideal_splits(x: Tubing) -> Iterator[tuple[frozenset, Tubing, Tubing]]:
     """(I, restrict_std(x, I), quotient_std(x, I)) for every ideal I of x, in
     ``ideals`` order, by the ideal rule of the module docstring."""
     for I in ideals(x):
-        sub, quo, label = _cut_graphs(x.graph, I)
-        inside = [frozenset(map(label.__getitem__, t)) for t in x.tubes if t <= I]
-        outside = [frozenset(map(label.__getitem__, t - I)) for t in x.tubes if not t <= I]
+        (sub, low), (quo, high) = _cut_sub(x.graph, I), _cut_quo(x.graph, I)
+        inside = [frozenset(map(low.__getitem__, t)) for t in x.tubes if t <= I]
+        outside = [frozenset(map(high.__getitem__, t - I)) for t in x.tubes if not t <= I]
         yield I, _tubing(sub, inside), _tubing(quo, outside)
 
 
 @lru_cache(maxsize=None)
-def _cut_graphs(g: Graph, I: frozenset) -> tuple[Graph, Graph, tuple]:
-    """G|_I, G/I and each vertex's label in the one of them that keeps it."""
-    (sub, low), (quo, high) = induced_subgraph(g, I), contract(g, I)
-    return sub, quo, tuple(map({**low, **high}.get, range(g.n + 1)))
+def _cut_sub(g: Graph, I: frozenset) -> tuple[Graph, tuple]:
+    """G|_I relabeled, and each vertex's label in it (None outside I)."""
+    sub, label = induced_subgraph(g, I)
+    return sub, tuple(map(label.get, range(g.n + 1)))
+
+
+@lru_cache(maxsize=None)
+def _cut_quo(g: Graph, I: frozenset) -> tuple[Graph, tuple]:
+    """G/I relabeled, and each vertex's label in it (None inside I)."""
+    quo, label = contract(g, I)
+    return quo, tuple(map(label.get, range(g.n + 1)))
 
 
 def _forest_words(t: GForest, descending: bool = False) -> Iterator[tuple[int, ...]]:

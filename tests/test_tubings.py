@@ -22,6 +22,7 @@ from tubelat.graphs import (
     bits,
     component_tubes,
     components_within,
+    contract,
     family_cycle,
     family_path,
     induced_subgraph,
@@ -183,16 +184,80 @@ def test_code_table_tubings_match_the_public_constructor():
     # constructor, given the tubes in reverse order, must build equal ones,
     # field for field
     graphs = [g for n in range(6) for g in all_graphs(n)]
-    seen = 0
+    seen, slots = 0, Tubing.__slots__
     for g in graphs + [parse_graph("complete:7"), parse_graph("path:9")]:
         for x in enumerate_maximal_tubings(g):
             y = Tubing(g, x.tubes[::-1])
             assert x.tubes == y.tubes
             assert hash(x) == hash(y)
             assert x == y
-            assert vars(x) == vars(y)
+            assert [getattr(x, k) for k in slots] == [getattr(y, k) for k in slots]
             seen += g.n <= 5
     assert seen == 58302
+
+
+def _decode_by_bits(code, ts):
+    # the per-bit decode the code table used before halves: bit j stands
+    # for ts[m - 1 - j], read highest bit first
+    out, rest = [], code
+    while rest:
+        j = rest.bit_length() - 1
+        out.append(ts[len(ts) - 1 - j])
+        rest ^= 1 << j
+    return tuple(out)
+
+
+def test_code_table_decodes_by_halves_as_by_bits():
+    graphs = [g for n in range(6) for g in all_graphs(n)]
+    extra = [parse_graph(d) for d in ("complete:7", "path:9", "cycle:8")]
+    for g in graphs + extra:
+        _, codes, xs = tubings._code_table(g)
+        assert xs is enumerate_maximal_tubings(g)
+        assert len(codes) == len(xs)
+        assert all(a > b for a, b in zip(codes, codes[1:]))
+        ts = tubes(g)
+        assert [_decode_by_bits(c, ts) for c in codes] == [x.tubes for x in xs], g
+
+
+def test_tubings_and_forests_have_no_dict():
+    g = parse_graph("cycle:5")
+    xs = enumerate_maximal_tubings(g)
+    built = [
+        Tubing(g, xs[7].tubes),
+        tubings._tubing(g, xs[7].tubes),
+        *xs,
+        *tubings._code_table(g)[2],
+        GForest(g, (2, 5, 0, 5, 3)),
+        *map(tau, xs),
+        *(chi(tau(x)) for x in xs),
+    ]
+    for obj in built:
+        assert not hasattr(obj, "__dict__"), obj
+    assert {type(obj) for obj in built} == {Tubing, GForest}
+
+
+def test_pickle_round_trip_keeps_equality_and_hash():
+    import pickle
+
+    g = parse_graph("cycle:5")
+    for x in enumerate_maximal_tubings(g)[::5]:
+        for obj in (x, Tubing(g, x.tubes[::-1]), tau(x), GForest(g, tau(x).parent)):
+            back = pickle.loads(pickle.dumps(obj))
+            assert back == obj and hash(back) == hash(obj)
+            assert type(back) is type(obj)
+    t = tau(enumerate_maximal_tubings(g)[7])
+    back = pickle.loads(pickle.dumps(t))
+    assert back.children(5) == t.children(5) and back.ideal(3) == t.ideal(3)
+
+
+def test_repr_is_unchanged_by_slots():
+    x = enumerate_maximal_tubings(parse_graph("cycle:5"))[7]
+    graph = "Graph(n=5, edges=((1, 2), (1, 5), (2, 3), (3, 4), (4, 5)))"
+    assert repr(x) == (
+        f"Tubing(graph={graph}, tubes=(frozenset({{1}}), frozenset({{4}}), "
+        "frozenset({1, 2}), frozenset({1, 2, 4, 5}), frozenset({1, 2, 3, 4, 5})))"
+    )
+    assert repr(tau(x)) == f"GForest(graph={graph}, parent=(2, 5, 0, 5, 3))"
 
 
 def test_enumeration_beyond_sweep_threshold():
@@ -436,6 +501,27 @@ def test_restrict_std_matches_component_scan():
         for I in _vertex_subsets(x.graph):
             got, want = restrict_std(x, I), _restrict_by_components(x, I)
             assert (got.graph, got.tubes) == (want.graph, want.tubes), (x, I)
+
+
+def test_restrict_std_builds_no_quotient_graph(monkeypatch):
+    # G/I is built only where x/I is read, so restricting contracts nothing
+    calls = []
+
+    def counting_contract(g, I):
+        calls.append((g, I))
+        return contract(g, I)
+
+    monkeypatch.setattr(tubings, "contract", counting_contract)
+    tubings._cut_quo.cache_clear()
+    try:
+        for x in _small_tubings():
+            for I in _vertex_subsets(x.graph):
+                restrict_std(x, I)
+        assert calls == []
+        x = Tubing(P3, (fs(1), fs(1, 2), fs(1, 2, 3)))
+        assert quotient_std(x, {1}).graph.n == 2 and len(calls) == 1
+    finally:
+        tubings._cut_quo.cache_clear()
 
 
 def test_cuts_refuse_a_vertex_outside_the_graph():

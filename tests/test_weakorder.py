@@ -245,9 +245,9 @@ def test_psi_map_names_a_word_missing_from_the_enumeration(monkeypatch):
     g = parse_graph("cycle:4")
     full = enumerate_maximal_tubings(g)
     first = next(w for w in permutations(4) if psi_tubing(g, w) == full[0])
-    bit, by_code = tubings._code_table(g)
-    rest = {code: x for code, x in by_code.items() if x is not full[0]}
-    monkeypatch.setattr(tubings, "_code_table", lambda h: (bit, rest))
+    bit, codes, xs = tubings._code_table(g)
+    rest = [(code, x) for code, x in zip(codes, xs) if x is not full[0]]
+    monkeypatch.setattr(tubings, "_code_table", lambda h: (bit, *zip(*rest)))
     psi_map.cache_clear()
     try:
         with pytest.raises(TubelatError, match=f"psi\\({format_perm(first)}\\)"):
