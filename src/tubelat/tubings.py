@@ -58,14 +58,13 @@ Descending codes are ascending ``Tubing.key``: ``tubes(g)`` is in
 ``tube_key`` order, so two maximal tubings (n tubes each) compare as their
 sorted tube indices; the lower one holds the least index where they differ,
 so its code is the larger.  Read highest bit first, a code's tubes come in
-``tube_key`` order, with no sort.  ``_halves`` reads them so, split at bit
-m // 2: sorted codes repeat their high half, decoded when it changes, and
-the low half is memoized, so each half is decoded once per table.
-Only this module knows the format: the enumerator keeps one table per graph
-(tube mask -> bit, the codes descending, their tubings aligned), whose
-tubings ``enumerate_maximal_tubings`` returns.  ``psi_images``,
-``split_restrictions`` and ``coarsenings`` answer in tubings, zipping codes
-with tubings once per call, and ``flips`` in positions.
+``tube_key`` order, with no sort; ``_halves`` reads them so, split at bit
+m // 2, decoding the high half as it changes (sorted codes repeat it) and
+memoizing the low half.  Only this module knows the format: the enumerator
+keeps one table per graph (tube mask -> bit, the codes descending, their
+tubings aligned), whose tubings ``enumerate_maximal_tubings`` returns.
+``psi_images``, ``split_restrictions`` and ``coarsenings`` answer in
+tubings, zipping codes with tubings once per call; ``flips`` in positions.
 ``psi_tubing``, the surjection from words, and ``maximal_tubings_oracle``, a
 clique search over the per-graph table ``compatibility_masks``, are
 independent routes to the same set.
@@ -491,10 +490,9 @@ def psi_images(g: Graph) -> list[Tubing]:
 
 @lru_cache(maxsize=None)
 def _code_table(g: Graph) -> tuple[dict, tuple[int, ...], tuple[Tubing, ...]]:
-    """The code table of g: tube mask -> its bit, the codes descending, and
-    their maximal tubings aligned, in ``Tubing.key`` order, decoded by
-    ``_halves`` into ``_sorted_tubing``.  A code is the OR of its tubes'
-    bits, so ``_tubewise`` builds the codes with the piece (C, r) -> bit(C)."""
+    """Tube mask -> its bit, the codes descending, and their maximal tubings
+    aligned (``_halves`` into ``_sorted_tubing``).  A code is the OR of its
+    tubes' bits: ``_tubewise`` with the piece (C, r) -> bit(C)."""
     rev = tubes(g)[::-1]  # bit j stands for rev[j] (see the module docstring)
     bit = {sum(1 << v for v in t): 1 << j for j, t in enumerate(rev)}
     codes = tuple(sorted(_tubewise(g, lambda C, r: bit[C]), reverse=True))
@@ -502,17 +500,21 @@ def _code_table(g: Graph) -> tuple[dict, tuple[int, ...], tuple[Tubing, ...]]:
 
 
 def _halves(codes: Sequence[int], items: Sequence) -> Iterator[tuple]:
-    """Each code's items[j], j its set bits, highest first: the high half
-    (bits from len(items) // 2) decoded as it changes, the low one memoized."""
+    """Each code's items[j], j its set bits, highest first, read by halves."""
+    def decode(v: int, base: int) -> tuple:
+        out = []
+        while v:
+            out.append(items[base + (j := v.bit_length() - 1)])
+            v ^= 1 << j
+        return tuple(out)
+
     half = len(items) // 2
     low, last, memo = (1 << half) - 1, None, {}
     for code in codes:
         if code >> half != last:
-            last = code >> half
-            head = tuple([items[half + j] for j in bits(last)][::-1])
-        tail = memo.get(code & low)
-        if tail is None:
-            tail = memo[code & low] = tuple([items[j] for j in bits(code & low)][::-1])
+            head = decode(last := code >> half, half)
+        if (tail := memo.get(code & low)) is None:
+            tail = memo[code & low] = decode(code & low, 0)
         yield head + tail
 
 
@@ -548,8 +550,7 @@ def _tubewise(g: Graph, piece) -> list[int]:
 
 @lru_cache(maxsize=None)
 def enumerate_maximal_tubings(g: Graph) -> tuple[Tubing, ...]:
-    """All maximal tubings, sorted by ``Tubing.key``: the tubings of the
-    code table, as the same tuple."""
+    """All maximal tubings, sorted by ``Tubing.key``: the code table's tuple."""
     return _code_table(g)[2]
 
 
@@ -558,10 +559,9 @@ def flips(g: Graph) -> Iterator[tuple[int, int, int, int]]:
     position in ``enumerate_maximal_tubings(g)`` and in its order: x is
     tubing i, tubing j is x with I exchanged for J, a = top(I) and b = top(J)
     as ``oriented_flips`` yields them; x < y in L_G iff a < b.  ``_halves``
-    reads each code's tube masks off its bits (``list(bit)`` holds bit j's
-    mask at j), smallest tube first, for ``_mask_flips``, and j is the
-    position of code ^ bit(I) ^ bit(J), so no tube tree, tube set or tubing
-    is built or hashed per flip."""
+    reads each code's tube masks (bit j's at ``list(bit)[j]``), smallest
+    first, for ``_mask_flips``; j is the position of code ^ bit(I) ^ bit(J),
+    so no tube tree, tube set or tubing is built or hashed per flip."""
     adj = adjacency(g)
     bit, codes, _ = _code_table(g)
     index = dict(zip(codes, range(len(codes))))  # code -> position
