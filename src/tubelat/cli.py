@@ -452,12 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_parser = None  # built on the first call, for the process: it is most of a call
-
-
 def run(argv=None) -> int:
-    global _parser
-    ap = _parser = _parser or build_parser()
+    ap = build_parser()
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:

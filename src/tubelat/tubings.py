@@ -110,10 +110,9 @@ and code.  ``coarsen``, for one tubing, reads its tops off ``tube_tree``.
 The tubings they build are psi of w.
 
 ``restrict_std``, ``quotient_std`` and ``ideal_splits`` put x|_I on G|_I
-and x/I on G/I, relabeled onto [k] in label order, each graph read off its
-own cache, ``_cut_sub`` or ``_cut_quo``, built once per (G, I) and only
-for the side asked for; ``restrict_std`` flood-fills each tube's mask cut
-to I.  An ideal of x is a union of disjoint tubes of x.
+and x/I on G/I, relabeled onto [k] in label order, all read off one table,
+``_cut_graphs``, built once per (G, I); ``restrict_std`` flood-fills each
+tube's mask cut to I.  An ideal of x is a union of disjoint tubes of x.
 The cover rule: I is an ideal iff the tubes of x inside I cover I (as
 ``is_ideal`` tests), for their maximal members are compatible and not
 nested, so disjoint with no edge between: the components of G|_I.  The
@@ -558,14 +557,20 @@ def flips(g: Graph) -> Iterator[tuple[int, int, int, int]]:
     """(i, j, a, b) for every flip of every maximal tubing x of g, by
     position in ``enumerate_maximal_tubings(g)`` and in its order: x is
     tubing i, tubing j is x with I exchanged for J, a = top(I) and b = top(J)
-    as ``oriented_flips`` yields them; x < y in L_G iff a < b.  ``_halves``
-    reads each code's tube masks (bit j's at ``list(bit)[j]``), smallest
-    first, for ``_mask_flips``; j is the position of code ^ bit(I) ^ bit(J),
-    so no tube tree, tube set or tubing is built or hashed per flip."""
+    as ``oriented_flips`` yields them; x < y in L_G iff a < b.  Each code's
+    tube masks are read off its bits, highest first (smallest tube first),
+    for ``_mask_flips``, and j is the position of code ^ bit(I) ^ bit(J), so
+    no tube tree, tube set or tubing is built or hashed per flip."""
     adj = adjacency(g)
     bit, codes, _ = _code_table(g)
+    tube = list(bit)  # the mask of bit j, at index j
     index = dict(zip(codes, range(len(codes))))  # code -> position
-    for i, (code, masks) in enumerate(zip(codes, _halves(codes, list(bit)))):
+    for i, code in enumerate(codes):
+        masks, rest = [], code
+        while rest:
+            j = rest.bit_length() - 1
+            masks.append(tube[j])
+            rest ^= 1 << j
         for I, J, a, b in _mask_flips(adj, masks):
             yield i, index[code ^ bit[I] ^ bit[J]], a, b
 
@@ -670,7 +675,7 @@ def restrict_std(x: Tubing, I: Iterable[int]) -> Tubing:
     """X|_I: the components of each tube cut to I, flood-filled on masks, a
     tubing of G|_I, relabeled with it onto [|I|] in label order."""
     I = frozenset(I)
-    sub, label = _cut_sub(x.graph, I)
+    sub, _, label = _cut_graphs(x.graph, I)
     adj, cut, out = adjacency(x.graph), sum(1 << v for v in I), set()
     for t in x.tubes:
         rest = sum(1 << v for v in t) & cut
@@ -694,7 +699,7 @@ def quotient_std(x: Tubing, I: Iterable[int]) -> Tubing:
     I = frozenset(I)
     if not is_ideal(x, I):
         raise NotAnIdeal(f"{sorted(I)} is not an ideal of the tubing")
-    quo, label = _cut_quo(x.graph, I)
+    _, quo, label = _cut_graphs(x.graph, I)
     return _tubing(quo, [frozenset(map(label.__getitem__, t - I)) for t in x.tubes if not t <= I])
 
 
@@ -718,24 +723,17 @@ def ideal_splits(x: Tubing) -> Iterator[tuple[frozenset, Tubing, Tubing]]:
     """(I, restrict_std(x, I), quotient_std(x, I)) for every ideal I of x, in
     ``ideals`` order, by the ideal rule of the module docstring."""
     for I in ideals(x):
-        (sub, low), (quo, high) = _cut_sub(x.graph, I), _cut_quo(x.graph, I)
-        inside = [frozenset(map(low.__getitem__, t)) for t in x.tubes if t <= I]
-        outside = [frozenset(map(high.__getitem__, t - I)) for t in x.tubes if not t <= I]
+        sub, quo, label = _cut_graphs(x.graph, I)
+        inside = [frozenset(map(label.__getitem__, t)) for t in x.tubes if t <= I]
+        outside = [frozenset(map(label.__getitem__, t - I)) for t in x.tubes if not t <= I]
         yield I, _tubing(sub, inside), _tubing(quo, outside)
 
 
 @lru_cache(maxsize=None)
-def _cut_sub(g: Graph, I: frozenset) -> tuple[Graph, tuple]:
-    """G|_I relabeled, and each vertex's label in it (None outside I)."""
-    sub, label = induced_subgraph(g, I)
-    return sub, tuple(map(label.get, range(g.n + 1)))
-
-
-@lru_cache(maxsize=None)
-def _cut_quo(g: Graph, I: frozenset) -> tuple[Graph, tuple]:
-    """G/I relabeled, and each vertex's label in it (None inside I)."""
-    quo, label = contract(g, I)
-    return quo, tuple(map(label.get, range(g.n + 1)))
+def _cut_graphs(g: Graph, I: frozenset) -> tuple[Graph, Graph, tuple]:
+    """G|_I, G/I and each vertex's label in the one of them that keeps it."""
+    (sub, low), (quo, high) = induced_subgraph(g, I), contract(g, I)
+    return sub, quo, tuple(map({**low, **high}.get, range(g.n + 1)))
 
 
 def _forest_words(t: GForest, descending: bool = False) -> Iterator[tuple[int, ...]]:

@@ -487,14 +487,14 @@ def test_private_layouts_are_named_only_in_their_modules():
     src = Path(tubelat.__file__).parent
     private = (
         "_code_table", "_tubewise", "code_index", "tube_bits", "_sorted_tubing", "_tubing",
-        "tube_tree", "_cut_graphs", "_cut_sub", "_cut_quo", "_halves",
+        "tube_tree", "_cut_graphs", "_halves",
     )
     named = {(path.name, name) for path in sorted(src.glob("*.py")) for name in names(path)}
     assert {(f, n) for f, n in named if n in private} == {
         ("tubings.py", n)
         for n in (
-            "_code_table", "_tubewise", "_sorted_tubing", "_tubing", "tube_tree", "_cut_sub",
-            "_cut_quo", "_halves",
+            "_code_table", "_tubewise", "_sorted_tubing", "_tubing", "tube_tree", "_cut_graphs",
+            "_halves",
         )
     }
     storage = ("_up", "_down", "_upper", "_lower", "_meet_idx", "_join_idx", "_init_by_index")
@@ -589,42 +589,6 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "5\n"
-
-
-def test_run_builds_one_parser_per_process(capsys, monkeypatch):
-    # calls in one process share the parser and answer as fresh processes do
-    import argparse
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    from tubelat import cli
-
-    built, init = [], argparse.ArgumentParser.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
-        init(self, *args, **kwargs)
-
-    calls = [
-        ("tubings", "--graph", "path:3", "--count"),
-        ("tubings", "--graph"),  # refused by the parser itself: exit 2
-        ("--json", "check", "lattice", "--graph", "cycle:4"),
-    ]
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    monkeypatch.setattr(cli, "_parser", None)  # as in a fresh process
-    got = [invoke(capsys, *argv) for argv in calls]
-    assert built.count("tubelat") == 1
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    for argv, (code, out, err) in zip(calls, got):
-        proc = subprocess.run(
-            [sys.executable, "-m", "tubelat", *argv],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
-        assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr), argv
 
 
 def test_verify_smoke(capsys):

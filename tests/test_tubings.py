@@ -22,7 +22,6 @@ from tubelat.graphs import (
     bits,
     component_tubes,
     components_within,
-    contract,
     family_cycle,
     family_path,
     induced_subgraph,
@@ -501,27 +500,6 @@ def test_restrict_std_matches_component_scan():
         for I in _vertex_subsets(x.graph):
             got, want = restrict_std(x, I), _restrict_by_components(x, I)
             assert (got.graph, got.tubes) == (want.graph, want.tubes), (x, I)
-
-
-def test_restrict_std_builds_no_quotient_graph(monkeypatch):
-    # G/I is built only where x/I is read, so restricting contracts nothing
-    calls = []
-
-    def counting_contract(g, I):
-        calls.append((g, I))
-        return contract(g, I)
-
-    monkeypatch.setattr(tubings, "contract", counting_contract)
-    tubings._cut_quo.cache_clear()
-    try:
-        for x in _small_tubings():
-            for I in _vertex_subsets(x.graph):
-                restrict_std(x, I)
-        assert calls == []
-        x = Tubing(P3, (fs(1), fs(1, 2), fs(1, 2, 3)))
-        assert quotient_std(x, {1}).graph.n == 2 and len(calls) == 1
-    finally:
-        tubings._cut_quo.cache_clear()
 
 
 def test_cuts_refuse_a_vertex_outside_the_graph():
