@@ -31,7 +31,7 @@ from .hopf import (
     tubing_product,
 )
 from .posets import all_tubings, build_lg, tubing_face_interval
-from .tubings import enumerate_maximal_tubings, sigma_min, tau
+from .tubings import count_maximal_tubings, enumerate_maximal_tubings, sigma_min, tau
 from .weakorder import (
     Congruence,
     arc_delete,
@@ -70,10 +70,10 @@ def _add_graph_args(sub) -> None:
 
 def cmd_tubings(args) -> int:
     g = _graph_from_args(args)
-    ts = enumerate_maximal_tubings(g)
     if args.count:
-        print(len(ts))
+        print(count_maximal_tubings(g))
         return 0
+    ts = enumerate_maximal_tubings(g)
     if args.json:
         _emit_json([t.to_json_obj() for t in ts])
     else:

@@ -18,10 +18,10 @@ lies in, and ``tubings.ideal_splits`` cuts a coproduct's tubing at each
 ideal.  A fiber's precondition, h a subgraph of g, is checked once, where
 ``coarsenings`` builds the fiber index; the coproduct reports its
 ``NotASubgraph`` as a family not restriction-compatible.  The per-graph
-indexes read only those pairs and fibers and build no tube tree
-(``test_hopf_indexes_build_no_tube_tree`` checks this); ``embed_c`` and
-``c_delta_holds`` read each tubing's forest through ``tau``, which reads
-``tube_tree``.
+indexes read only those pairs and fibers and call no ``tau``
+(``test_hopf_indexes_call_no_tau`` checks this); ``embed_c`` and
+``c_delta_holds`` read each tubing's forest through ``tau``, one pass over
+its tube masks.
 
 All coefficients are exact integers.  Products here are multiplicity-free;
 coproducts are not (distinct ideals may standardize to the same pair), so no

@@ -44,7 +44,7 @@ from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .errors import ElementNotFound, NotALattice, NotComparable, TubelatError
 from .graphs import Graph, bits, tubes
-from .tubings import Tubing, compatibility_masks, enumerate_maximal_tubings, flips
+from .tubings import Tubing, compatibility_masks, count_maximal_tubings, enumerate_maximal_tubings, flips
 
 
 class Poset:
@@ -454,10 +454,10 @@ def _class_masks(label: Sequence[Hashable]) -> dict:
 def build_lg(g: Graph) -> Poset:
     """The poset of maximal tubings; its covers are the ``flips`` that go up,
     by position in the enumeration.  Its closure takes |MTub|^2 bits, so
-    past 65,536 tubings it is refused."""
+    past 65,536 tubings, counted first when n! exceeds that, it is refused."""
+    if g.n > 8 and (count := count_maximal_tubings(g)) > 1 << 16:
+        raise TubelatError(f"{g} has {count:,} maximal tubings; L_G takes at most 65,536")
     mtub = enumerate_maximal_tubings(g)
-    if len(mtub) > 1 << 16:
-        raise TubelatError(f"{g} has {len(mtub):,} maximal tubings; L_G takes at most 65,536")
     return Poset.__new__(Poset)._init_by_index(mtub, [(i, j) for i, j, a, b in flips(g) if a < b])
 
 

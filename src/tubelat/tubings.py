@@ -48,12 +48,16 @@ v's children in the tube tree, never by copying x's tubes, so
 
 ``enumerate_maximal_tubings`` builds every maximal tubing from one fact: a
 maximal tubing of a connected set picks a root and recurses on the
-components of what is left.  ``_tubewise`` is that recursion, the one walk
-over components and roots in this module: it ORs a piece of each (tube,
-root) pair over the tubes of every maximal tubing.  The enumerator works on
-*codes* (of the m tubes of g, ``tubes(g)[k]`` holds bit m - 1 - k), so
-adding a tube, or joining the tubings of disjoint components, is an OR, and
-a code is ``_tubewise`` with the piece (tube, root) -> the tube's bit.
+components of what is left.  ``_tubewise`` is that recursion: it ORs a piece
+of each (tube, root) pair over the tubes of every maximal tubing.
+``count_maximal_tubings`` walks it by a recursion of its own, as
+``_tubewise`` keeps a list of tubings per subset and the count one number
+(a sum over roots of products over components): one walk would branch on
+its caller.  The code table counts first when n! exceeds its bound of 2^21,
+and refuses a graph past it.  The enumerator works on *codes* (of the m
+tubes of g, ``tubes(g)[k]`` holds bit m - 1 - k), so adding a tube, or
+joining the tubings of disjoint components, is an OR, and a code is
+``_tubewise`` with the piece (tube, root) -> the tube's bit.
 Descending codes are ascending ``Tubing.key``: ``tubes(g)`` is in
 ``tube_key`` order, so two maximal tubings (n tubes each) compare as their
 sorted tube indices; the lower one holds the least index where they differ,
@@ -76,11 +80,13 @@ bitmask of unplaced vertices, in ascending or descending vertex order.
 The tube tree is read in one pass over the tube masks, smallest first.
 Tubes of a tubing are nested or disjoint, so a tube's top is its one vertex
 that no smaller tube has claimed, and its children are the roots so far
-(tubes not yet inside a larger one) that lie inside it.  ``tube_tree`` reads
-it this way for one tubing at a time (``tau``, ``top`` and ``coarsen``),
-and ``_mask_flips`` reads it in the same pass as the flips.  A flip
-exchanges I for J, the component of top(K) in K - top(I), K the smallest
-tube strictly containing I; oriented by comparing tops, the flips
+(tubes not yet inside a larger one) that lie inside it.  ``tau`` reads it
+so, finding the children with one AND against the mask of root tops and
+writing each top's parent, children and ideal as its tube is read;
+``_mask_flips`` reads it in the same pass as the flips.  ``top`` reads one
+tube's top alone: the one vertex of I outside the tubes strictly inside I.
+A flip exchanges I for J, the component of top(K) in K - top(I), K the
+smallest tube strictly containing I; oriented by comparing tops, the flips
 are the covers of the partial order on maximal tubings built in the poset
 module.  K - top(I) is top(K), the other children of K, each touching
 top(K) but not I, and the children of I, components of I - top(I); so J is
@@ -106,8 +112,8 @@ top, and a tubing's image is the OR of its tubes' images.  In
 ``split_restrictions`` and ``coarsenings`` read the two maps in the one
 pass that builds the codes: each piece is the tube's bit OR its image
 shifted past g's m bits, and ``divmod`` splits each tubing's sum into image
-and code.  ``coarsen``, for one tubing, reads its tops off ``tube_tree``.
-The tubings they build are psi of w.
+and code.  ``coarsen``, for one tubing, reads the tube with top v as v's
+ideal in tau(w).  The tubings they build are psi of w.
 
 ``restrict_std``, ``quotient_std`` and ``ideal_splits`` put x|_I on G|_I
 and x/I on G/I, relabeled onto [k] in label order, all read off one table,
@@ -240,9 +246,9 @@ def _sorted_tubing(g: Graph, ts: tuple[frozenset, ...]) -> Tubing:
     """``Tubing(g, ts)`` with no sort and no check, for ts a tubing of g,
     distinct and in ``tube_key`` order."""
     x = object.__new__(Tubing)
-    object.__setattr__(x, "graph", g)
-    object.__setattr__(x, "tubes", ts)
-    object.__setattr__(x, "_hash", hash((g, ts)))
+    _set_graph(x, g)
+    _set_tubes(x, ts)
+    _set_hash(x, hash((g, ts)))
     return x
 
 
@@ -347,6 +353,13 @@ class GForest:
         return GForest(g, tuple(int(p) for p in obj["parent"]))
 
 
+# the slot setters of the unchecked producers, bound once
+_set_graph, _set_tubes, _set_hash = Tubing.graph.__set__, Tubing.tubes.__set__, Tubing._hash.__set__
+_set_forest_graph, _set_parent, _set_below, _set_ideal = (
+    GForest.graph.__set__, GForest.parent.__set__, GForest._below.__set__, GForest._ideal.__set__
+)
+
+
 def _gforest_scan(g: Graph, below: list[int], order: list[int]) -> None:
     """Raise ``InvalidForest`` for the acyclic parent array whose child masks
     are ``below`` and whose vertices, each after its parent, are ``order``,
@@ -376,62 +389,49 @@ def chi(t: GForest) -> Tubing:
     return _tubing(t.graph, tuple(map(mask_vertices, t._ideal[1:])))
 
 
-def tube_tree(x: Tubing) -> tuple[list[int], list[int], list[int]]:
-    """Indexed like ``x.tubes``: the top of each tube, the index of its
-    smallest strict supertube (-1 for none), and its vertex mask.
-
-    One pass, smallest tube first (see the module docstring); raises
-    ``InvalidTubing`` unless each tube has exactly one unclaimed vertex.
-    """
-    tops, up, masks, claimed = [], [-1] * (len(x.tubes) + 1), [], 0
-    # the root holding each vertex so far; -1 (none) writes to up's spare last slot
-    root = [-1] * (x.graph.n + 1)
-    for i, t in enumerate(x.tubes):
-        mask = 0
-        for v in t:
-            mask |= 1 << v
-            up[root[v]] = i
-            root[v] = i
-        own = mask & ~claimed
-        if not own or own & own - 1:
-            raise InvalidTubing(f"tube {sorted(t)} has no unique top; tubing not maximal?")
-        tops.append(own.bit_length() - 1)
-        masks.append(mask)
-        claimed |= mask
-    up.pop()
-    return tops, up, masks
-
-
 def top(x: Tubing, I: Iterable[int]) -> int:
     """The unique vertex of I avoiding every tube of x properly inside I."""
     I = frozenset(I)
     if I not in x:
         raise TubeNotInTubing(f"{sorted(I)} not in tubing")
-    return tube_tree(x)[0][x.tubes.index(I)]
+    if len(rest := I.difference(*(t for t in x.tubes if t < I))) != 1:
+        raise InvalidTubing(f"tube {sorted(I)} has no unique top; tubing not maximal?")
+    return min(rest)
 
 
 def tau(x: Tubing) -> GForest:
     """Maximal tubing -> forest: each top's parent is the top of the next tube
-    up.  Built with no check, by the rule of the module docstring: tubes
-    come smallest first, so each ideal is whole before it is OR-ed into its
-    parent's."""
+    up, read in one pass over x's tube masks, smallest first (see the module
+    docstring).  Built with no check, by the rule there: each ideal is v's
+    bit OR its children's, whole before it is OR-ed into its parent's."""
     if not x.is_maximal():
         raise InvalidTubing("tau requires a maximal tubing")
     n = x.graph.n
-    parent = [0] * n
-    below = [0] * (n + 1)
-    ideal = [1 << v for v in range(n + 1)]
-    tops, up, _ = tube_tree(x)
-    for v, j in zip(tops, up):
-        p = tops[j] if j >= 0 else 0
-        parent[v - 1] = p
-        below[p] |= 1 << v
-        ideal[p] |= ideal[v]
+    parent, below, ideal = [0] * n, [0] * (n + 1), [0] * (n + 1)
+    roots = claimed = 0  # roots: the tops of the tubes not yet inside a larger one
+    for t in x.tubes:
+        mask = 0
+        for v in t:
+            mask |= 1 << v
+        own = mask & ~claimed
+        if not own or own & own - 1:
+            raise InvalidTubing(f"tube {sorted(t)} has no unique top; tubing not maximal?")
+        v = own.bit_length() - 1
+        below[v] = kids = roots & mask
+        roots = roots & ~mask | own
+        claimed |= mask
+        while kids:
+            c = (kids & -kids).bit_length() - 1
+            kids ^= 1 << c
+            parent[c - 1] = v
+            own |= ideal[c]
+        ideal[v] = own
+    below[0], ideal[0] = roots, claimed | 1  # the roots' ideals cover [n]
     t = object.__new__(GForest)
-    object.__setattr__(t, "graph", x.graph)
-    object.__setattr__(t, "parent", tuple(parent))
-    object.__setattr__(t, "_below", tuple(below))
-    object.__setattr__(t, "_ideal", tuple(ideal))
+    _set_forest_graph(t, x.graph)
+    _set_parent(t, tuple(parent))
+    _set_below(t, tuple(below))
+    _set_ideal(t, tuple(ideal))
     return t
 
 
@@ -492,6 +492,9 @@ def _code_table(g: Graph) -> tuple[dict, tuple[int, ...], tuple[Tubing, ...]]:
     """Tube mask -> its bit, the codes descending, and their maximal tubings
     aligned (``_halves`` into ``_sorted_tubing``).  A code is the OR of its
     tubes' bits: ``_tubewise`` with the piece (C, r) -> bit(C)."""
+    # past 2^21 tubings (about 750 MB) it refuses; g has at most n! (psi is onto)
+    if g.n > 9 and (count := count_maximal_tubings(g)) > 1 << 21:
+        raise TubelatError(f"{g} has {count:,} maximal tubings; enumeration takes at most 2,097,152")
     rev = tubes(g)[::-1]  # bit j stands for rev[j] (see the module docstring)
     bit = {sum(1 << v for v in t): 1 << j for j, t in enumerate(rev)}
     codes = tuple(sorted(_tubewise(g, lambda C, r: bit[C]), reverse=True))
@@ -542,6 +545,25 @@ def _tubewise(g: Graph, piece) -> list[int]:
                 ]
                 combos = [acc | o for acc in combos for o in opts]
             memo[S] = combos
+        return memo[S]
+
+    return rec((2 << g.n) - 2)
+
+
+def count_maximal_tubings(g: Graph) -> int:
+    """The number of maximal tubings of g, building none: a connected set C
+    has the sum over its roots r of the count of C - {r}, a disconnected set
+    the product of its components' counts, memoized per call on masks."""
+    adj, memo = adjacency(g), {0: 1}
+
+    def rec(S: int) -> int:
+        if S not in memo:
+            count, rest = 1, S
+            while rest:
+                C = component(adj, rest, (rest & -rest).bit_length() - 1)
+                rest ^= C
+                count *= sum(rec(C ^ 1 << r) for r in bits(C))
+            memo[S] = count
         return memo[S]
 
     return rec((2 << g.n) - 2)
@@ -625,9 +647,8 @@ def coarsen(h: Graph, w: Tubing) -> Tubing:
         raise NotASubgraph(f"{h} is not a subgraph of {g}")
     if not w.is_maximal():
         raise InvalidTubing("coarsen requires a maximal tubing")
-    adj = adjacency(h)
-    tops, _, masks = tube_tree(w)
-    return _tubing(h, tuple(mask_vertices(component(adj, t, v)) for v, t in zip(tops, masks)))
+    adj, ideal = adjacency(h), tau(w)._ideal
+    return _tubing(h, tuple(mask_vertices(component(adj, ideal[v], v)) for v in g.vertices))
 
 
 def maximal_tubings_oracle(g: Graph) -> tuple[Tubing, ...]:

@@ -376,11 +376,14 @@ def quotient_poset(theta: Congruence) -> Poset:
     so its classes are intervals, and an upper cover turns an ascent into a
     descent, so the word grows lexicographically along the order.  Like
     ``build_lg``, it refuses more than 65,536 classes before it builds the
-    poset, whose closure takes |classes|^2 bits.
+    poset, whose closure takes |classes|^2 bits, and counts the n! singleton
+    classes of the discrete congruence unbuilt (S_10 on is refused anyway).
     """
-    classes = congruence_classes(theta)
-    if len(classes) > 1 << 16:
-        raise TubelatError(f"the quotient has {len(classes):,} classes; a poset takes at most 65,536")
+    count = math.factorial(theta.n) if not theta.contracted and theta.n < 10 else 0
+    if count <= 1 << 16:
+        count = len(classes := congruence_classes(theta))
+    if count > 1 << 16:
+        raise TubelatError(f"the quotient has {count:,} classes; a poset takes at most 65,536")
     rep = {w: cls[0] for cls in classes for w in cls}
     covers = {(rep[u], rep[w]) for u, w in weak_cover_pairs(theta.n) if rep[u] != rep[w]}
     return Poset([cls[0] for cls in classes], covers)

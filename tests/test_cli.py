@@ -266,6 +266,9 @@ BAD_INPUTS = [
     ("tubings", "--graph-file", "no-such-dir/no-such-graph.txt"),
     ("check", "lattice-map", "--graph", "path:8"),  # the report takes n <= 7
     ("poset", "--graph", "cycle:11"),  # 184,756 tubings: L_G is refused before its closure
+    # counted, not enumerated: 39,916,800 and 362,880 tubings are refused unbuilt
+    ("tubings", "--graph", "complete:11"),
+    ("poset", "--graph", "complete:9"),
     # negative sizes, and a weak order past S_8, are refused before building
     ("export-dot", "--weak-order", "-1"),
     ("export-dot", "--weak-order", "9"),
@@ -487,14 +490,13 @@ def test_private_layouts_are_named_only_in_their_modules():
     src = Path(tubelat.__file__).parent
     private = (
         "_code_table", "_tubewise", "code_index", "tube_bits", "_sorted_tubing", "_tubing",
-        "tube_tree", "_cut_graphs", "_halves",
+        "_cut_graphs", "_halves",
     )
     named = {(path.name, name) for path in sorted(src.glob("*.py")) for name in names(path)}
     assert {(f, n) for f, n in named if n in private} == {
         ("tubings.py", n)
         for n in (
-            "_code_table", "_tubewise", "_sorted_tubing", "_tubing", "tube_tree", "_cut_graphs",
-            "_halves",
+            "_code_table", "_tubewise", "_sorted_tubing", "_tubing", "_cut_graphs", "_halves",
         )
     }
     storage = ("_up", "_down", "_upper", "_lower", "_meet_idx", "_join_idx", "_init_by_index")

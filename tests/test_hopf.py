@@ -309,7 +309,7 @@ def test_coarsen_matches_prefix_walk():
 
 
 def test_coarsenings_match_coarsen():
-    # the coarsening rule by code, against coarsen's tube tree, in
+    # the coarsening rule by code, against coarsen's forest ideals, in
     # enumeration order and returning the enumerated objects of h
     for h, g in _coarsen_pairs():
         ws = enumerate_maximal_tubings(g)

@@ -14,6 +14,7 @@ from tubelat.errors import (
     NotAnIdeal,
     NotATube,
     TubeNotInTubing,
+    TubelatError,
 )
 from tubelat.graphs import (
     Graph,
@@ -42,6 +43,7 @@ from tubelat.tubings import (
     descents,
     ascents,
     coarsen,
+    count_maximal_tubings,
     enumerate_maximal_tubings,
     flip,
     flip_by_search,
@@ -60,7 +62,6 @@ from tubelat.tubings import (
     split_restrictions,
     tau,
     top,
-    tube_tree,
     vertex_coordinates,
 )
 
@@ -308,11 +309,58 @@ def _ideal_by_walk(parent, v):
     return frozenset(out)
 
 
+def tube_tree(x):
+    """Indexed like ``x.tubes``: the top of each tube, the index of its
+    smallest strict supertube (-1 for none), and its vertex mask.
+
+    One pass, smallest tube first (see the module docstring); raises
+    ``InvalidTubing`` unless each tube has exactly one unclaimed vertex.
+    """
+    tops, up, masks, claimed = [], [-1] * (len(x.tubes) + 1), [], 0
+    # the root holding each vertex so far; -1 (none) writes to up's spare last slot
+    root = [-1] * (x.graph.n + 1)
+    for i, t in enumerate(x.tubes):
+        mask = 0
+        for v in t:
+            mask |= 1 << v
+            up[root[v]] = i
+            root[v] = i
+        own = mask & ~claimed
+        if not own or own & own - 1:
+            raise InvalidTubing(f"tube {sorted(t)} has no unique top; tubing not maximal?")
+        tops.append(own.bit_length() - 1)
+        masks.append(mask)
+        claimed |= mask
+    up.pop()
+    return tops, up, masks
+
+
+def _tau_by_tube_tree(x):
+    # tau's fields by the route its one pass over tube masks replaced, kept
+    # as the oracle: the tube tree first, then each top's parent, children
+    # and ideal
+    n = x.graph.n
+    parent = [0] * n
+    below = [0] * (n + 1)
+    ideal = [1 << v for v in range(n + 1)]
+    tops, up, _ = tube_tree(x)
+    for v, j in zip(tops, up):
+        p = tops[j] if j >= 0 else 0
+        parent[v - 1] = p
+        below[p] |= 1 << v
+        ideal[p] |= ideal[v]
+    return tuple(parent), tuple(below), tuple(ideal)
+
+
 def test_gforest_children_and_ideals_match_parent_scan():
-    # tau builds its forest unchecked: it equals the checked constructor's
-    for g in itertools.chain.from_iterable(all_graphs(n) for n in range(6)):
+    # tau builds its forest unchecked: it equals the checked constructor's,
+    # and the tube-tree route's field by field
+    graphs = itertools.chain.from_iterable(all_graphs(n) for n in range(6))
+    more = (parse_graph(d) for d in ("cycle:7", "complete:6", "path:8", "h:2:6"))
+    for g in itertools.chain(graphs, more):
         for x in enumerate_maximal_tubings(g):
             t = tau(x)
+            assert (t.parent, t._below, t._ideal) == _tau_by_tube_tree(x), x.label()
             checked = GForest(g, t.parent)
             for u in (t, checked):
                 assert u.parent == t.parent
@@ -335,6 +383,9 @@ def test_top_examples():
     # {1, 2, 3} keeps both 2 and 3: {1} is its only smaller tube
     with pytest.raises(InvalidTubing, match=r"tube \[1, 2, 3\] has no unique top"):
         top(Tubing(P3, (fs(1), fs(1, 2, 3))), fs(1, 2, 3))
+    # top reads only the tubes inside I: {2} has its top although the
+    # tubing around it is not maximal
+    assert top(Tubing(P3, (fs(2), fs(1, 2, 3))), fs(2)) == 2
 
 
 def _tops_and_supertubes_by_scan(x):
@@ -733,22 +784,23 @@ def test_flips_match_tube_tree_oracle():
         assert sorted(((y, x, b, a) for x, y, a, b in got), key=_flip_order) == got, g
 
 
-def test_build_lg_builds_no_tube_tree(monkeypatch):
+def test_build_lg_calls_no_tau(monkeypatch):
     calls = []
-    real = tubings.tube_tree
-    monkeypatch.setattr(tubings, "tube_tree", lambda x: calls.append(x) or real(x))
+    real = tubings.tau
+    monkeypatch.setattr(tubings, "tau", lambda x: calls.append(x) or real(x))
     lg = build_lg(parse_graph("cycle:6"))
     assert calls == []
-    tau(lg.elements[0])  # the count sees the calls that do happen
+    tubings.tau(lg.elements[0])  # the count sees the calls that do happen
     assert calls == [lg.elements[0]]
 
 
-def test_hopf_indexes_build_no_tube_tree(monkeypatch):
+def test_hopf_indexes_call_no_tau(monkeypatch):
     # the product's split index and the coproduct's coarsening fibers read
-    # every tubing's images off the code table's recursion
+    # every tubing's images off the code table's recursion; coarsen, for one
+    # tubing, reads its tubes off tau
     calls = []
-    real = tubings.tube_tree
-    monkeypatch.setattr(tubings, "tube_tree", lambda x: calls.append(x) or real(x))
+    real = tubings.tau
+    monkeypatch.setattr(tubings, "tau", lambda x: calls.append(x) or real(x))
     index = _split_index.__wrapped__(family_path(), 3, 4)
     fibers = _coarsen_fibers.__wrapped__(parse_graph("path:7"), parse_graph("cycle:7"))
     assert calls == []
@@ -866,6 +918,28 @@ def test_associahedron_counts():
     for n in range(11):
         count = len(enumerate_maximal_tubings(parse_graph(f"path:{n}")))
         assert count == math.comb(2 * n, n) // (n + 1)
+
+
+def test_count_matches_enumeration():
+    for g in itertools.chain.from_iterable(all_graphs(n) for n in range(6)):
+        assert count_maximal_tubings(g) == len(enumerate_maximal_tubings(g)), g
+
+
+def test_count_closed_forms_past_enumeration():
+    assert count_maximal_tubings(parse_graph("path:16")) == math.comb(32, 16) // 17
+    assert count_maximal_tubings(parse_graph("cycle:16")) == math.comb(30, 15)
+    assert count_maximal_tubings(parse_graph("complete:12")) == math.factorial(12)
+
+
+def test_oversized_enumerations_are_refused_before_enumerating(monkeypatch):
+    def enumerating(*args):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(tubings, "_tubewise", enumerating)
+    with pytest.raises(TubelatError, match="has 3,628,800 maximal tubings; enumeration takes at most 2,097,152$"):
+        enumerate_maximal_tubings(parse_graph("complete:10"))
+    with pytest.raises(TubelatError, match="has 362,880 maximal tubings; L_G takes at most 65,536$"):
+        build_lg(parse_graph("complete:9"))
 
 
 # ---------------------------------------------------------------------------

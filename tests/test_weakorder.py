@@ -712,11 +712,24 @@ def test_quotient_poset_refuses_more_classes_than_a_poset_takes(monkeypatch):
     monkeypatch.setattr(weakorder, "congruence_classes", lambda theta: classes)
     monkeypatch.setattr(weakorder, "Poset", None)  # building the poset raises TypeError
     with pytest.raises(TubelatError, match="^the quotient has 65,537 classes; a poset takes at most 65,536$"):
-        quotient_poset(Congruence(9, ()))
+        quotient_poset(Congruence(9, [parse_arc("1-2:", 9)]))
     # 65,536 classes go on to the poset (n = 0 keeps the covers empty)
     classes = classes[: 1 << 16]
     with pytest.raises(TypeError, match="'NoneType' object is not callable"):
         quotient_poset(Congruence(0, ()))
+
+
+def test_discrete_quotient_is_refused_before_its_classes(monkeypatch):
+    # with no arc contracted every class is a singleton: S_9's 9! classes
+    # are counted, not built
+    from tubelat import weakorder
+
+    def building(theta):
+        raise AssertionError("classes built")
+
+    monkeypatch.setattr(weakorder, "congruence_classes", building)
+    with pytest.raises(TubelatError, match="^the quotient has 362,880 classes; a poset takes at most 65,536$"):
+        quotient_poset(Congruence(9, ()))
 
 
 def test_weak_order_poset_refuses_sizes_outside_0_to_8_before_building():
