@@ -640,8 +640,8 @@ def coarsenings(h: Graph, g: Graph) -> Iterator[tuple[Tubing, Tubing]]:
 
 def coarsen(h: Graph, w: Tubing) -> Tubing:
     """Push a maximal tubing of G down to the subgraph h (same vertices):
-    each tube keeps the h-component of its top, by the restriction rule, as
-    h's surjection does on any linear extension of the forest of w."""
+    the tube with top v, v's ideal in tau(w), keeps v's h-component, by the
+    restriction rule, as h's surjection does on any linear extension of tau(w)."""
     g = w.graph
     if not is_subgraph(h, g):
         raise NotASubgraph(f"{h} is not a subgraph of {g}")
