@@ -78,6 +78,10 @@ class Graph:
     def has_edge(self, i: int, j: int) -> bool:
         return 1 <= i <= self.n and 1 <= j <= self.n and bool(adjacency(self)[i] >> j & 1)
 
+    def size_name(self) -> str:
+        """The graph named by its size, for messages that must stay short."""
+        return f"a graph on [{self.n}] with {len(self.edges)} edges"
+
     def to_text(self) -> str:
         lines = [str(self.n)]
         lines.extend(f"{a} {b}" for a, b in self.edges)

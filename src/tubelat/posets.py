@@ -21,15 +21,16 @@ kappa map exists on every join-irreducible and its dual on every
 meet-irreducible, one bitmask probe each; a lattice that fails is searched
 for its first violating triple with one probe per element and z.
 
-Construction has one body, ``_init_by_index``, on covers given by index:
-``Poset(elements, covers)`` maps its keys to positions for it, and
-``build_lg``, ``dual`` and ``product`` call it directly.  Redundant covers
-are found from sibling covers on the up closure (see ``Poset.__init__``).
-``build_lg`` assembles the poset L_G of maximal tubings: its covers are the
-``tubings.flips`` that go up, each found once from its lower end as a pair
-of positions in the enumeration, and acyclicity plus irredundancy of covers
-are verified on construction (the orientation is induced by a linear
-functional, so a cycle or a redundant edge would indicate a flip bug).
+Construction has one body, ``_init_by_index``, on each element's upper
+covers as a list of positions.  ``Poset(elements, covers)`` groups its key
+pairs so, once; ``build_lg``, ``dual`` (the lower covers), ``product`` and
+the weak order pass the lists to ``Poset.from_upper_covers`` as they build
+them.  Redundant covers are found from sibling covers on the up closure (see
+``Poset.__init__``).  ``build_lg`` assembles the poset L_G of maximal
+tubings: its covers are ``tubings.flips``, each found once from its lower
+end, and acyclicity plus irredundancy of covers are verified on
+construction (the orientation is induced by a linear functional, so a
+cycle or a redundant edge would indicate a flip bug).
 ``all_tubings`` lists the faces as the cliques of the per-graph
 ``compatibility_masks`` table, each checked once by the ``Tubing``
 constructor.
@@ -70,23 +71,27 @@ class Poset:
         idx = {e: i for i, e in enumerate(elements)}
         if len(idx) != len(elements):
             raise TubelatError("duplicate poset elements")
+        succs = [[] for _ in elements]  # grouped once, each cover once
         try:
-            cov = {(idx[a], idx[b]) for a, b in covers}
+            for a, b in dict.fromkeys((idx[a], idx[b]) for a, b in covers):
+                succs[a].append(b)
         except KeyError as exc:
             raise ElementNotFound(f"{exc.args[0]!r} not in poset") from None
-        self._init_by_index(elements, cov)
+        self._init_by_index(elements, succs)
 
-    def _init_by_index(self, elements: Sequence[Hashable], covers: Iterable[tuple]) -> "Poset":
-        """``Poset(...)`` on distinct covers given as index pairs into
-        ``elements``, with every check; fills and returns self, and hashes no
-        key per cover."""
+    @classmethod
+    def from_upper_covers(cls, elements: Sequence[Hashable], succs: Sequence[Sequence[int]]) -> "Poset":
+        """``Poset(...)`` on each element's upper covers by position:
+        ``succs[a]`` lists, once each, the b with ``elements[a] < elements[b]``."""
+        return cls.__new__(cls)._init_by_index(elements, succs)
+
+    def _init_by_index(self, elements: Sequence[Hashable], succs: Sequence[Sequence[int]]) -> "Poset":
+        """``Poset(...)`` on distinct covers given by position, ``succs[a]``
+        the upper covers of ``elements[a]``, with every check; fills and
+        returns self, and hashes no key per cover."""
         n = len(elements)
-        succs = [[] for _ in range(n)]
         indeg = [0] * n
-        for a, b in covers:
-            if a == b:
-                raise TubelatError("cover relation is a self-loop")
-            succs[a].append(b)
+        for b in itertools.chain.from_iterable(succs):
             indeg[b] += 1
         order = []
         heap = [i for i in range(n) if indeg[i] == 0]  # ascending, so a heap
@@ -97,7 +102,9 @@ class Poset:
                 indeg[w] -= 1
                 if indeg[w] == 0:
                     heapq.heappush(heap, w)
-        if len(order) != n:
+        if len(order) != n:  # a self-loop is a cycle, so only a failed sort looks for one
+            if any(a in ups for a, ups in enumerate(succs)):
+                raise TubelatError("cover relation is a self-loop")
             raise TubelatError("cover relation has a cycle")
         pos = dict(zip(order, range(n)))
         self.elements = tuple(elements[old] for old in order)
@@ -401,14 +408,17 @@ class Poset:
     # -- constructions ---------------------------------------------------------
 
     def dual(self) -> "Poset":
-        return Poset.__new__(Poset)._init_by_index(self.elements, [(b, a) for a, b in self.covers])
+        return Poset.from_upper_covers(self.elements, self._lower)
 
     def product(self, other: "Poset") -> "Poset":
         m = len(other)  # (x, y) sits at m * index(x) + index(y)
         elements = [(x, y) for x in self.elements for y in other.elements]
-        covers = [(a * m + y, b * m + y) for a, b in self.covers for y in range(m)]
-        covers += [(x * m + a, x * m + b) for x in range(len(self)) for a, b in other.covers]
-        return Poset.__new__(Poset)._init_by_index(elements, covers)
+        succs = [
+            [b * m + y for b in ups] + [x * m + c for c in other_ups]
+            for x, ups in enumerate(self._upper)
+            for y, other_ups in enumerate(other._upper)
+        ]
+        return Poset.from_upper_covers(elements, succs)
 
     # -- export ---------------------------------------------------------------
 
@@ -452,13 +462,16 @@ def _class_masks(label: Sequence[Hashable]) -> dict:
 
 
 def build_lg(g: Graph) -> Poset:
-    """The poset of maximal tubings; its covers are the ``flips`` that go up,
-    by position in the enumeration.  Its closure takes |MTub|^2 bits, so
-    past 65,536 tubings, counted first when n! exceeds that, it is refused."""
+    """The poset of maximal tubings, on the upper covers ``flips`` gives by
+    position in the enumeration.  Its closure takes |MTub|^2 bits, so past
+    65,536 tubings, counted first when n! exceeds that, it is refused."""
     if g.n > 8 and (count := count_maximal_tubings(g)) > 1 << 16:
-        raise TubelatError(f"{g} has {count:,} maximal tubings; L_G takes at most 65,536")
+        raise TubelatError(f"{g.size_name()} has {count:,} maximal tubings; L_G takes at most 65,536")
     mtub = enumerate_maximal_tubings(g)
-    return Poset.__new__(Poset)._init_by_index(mtub, [(i, j) for i, j, a, b in flips(g) if a < b])
+    succs = [[] for _ in mtub]
+    for i, j, _, _ in flips(g):
+        succs[i].append(j)
+    return Poset.from_upper_covers(mtub, succs)
 
 
 @dataclass(frozen=True)

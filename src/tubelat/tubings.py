@@ -80,21 +80,21 @@ bitmask of unplaced vertices, in ascending or descending vertex order.
 The tube tree is read in one pass over the tube masks, smallest first.
 Tubes of a tubing are nested or disjoint, so a tube's top is its one vertex
 that no smaller tube has claimed, and its children are the roots so far
-(tubes not yet inside a larger one) that lie inside it.  ``tau`` reads it
-so, finding the children with one AND against the mask of root tops and
-writing each top's parent, children and ideal as its tube is read;
-``_mask_flips`` reads it in the same pass as the flips.  ``top`` reads one
-tube's top alone: the one vertex of I outside the tubes strictly inside I.
+(tubes not yet inside a larger one) that lie inside it, found with one AND
+against the mask of root tops.  ``tau`` reads it so, writing each top's
+parent, children and ideal as its tube is read.  ``top`` reads one tube's
+top alone: the one vertex of I outside the tubes strictly inside I.
 A flip exchanges I for J, the component of top(K) in K - top(I), K the
-smallest tube strictly containing I; oriented by comparing tops, the flips
-are the covers of the partial order on maximal tubings built in the poset
-module.  K - top(I) is top(K), the other children of K, each touching
-top(K) but not I, and the children of I, components of I - top(I); so J is
-K - top(I) less the children of I that miss top(K), which the tree gives
-with no search.  ``flips`` reads each code's tube masks off its bits, so
-``build_lg`` builds no tube tree and reads no tube set.  The flip is psi of
-a linear extension of tau(x) with top(I) and top(K) swapped where they
-stand next to each other, so it is a tubing.
+smallest tube strictly containing I, as ``flip`` computes it; it goes up in
+L_G iff top(I) < top(K), and the flips that go up are the covers of L_G.
+``flips`` yields each cover once, from its lower end: one loop per code
+reads the tube masks off its bits and keeps the tube tree, so ``build_lg``
+builds no tube tree and reads no tube set, and J is found, with no search,
+only for a child I of K with top(I) < top(K).  K - top(I) is top(K), the
+other children of K, each touching top(K) but not I, and the children of I,
+components of I - top(I); so J is K - top(I) less the children of I that
+miss top(K).  The flip is psi of a linear extension of tau(x) with top(I)
+and top(K) swapped where they stand next to each other, so it is a tubing.
 
 Restriction and coarsening follow one rule: each tube T of a maximal
 tubing x keeps the component of its top v.  Restricted to a vertex set I,
@@ -494,7 +494,7 @@ def _code_table(g: Graph) -> tuple[dict, tuple[int, ...], tuple[Tubing, ...]]:
     tubes' bits: ``_tubewise`` with the piece (C, r) -> bit(C)."""
     # past 2^21 tubings (about 750 MB) it refuses; g has at most n! (psi is onto)
     if g.n > 9 and (count := count_maximal_tubings(g)) > 1 << 21:
-        raise TubelatError(f"{g} has {count:,} maximal tubings; enumeration takes at most 2,097,152")
+        raise TubelatError(f"{g.size_name()} has {count:,} maximal tubings; enumeration takes at most 2,097,152")
     rev = tubes(g)[::-1]  # bit j stands for rev[j] (see the module docstring)
     bit = {sum(1 << v for v in t): 1 << j for j, t in enumerate(rev)}
     codes = tuple(sorted(_tubewise(g, lambda C, r: bit[C]), reverse=True))
@@ -576,25 +576,40 @@ def enumerate_maximal_tubings(g: Graph) -> tuple[Tubing, ...]:
 
 
 def flips(g: Graph) -> Iterator[tuple[int, int, int, int]]:
-    """(i, j, a, b) for every flip of every maximal tubing x of g, by
-    position in ``enumerate_maximal_tubings(g)`` and in its order: x is
-    tubing i, tubing j is x with I exchanged for J, a = top(I) and b = top(J)
-    as ``oriented_flips`` yields them; x < y in L_G iff a < b.  Each code's
-    tube masks are read off its bits, highest first (smallest tube first),
-    for ``_mask_flips``, and j is the position of code ^ bit(I) ^ bit(J), so
-    no tube tree, tube set or tubing is built or hashed per flip."""
+    """(i, j, a, b) for every cover x < y of L_G, once, from its lower end,
+    by position in ``enumerate_maximal_tubings(g)``: x is tubing i, tubing j
+    is x with I exchanged for J, and a = top(I) < b = top(K) = top(J).  One
+    loop per code reads its tube masks off its bits, smallest tube first, and
+    keeps the tube tree (see the module docstring); J and j, the position of
+    code ^ bit(I) ^ bit(J), are found for no downward flip."""
     adj = adjacency(g)
     bit, codes, _ = _code_table(g)
-    tube = list(bit)  # the mask of bit j, at index j
+    tube = list(bit)  # the mask of bit k, at index k
     index = dict(zip(codes, range(len(codes))))  # code -> position
+    # by top: the tube's mask, its bit, and its children's tops
+    mask, tube_bit, below = [0] * (g.n + 1), [0] * (g.n + 1), [0] * (g.n + 1)
     for i, code in enumerate(codes):
-        masks, rest = [], code
+        rest, roots, claimed = code, 0, 0  # roots: the tops of the tubes not yet inside a larger one
         while rest:
-            j = rest.bit_length() - 1
-            masks.append(tube[j])
-            rest ^= 1 << j
-        for I, J, a, b in _mask_flips(adj, masks):
-            yield i, index[code ^ bit[I] ^ bit[J]], a, b
+            k = rest.bit_length() - 1
+            rest ^= 1 << k
+            K = tube[k]
+            b = (K & ~claimed).bit_length() - 1
+            claimed |= K
+            kids = roots & K
+            roots ^= kids | 1 << b
+            mask[b], tube_bit[b], below[b] = K, 1 << k, kids
+            up, near = kids & (1 << b) - 1, adj[b]
+            while up:
+                a = up.bit_length() - 1
+                up ^= 1 << a
+                J, cut = K ^ 1 << a, below[a]
+                while cut:  # the children of I that miss top(K) leave J
+                    c = cut.bit_length() - 1
+                    cut ^= 1 << c
+                    if not mask[c] & near:
+                        J ^= mask[c]
+                yield i, index[code ^ tube_bit[a] ^ bit[J]], a, b
 
 
 def split_restrictions(g: Graph, n: int) -> Iterator[tuple[Tubing, Tubing, Tubing]]:
@@ -816,21 +831,24 @@ def ascents(t: GForest) -> frozenset:
 
 
 def flip(x: Tubing, I: Iterable[int]) -> tuple[Tubing, frozenset]:
-    """Exchange tube I of the maximal tubing x for the unique alternative J
-    (see ``oriented_flips``); component tubes cannot be flipped."""
+    """Exchange tube I of the maximal tubing x for J, the component of
+    top(K) in K - top(I), K the smallest tube of x strictly containing I;
+    component tubes have no such K and cannot be flipped.  The flip goes up
+    in L_G iff top(I) < top(K), and top(K) is the top of J after it."""
     I = frozenset(I)
     if not x.is_maximal():
         raise InvalidTubing("flip requires a maximal tubing")
     if I not in x:
         raise TubeNotInTubing(f"{sorted(I)} not in tubing")
-    mask = sum(1 << v for v in I)
-    for old, J, _, _ in oriented_flips(x):
-        if old == mask:
-            J = mask_vertices(J)
-            return _tubing(x.graph, tuple(t for t in x.tubes if t != I) + (J,)), J
-    raise MaximalTubeNotFlippable(
-        f"{sorted(I)} is the tube of a whole component; it cannot be flipped"
-    )
+    # supertubes of I are nested, and tube_key order puts the smallest first
+    K = next((t for t in x.tubes if I < t), None)
+    if K is None:
+        raise MaximalTubeNotFlippable(
+            f"{sorted(I)} is the tube of a whole component; it cannot be flipped"
+        )
+    rest = sum(1 << v for v in K - {top(x, I)})
+    J = mask_vertices(component(adjacency(x.graph), rest, top(x, K)))
+    return _tubing(x.graph, tuple(t for t in x.tubes if t != I) + (J,)), J
 
 
 def flip_by_search(x: Tubing, I: Iterable[int]) -> tuple[Tubing, frozenset]:
@@ -851,46 +869,6 @@ def flip_by_search(x: Tubing, I: Iterable[int]) -> tuple[Tubing, frozenset]:
         )
     J = found[0]
     return _tubing(x.graph, tuple(rest) + (J,)), J
-
-
-def oriented_flips(x: Tubing) -> Iterator[tuple[int, int, int, int]]:
-    """Yield (I, J, a, b) for every flippable tube I of the maximal tubing x,
-    with I and J as vertex masks.
-
-    Let K be the smallest tube of x strictly containing I, a = top(I) and
-    b = top(K); then J is the component of b in G restricted to K - {a}, and
-    b is the top of J after the flip.  The flip goes up in L_G iff a < b.
-    Component tubes have no such K and are skipped.  ``_mask_flips`` reads
-    J off the tube tree of x's tube masks in the same pass as the tree (see
-    the module docstring), so the flips come grouped by K, smallest first.
-    """
-    return _mask_flips(adjacency(x.graph), [sum(1 << v for v in t) for t in x.tubes])
-
-
-def _mask_flips(adj: Sequence[int], masks: Iterable[int]) -> Iterator[tuple[int, int, int, int]]:
-    """``oriented_flips`` of the maximal tubing whose tube masks come
-    smallest first, grouped by K, reading the tube tree in the same pass:
-    K's top is its one vertex no smaller tube claimed, and its children are
-    the roots so far that lie inside it."""
-    roots, claimed = [], 0  # (mask, top, children's masks) of each root
-    for K in masks:
-        b = (K & ~claimed).bit_length() - 1
-        claimed |= K
-        near = adj[b]
-        kids, rest = [], []
-        for root in roots:
-            I, a, below = root
-            if I & K:
-                kids.append(I)
-                cut = 0  # the children of I that miss top(K)
-                for c in below:
-                    if not c & near:
-                        cut |= c
-                yield I, K ^ 1 << a ^ cut, a, b
-            else:
-                rest.append(root)
-        rest.append((K, b, kids))
-        roots = rest
 
 
 def vertex_coordinates(t: GForest) -> tuple[int, ...]:

@@ -757,6 +757,8 @@ def ex_lg_structure_sweep(max_n=None) -> str:
             )
             lam = lambda v: sum((n - idx) * v[idx] for idx in range(n))
             coords = [vertex_coordinates(t) for t in trees]
+            # covers only: the reverse flip y -> x has the negated difference
+            # and the same scale, and goes down, so the upward check implies it
             for x, y, i_t, j_t in flips(g):
                 diff = [a - b for a, b in zip(coords[y], coords[x])]
                 scale = diff[i_t - 1]
@@ -766,7 +768,7 @@ def ex_lg_structure_sweep(max_n=None) -> str:
                 if diff != expected:
                     raise VerifyFailure(f"flip difference not c(e_i - e_j) at {g}")
                 _require(scale > 0, "flip difference must gain on the leaving top")
-                if i_t < j_t and not lam(coords[y]) > lam(coords[x]):
+                if not lam(coords[y]) > lam(coords[x]):
                     raise VerifyFailure(f"lambda orientation fails at {g}")
             graphs += 1
     return f"{graphs} graphs: unique extrema, covers=descents=ascents, lambda-monotone flips"

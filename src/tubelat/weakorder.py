@@ -118,7 +118,9 @@ def weak_order_poset(n: int) -> Poset:
     refused before anything is built (S_9's closure would take ~33 GB)."""
     if not 0 <= n <= 8:
         raise TubelatError(f"the weak order is built for n = 0..8, not n = {n}")
-    return Poset(permutations(n), weak_cover_pairs(n))
+    words = permutations(n)
+    index = dict(zip(words, range(len(words))))
+    return Poset.from_upper_covers(words, [[index[u] for u in weak_upper_covers(w)] for w in words])
 
 
 def weak_meet(u: Perm, w: Perm) -> Perm:

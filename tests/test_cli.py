@@ -297,6 +297,13 @@ def test_bad_input_exits_2(capsys, tmp_path):
         assert "error:" in err and "Traceback" not in err, row
 
 
+def test_oversized_graph_is_named_by_size(capsys):
+    # the refusal names the graph by its size, not by its edge list
+    code, _, err = invoke(capsys, "tubings", "--graph", "complete:11")
+    (line,) = err.splitlines()
+    assert code == 2 and "39,916,800" in line and len(line) < 120, line
+
+
 FALSE_PROPERTIES = [
     # the product of a non-admissible family is undefined: the witness says where
     ("family", "associative", "--family", "cycle", "--max-degree", "4"),

@@ -73,11 +73,14 @@ def test_covers_must_be_acyclic_and_irredundant():
 
 
 def _index_path(elements, covers):
-    # the private constructor path that build_lg, dual and product take,
-    # fed the same covers by position in elements, each once, as they give
+    # the constructor path that build_lg, dual, product and the weak order
+    # take, fed the same covers as each element's list of upper covers by
+    # position in elements, each once, as they give
     idx = {e: i for i, e in enumerate(elements)}
-    cov = dict.fromkeys((idx[a], idx[b]) for a, b in covers)
-    return Poset.__new__(Poset)._init_by_index(elements, list(cov))
+    succs = [[] for _ in elements]
+    for a, b in dict.fromkeys((idx[a], idx[b]) for a, b in covers):
+        succs[a].append(b)
+    return Poset.from_upper_covers(elements, succs)
 
 
 def _fields(p):
@@ -111,7 +114,7 @@ def test_both_constructor_paths_agree():
     for n in range(6):
         for g in all_graphs(n):
             xs = enumerate_maximal_tubings(g)
-            agree(xs, [(xs[i], xs[j]) for i, j, a, b in flips(g) if a < b], build_lg(g))
+            agree(xs, [(xs[i], xs[j]) for i, j, a, b in flips(g)], build_lg(g))
     for n in range(7):
         s = weak_order_poset(n)
         agree(permutations(n), weak_cover_pairs(n), s)

@@ -717,40 +717,61 @@ def test_flip_matches_search_everywhere_small():
                 assert flip(x, t) == flip_by_search(x, t)
 
 
+def _assert_covers(got, oracle, g):
+    # got: the flips yields, as (x, y, a, b); oracle: every flip of every
+    # tubing, both ways.  The upward oracle flips are got, each once, and
+    # each downward one is the reverse of one of them
+    assert sorted(got, key=_flip_order) == sorted((f for f in oracle if f[2] < f[3]), key=_flip_order), g
+    covers = set(got)
+    assert all((y, x, b, a) in covers for x, y, a, b in oracle if a > b), g
+
+
+def _yielded(g):
+    xs = enumerate_maximal_tubings(g)
+    return [(xs[i], xs[j], a, b) for i, j, a, b in flips(g)]
+
+
 def test_flips_match_flip_by_search():
-    # every flip of every maximal tubing exactly once, to the searched tubing
+    # every cover of every maximal tubing exactly once, to the searched tubing
     graphs = [g for n in range(5) for g in all_graphs(n)]
     for g in graphs + [parse_graph("cycle:5"), parse_graph("complete:5")]:
-        xs = enumerate_maximal_tubings(g)
-        expected = {
-            (x, I): flip_by_search(x, I)
-            for x in xs
-            for I in x.tubes
-            if I not in component_tubes(g)
-        }
-        seen = []
-        for i, j, a, b in flips(g):
-            x, y = xs[i], xs[j]
-            (I,) = set(x.tubes) - set(y.tubes)
-            searched, J = expected[(x, I)]
-            assert y == searched and y is xs[xs.index(y)], g
-            assert (a, b) == (top(x, I), top(y, J)), g
-            seen.append((x, I))
-        assert len(seen) == len(expected) and set(seen) == set(expected), g
+        oracle = []
+        for x in enumerate_maximal_tubings(g):
+            for I in x.tubes:
+                if I not in component_tubes(g):
+                    y, J = flip_by_search(x, I)
+                    oracle.append((x, y, top(x, I), top(y, J)))
+        _assert_covers(_yielded(g), oracle, g)
 
 
 def test_flips_yield_each_up_cover_pair_once():
-    graphs = [g for n in range(6) for g in all_graphs(n)]
+    # against flip, which finds J by its definition with a flood fill
+    graphs = [g for n in range(5) for g in all_graphs(n)]
     for g in graphs + [parse_graph(d) for d in ("complete:6", "cycle:7")]:
         size = len(enumerate_maximal_tubings(g))
-        pairs = [(i, j) for i, j, a, b in flips(g) if a < b]
+        pairs = [(i, j) for i, j, a, b in flips(g)]
         assert len(set(pairs)) == len(pairs), g
         assert all(0 <= i < size and 0 <= j < size and i != j for i, j in pairs), g
+        oracle = []
+        for x in enumerate_maximal_tubings(g):
+            for I in x.tubes:
+                if I not in component_tubes(g):
+                    y, J = flip(x, I)
+                    oracle.append((x, y, top(x, I), top(y, J)))
+        _assert_covers(_yielded(g), oracle, g)
+
+
+def test_flips_count_the_descents():
+    # a cover of L_G is a descent of tau(x) at its lower end x
+    for n in range(6):
+        for g in all_graphs(n):
+            expected = sum(len(descents(tau(x))) for x in enumerate_maximal_tubings(g))
+            assert sum(1 for _ in flips(g)) == expected, g
 
 
 def _oriented_flips_by_tube_tree(x):
-    # the tube-tree route that the one-pass mask generator replaced, kept as
-    # the oracle: the tree first, then the children that miss top(K)
+    # the tube-tree route that the one-pass flip loop replaced, kept as the
+    # oracle: the tree first, then the children that miss top(K), both ways
     adj = adjacency(x.graph)
     tops, up, masks = tube_tree(x)
     cut = [0] * len(up)
@@ -769,19 +790,16 @@ def _flip_order(f):
 
 
 def test_flips_match_tube_tree_oracle():
-    # every field of every flip, and each flip's reverse among the flips
+    # every field of every cover, against the oracle's flips both ways
     graphs = [g for n in range(6) for g in all_graphs(n)]
     for g in graphs + [parse_graph(d) for d in ("complete:6", "cycle:7", "h:2:6")]:
-        xs = enumerate_maximal_tubings(g)
-        expected = []
-        for x in xs:
+        oracle = []
+        for x in enumerate_maximal_tubings(g):
             for I, J, a, b in _oriented_flips_by_tube_tree(x):
                 I, J = mask_vertices(I), mask_vertices(J)
                 y = Tubing(g, tuple(t for t in x.tubes if t != I) + (J,))
-                expected.append((x, y, a, b))
-        got = sorted(((xs[i], xs[j], a, b) for i, j, a, b in flips(g)), key=_flip_order)
-        assert got == sorted(expected, key=_flip_order), g
-        assert sorted(((y, x, b, a) for x, y, a, b in got), key=_flip_order) == got, g
+                oracle.append((x, y, a, b))
+        _assert_covers(_yielded(g), oracle, g)
 
 
 def test_build_lg_calls_no_tau(monkeypatch):
