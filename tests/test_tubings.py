@@ -718,7 +718,7 @@ def test_flip_matches_search_everywhere_small():
 
 
 def _assert_covers(got, oracle, g):
-    # got: the flips yields, as (x, y, a, b); oracle: every flip of every
+    # got: what flips yields, as (x, y, a, b); oracle: every flip of every
     # tubing, both ways.  The upward oracle flips are got, each once, and
     # each downward one is the reverse of one of them
     assert sorted(got, key=_flip_order) == sorted((f for f in oracle if f[2] < f[3]), key=_flip_order), g
@@ -731,34 +731,33 @@ def _yielded(g):
     return [(xs[i], xs[j], a, b) for i, j, a, b in flips(g)]
 
 
+def _flips_by(g, exchange):
+    # every flip of every maximal tubing of g, both ways, by exchange(x, I)
+    out = []
+    for x in enumerate_maximal_tubings(g):
+        for I in x.tubes:
+            if I not in component_tubes(g):
+                y, J = exchange(x, I)
+                out.append((x, y, top(x, I), top(y, J)))
+    return out
+
+
 def test_flips_match_flip_by_search():
     # every cover of every maximal tubing exactly once, to the searched tubing
     graphs = [g for n in range(5) for g in all_graphs(n)]
     for g in graphs + [parse_graph("cycle:5"), parse_graph("complete:5")]:
-        oracle = []
-        for x in enumerate_maximal_tubings(g):
-            for I in x.tubes:
-                if I not in component_tubes(g):
-                    y, J = flip_by_search(x, I)
-                    oracle.append((x, y, top(x, I), top(y, J)))
-        _assert_covers(_yielded(g), oracle, g)
+        _assert_covers(_yielded(g), _flips_by(g, flip_by_search), g)
 
 
 def test_flips_yield_each_up_cover_pair_once():
     # against flip, which finds J by its definition with a flood fill
-    graphs = [g for n in range(5) for g in all_graphs(n)]
+    graphs = [g for n in range(6) for g in all_graphs(n)]
     for g in graphs + [parse_graph(d) for d in ("complete:6", "cycle:7")]:
         size = len(enumerate_maximal_tubings(g))
         pairs = [(i, j) for i, j, a, b in flips(g)]
         assert len(set(pairs)) == len(pairs), g
         assert all(0 <= i < size and 0 <= j < size and i != j for i, j in pairs), g
-        oracle = []
-        for x in enumerate_maximal_tubings(g):
-            for I in x.tubes:
-                if I not in component_tubes(g):
-                    y, J = flip(x, I)
-                    oracle.append((x, y, top(x, I), top(y, J)))
-        _assert_covers(_yielded(g), oracle, g)
+        _assert_covers(_yielded(g), _flips_by(g, flip), g)
 
 
 def test_flips_count_the_descents():
