@@ -21,7 +21,9 @@ ideal.  A fiber's precondition, h a subgraph of g, is checked once, where
 indexes read only those pairs and fibers and call no ``tau``
 (``test_hopf_indexes_call_no_tau`` checks this); ``embed_c`` and
 ``c_delta_holds`` read each tubing's forest through ``tau``, one pass over
-its tube masks.
+its tube masks.  A product copies its pair's finished ``{Z: 1}`` dict out
+of the split index with one ``dict(...)``, which reuses the stored hashes,
+so a warm product hashes only its (X, Y) key.
 
 All coefficients are exact integers.  Products here are multiplicity-free;
 coproducts are not (distinct ideals may standardize to the same pair), so no
@@ -35,6 +37,7 @@ from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
+    InvalidTubing,
     NotAdmissibleAtDegree,
     NotASubgraph,
     NotRestrictionCompatible,
@@ -54,13 +57,17 @@ from .weakorder import Perm, check_perm
 
 
 class FormalSum:
-    """Integer-coefficient linear combination over hashable basis keys."""
+    """Integer-coefficient linear combination over hashable basis keys.  Its terms
+    are its own: an exact dict of nonzero coefficients is copied whole, else filtered."""
 
     __slots__ = ("basis", "terms")
 
     def __init__(self, basis: str, terms: Optional[dict] = None):
         self.basis = basis
-        self.terms: dict = {key: c for key, c in (terms or {}).items() if c}
+        if type(terms) is dict and all(terms.values()):
+            self.terms: dict = dict(terms)
+        else:
+            self.terms = {key: c for key, c in (terms or {}).items() if c}
 
     def add_term(self, key, coeff: int = 1) -> None:
         c = self.terms.get(key, 0) + coeff
@@ -215,7 +222,8 @@ def _require_admissible_at(family: GraphFamily, n: int, m: int) -> None:
 
 @lru_cache(maxsize=None)
 def _split_index(family: GraphFamily, n: int, m: int) -> dict:
-    """(X, Y) -> tuple of Z in MTub(G_{n+m}) restricting to the pair.
+    """(X, Y) -> {Z: 1} over the Z in MTub(G_{n+m}) restricting to the pair, in
+    ``split_restrictions`` order: shared terms, which ``tubing_product`` copies and none mutates.
 
     Admissibility makes G_{n+m} equal to G_n on [1..n] and to G_m shifted by
     n above it, so ``tubings.split_restrictions`` gives each Z's pair.
@@ -223,20 +231,24 @@ def _split_index(family: GraphFamily, n: int, m: int) -> dict:
     _require_admissible_at(family, n, m)
     index: dict = {}
     for z, x, y in split_restrictions(family(n + m), n):
-        index.setdefault((x, y), []).append(z)
-    return {k: tuple(v) for k, v in index.items()}
+        index.setdefault((x, y), {})[z] = 1
+    return index
 
 
 def tubing_product(family: GraphFamily, x: Tubing, y: Tubing) -> FormalSum:
-    """P_x . P_y: the sum over maximal tubings of G_{n+m} restricting to x
-    below and to a shifted copy of y above."""
+    """P_x . P_y for maximal x, y: a copy of the sum over maximal tubings of
+    G_{n+m} restricting to x below and to a shifted copy of y above."""
     n, m = x.graph.n, y.graph.n
     if x.graph != family(n) or y.graph != family(m):
         raise SizeMismatch("tubings do not belong to the family at their degree")
-    return FormalSum("P", dict.fromkeys(_split_index(family, n, m).get((x, y), ()), 1))
+    if len(x.tubes) != n or len(y.tubes) != m:  # maximal, by purity
+        raise InvalidTubing("the product requires maximal tubings")
+    return FormalSum("P", _split_index(family, n, m).get((x, y), {}))
 
 
 def tubing_product_sums(family: GraphFamily, a: FormalSum, b: FormalSum) -> FormalSum:
+    if any(g != family(g.n) for g in {t.graph for s in (a, b) for t in s.terms}):
+        raise SizeMismatch("tubings do not belong to the family at their degree")
     out = FormalSum("P")
     for x, cx in a.terms.items():
         for y, cy in b.terms.items():
@@ -360,6 +372,8 @@ def tubing_coproduct(family: GraphFamily, x: Tubing) -> FormalSum:
     n = x.graph.n
     if x.graph != family(n):
         raise SizeMismatch("tubing does not belong to the family at its degree")
+    if len(x.tubes) != n:  # maximal, by purity
+        raise InvalidTubing("the coproduct requires a maximal tubing")
     out = FormalSum("P*P")
     for I, low, high in ideal_splits(x):
         try:

@@ -483,7 +483,8 @@ def test_private_layouts_are_named_only_in_their_modules():
     # skip the sort; only tau may build a GForest without its constructor's
     # check.  The poset's index-order bitmask storage, and the private
     # constructor path that takes covers by index, are decisions of the
-    # posets module
+    # posets module.  The Hopf indexes hold shared term dicts and fibers
+    # that only the hopf module may read or mutate
     import ast
     from pathlib import Path
 
@@ -508,6 +509,8 @@ def test_private_layouts_are_named_only_in_their_modules():
     }
     storage = ("_up", "_down", "_upper", "_lower", "_meet_idx", "_join_idx", "_init_by_index")
     assert {(f, n) for f, n in named if n in storage} == {("posets.py", n) for n in storage}
+    indexes = ("_split_index", "_coarsen_fibers")
+    assert {(f, n) for f, n in named if n in indexes} == {("hopf.py", n) for n in indexes}
     root = src.parent.parent
     files = [*src.glob("*.py"), *root.glob("tests/*.py"), *root.glob("bench/*.py")]
     assert not [path.name for path in files if "make_tubing" in names(path)]

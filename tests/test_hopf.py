@@ -41,6 +41,7 @@ from tubelat.hopf import (
     standardize_word,
     tubing_coproduct,
     tubing_product,
+    tubing_product_sums,
 )
 from tubelat.hopf import _coarsen_fibers, _require_admissible_at, _split_index
 from tubelat.tubings import (
@@ -64,6 +65,17 @@ def test_formal_sum_arithmetic():
     with pytest.raises(SizeMismatch):
         a + FormalSum("P")
     assert FormalSum("F", {(1, 2): 0}).terms == {}
+
+
+def test_formal_sum_copies_its_terms():
+    d = {(1, 2): 2, (2, 1): 1}
+    s = FormalSum("F", d)
+    assert s.terms == d and s.terms is not d
+    s.add_term((1, 2), 1)
+    assert d == {(1, 2): 2, (2, 1): 1}
+    d[(2, 1)] = 5
+    assert s.terms == {(1, 2): 3, (2, 1): 1}
+    assert FormalSum("F", {(1, 2): 1, (2, 1): 0}).terms == {(1, 2): 1}
 
 
 def test_shuffles_and_standardize():
@@ -173,7 +185,42 @@ def test_split_index_matches_restriction():
     splits += [(path, 3, 4), (complete, 3, 3), (h2, 3, 4), (a13, 3, 3), (oddbip, 3, 4)]
     for fam, n, m in splits:
         expected = _split_index_by_restriction(fam, n, m)
-        assert list(_split_index(fam, n, m).items()) == list(expected.items()), (fam.name, n, m)
+        index = _split_index(fam, n, m)
+        assert list(index) == list(expected), (fam.name, n, m)
+        for key, terms in index.items():
+            assert tuple(terms) == expected[key], (fam.name, n, m, key)
+            assert set(terms.values()) == {1}, (fam.name, n, m, key)
+
+
+def _large_product_pair(fam, n, m):
+    # the (x, y) pair of degrees n, m with the most product terms
+    return max(_split_index(fam, n, m).items(), key=lambda item: len(item[1]))[0]
+
+
+def test_warm_product_hashes_only_its_key(monkeypatch):
+    # the terms are copied out of the split index with their stored hashes;
+    # only the lookup key (x, y) is hashed, whatever the term count
+    fam = family_path()
+    x, y = _large_product_pair(fam, 3, 4)
+    expected = tubing_product(fam, x, y).terms
+    assert len(expected) >= 20
+    calls = []
+    real = Tubing.__hash__
+    monkeypatch.setattr(Tubing, "__hash__", lambda t: calls.append(t) or real(t))
+    s = tubing_product(fam, x, y)
+    assert calls == [x, y]
+    assert s.terms == expected
+
+
+def test_product_terms_belong_to_the_caller():
+    fam = family_path()
+    x, y = _large_product_pair(fam, 3, 4)
+    first = tubing_product(fam, x, y)
+    expected = dict(first.terms)
+    first.add_term(list(expected)[0], 2)
+    first.add_term(list(expected)[-1], -1)
+    assert tubing_product(fam, x, y).terms == expected
+    assert list(_split_index(fam, 3, 4)[(x, y)].items()) == list(expected.items())
 
 
 def test_tubing_product_unit_and_edge_free():
@@ -200,6 +247,28 @@ def test_tubing_product_rejects_foreign_tubings():
     x = enumerate_maximal_tubings(family_complete()(3))[0]
     with pytest.raises(SizeMismatch):
         tubing_product(fam, x, x)
+    y = enumerate_maximal_tubings(family_complete()(2))[0]
+    sx, sy = FormalSum("P", {x: 1}), FormalSum("P", {y: 1})
+    with pytest.raises(SizeMismatch):
+        tubing_product_sums(fam, sx, sy)
+    ok = FormalSum("P", {enumerate_maximal_tubings(fam(2))[0]: 1})
+    for a, b in ((sx, ok), (ok, sx)):
+        with pytest.raises(SizeMismatch):
+            tubing_product_sums(fam, a, b)
+
+
+def test_tubing_operations_reject_non_maximal_tubings():
+    # the product and coproduct are defined on maximal tubings, as tau is
+    fam = family_path()
+    partial = Tubing(fam(3), (frozenset({2}),))
+    y = enumerate_maximal_tubings(fam(2))[0]
+    for left, right in ((partial, y), (y, partial)):
+        with pytest.raises(InvalidTubing):
+            tubing_product(fam, left, right)
+    with pytest.raises(InvalidTubing):
+        tubing_coproduct(fam, partial)
+    with pytest.raises(InvalidTubing):
+        embed_c(partial)
 
 
 def test_admissibility_examples():
